@@ -1,13 +1,16 @@
 """Bound quiver algebras with exact degreewise normal forms.
 
 A ``Presentation`` is a quiver together with a list of homogeneous
-relation elements.  ``compute_basis`` eliminates the relation span one
-path length at a time and keeps, in each length, the paths that are not
-leading terms; multiplication then reduces concatenations to this
-basis.  The elimination order puts the lexicographically largest word
-on the pivot, so the surviving representative of each class is the
+relation elements.  ``compute_basis`` builds the basis one path length
+at a time from the basis of the length before: the candidates of
+length d are the basis paths of length d-1, each extended by one arrow,
+and the relations, multiplied on the left by shorter basis paths and
+rewritten over the candidates, are eliminated among them.  The
+elimination order puts the lexicographically largest word on the
+pivot, so the surviving representative of each class is the
 lexicographically smallest path under the arrow order
 ``a_1 < a_2 < ... < a_n < a_0`` (index-0 arrows sort last).
+Multiplication then reduces concatenations to this basis.
 
 The zigzag family lives on the translation quivers of :mod:`.quiver`:
 
@@ -81,10 +84,6 @@ class Path:
     @property
     def length(self):
         return len(self.arrows)
-
-    @property
-    def word(self):
-        return tuple(a.label for a in self.arrows)
 
     @property
     def bidegree(self):
@@ -237,9 +236,6 @@ class Presentation:
 
     def arrow(self, source, label) -> Arrow:
         return self._by_key[(source, label)]
-
-    def trivial_path(self, v) -> Path:
-        return Path(v)
 
     def path(self, source, labels) -> Path:
         """The path starting at ``source`` along the given arrow labels."""
@@ -573,14 +569,7 @@ class AlgebraInstance:
     def reduce_path(self, p: Path) -> Element:
         if p.length > self.top_length:
             return Element()
-        if p in self._basis_set:
-            return Element.of_path(p)
-        row = self._reduction.get(p)
-        if row is None:
-            # a valid path of computed length that never appeared would
-            # be a bug in the degreewise enumeration
-            raise KeyError(f"path not covered by the computed basis: {p!r}")
-        return Element({q: -c for q, c in row.items() if q != p})
+        return Element(_normal_form(p, self._basis_set, self._reduction))
 
     def normal_form(self, elt: Element) -> Element:
         out = Element()
@@ -590,15 +579,6 @@ class AlgebraInstance:
 
     def multiply(self, u: Element, v: Element) -> Element:
         return self.normal_form(u.free_mul(v))
-
-    def idempotent(self, x) -> Element:
-        return Element.of_path(Path(x))
-
-    def unit(self) -> Element:
-        return Element({Path(x): ONE for x in self.presentation.vertices})
-
-    def arrow_element(self, source, label) -> Element:
-        return Element.of_path(self.presentation.path(source, (label,)))
 
     # -- derived structure --------------------------------------------------
 
@@ -623,61 +603,87 @@ class AlgebraInstance:
                 f"top length {self.top_length})")
 
 
-def compute_basis(pres: Presentation, max_len: int = DEFAULT_MAX_LEN) -> AlgebraInstance:
-    """Eliminate the relation span length by length.
+def _combine(pairs) -> dict:
+    """The sum of c * vec over the (vec, c) pairs, zeros dropped."""
+    out = {}
+    for vec, c in pairs:
+        for q, v in vec.items():
+            nv = out.get(q, ZERO) + c * v
+            if nv:
+                out[q] = nv
+            else:
+                out.pop(q, None)
+    return out
 
-    In length d the relation span is A_1 * I_{d-1} + I_{d-1} * A_1 plus
-    the relations of length exactly d, so the previous length's pivot
-    rows are extended by single arrows on both sides.  Stops at the
-    first empty length and returns the finite instance (all longer
-    components vanish since the algebra is generated in length 1).  If
-    the cap is reached while the top length is still nonzero, raises
-    :class:`NonTerminationError`: the algebra may be infinite
+
+def _normal_form(p: Path, basis, rows) -> dict:
+    """The normal form of ``p`` as a dict basis path -> coefficient.
+
+    ``rows`` holds the pivot rows of the candidates.  Any other path
+    not in ``basis`` reduces its prefix first; each term of that,
+    extended by the last arrow, is a candidate.  While ``compute_basis``
+    works on length d, ``basis`` holds all candidates of length d, so a
+    path of length d is written over them."""
+    if p in basis:
+        return {p: ONE}
+    row = rows.get(p)
+    if row is not None:
+        return {q: -c for q, c in row.items() if q != p}
+    last = p.arrows[-1]
+    return _combine((_normal_form(Path(b.source, b.arrows + (last,)), basis, rows), c)
+                    for b, c in _normal_form(Path(p.source, p.arrows[:-1]),
+                                             basis, rows).items())
+
+
+def compute_basis(pres: Presentation, max_len: int = DEFAULT_MAX_LEN) -> AlgebraInstance:
+    """Build the basis length by length from the previous length's basis.
+
+    The candidates of length d, the basis paths of length d-1 each
+    extended by one arrow, span A_{d-1} (x) A_1.  The kernel of its map
+    onto A_d is spanned by the products b * r of a relation r of length
+    k <= d with a basis path b of length d-k, the length-(d-1) prefix of
+    each term put in normal form; these are eliminated among the
+    candidates.  By a dimension count the candidates that are not
+    pivots are the normal words, the paths an elimination over all
+    paths would keep.  Pivot rows are kept for the candidates only.
+
+    Stops at the first empty length and returns the finite instance (all
+    longer components vanish since the algebra is generated in length
+    1).  If the cap is reached while the top length is still nonzero,
+    raises :class:`NonTerminationError`: the algebra may be infinite
     dimensional and no basis is certified.
     """
-    rel_by_len = {}
+    rels = {}  # length -> source -> relations
     for r in pres.relations:
-        l = next(iter(r.terms)).length
-        rel_by_len.setdefault(l, []).append(r)
-    into = {}
-    for a in pres.arrows:
-        into.setdefault(a.target, []).append(a)
+        p = next(iter(r.terms))
+        rels.setdefault(p.length, {}).setdefault(p.source, []).append(r)
 
-    trivial = [Path(v) for v in pres.vertices]
-    basis_by_length = [list(trivial)]
-    reduction = {}
-    paths_prev = list(trivial)
-    rows_prev = []
-    dims = [len(trivial)]
+    basis_by_length = [[Path(v) for v in pres.vertices]]
+    basis = set(basis_by_length[0])
+    rows = {}
+    dims = [len(pres.vertices)]
 
     for d in range(1, max_len + 1):
-        paths_d = []
-        for p in paths_prev:
-            for a in pres.arrows_from(p.target):
-                paths_d.append(Path(p.source, p.arrows + (a,)))
-
+        candidates = [Path(b.source, b.arrows + (a,))
+                      for b in basis_by_length[-1]
+                      for a in pres.arrows_from(b.target)]
+        basis.update(candidates)  # until the pivots are known
         ech = _Echelon()
-        for row in rows_prev:
-            some = next(iter(row))
-            src, tgt = some.source, some.target
-            for a in pres.arrows_from(tgt):
-                ech.insert({Path(p.source, p.arrows + (a,)): c
-                            for p, c in row.items()})
-            for a in into.get(src, ()):
-                ech.insert({Path(a.source, (a,) + p.arrows): c
-                            for p, c in row.items()})
-        for r in rel_by_len.get(d, []):
-            ech.insert(dict(r.terms))
-
-        pivots = ech.rows
-        basis_d = sorted((p for p in paths_d if p not in pivots), key=Path.sort_key)
+        for k, at in rels.items():
+            for b in basis_by_length[d - k] if k <= d else ():
+                for r in at.get(b.target, ()):
+                    ech.insert(_combine(
+                        (_normal_form(Path(b.source, b.arrows + t.arrows),
+                                      basis, rows), c)
+                        for t, c in r.terms.items()))
+        basis.difference_update(ech.rows)
+        rows.update(ech.rows)
+        basis_d = sorted((p for p in candidates if p not in ech.rows),
+                         key=Path.sort_key)
         basis_by_length.append(basis_d)
-        reduction.update(pivots)
         dims.append(len(basis_d))
         if not basis_d:
-            return AlgebraInstance(pres, basis_by_length, reduction)
-        paths_prev = paths_d
-        rows_prev = list(pivots.values())
+            return AlgebraInstance(pres, basis_by_length, rows)
 
     raise NonTerminationError(pres, max_len, dims)
 

@@ -18,6 +18,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 from .algebra import (AlgebraInstance, NonTerminationError, Presentation,
                       compute_basis, presentation_borel, presentation_cover,
@@ -45,6 +46,9 @@ CHECKS = ("qh", "cover", "borel", "koszul", "standard-koszul",
 
 ALGEBRA_KINDS = ("zigzag", "cover", "borel", "qdual", "dual-conjectured",
                  "dual-built")
+
+# The checks that run on each algebra kind; other pairs are usage errors.
+CHECK_ALGEBRAS = {"cover": CHECKS, "zigzag": ("qh", "koszul")}
 
 FIXTURES = ("counterexample", "loop", "brauer-line")
 
@@ -98,51 +102,48 @@ def _emit_json(obj, out: str | None):
 
 
 def _max_steps(args):
-    if getattr(args, "max_steps", None) is not None:
-        return args.max_steps
+    cap = getattr(args, "max_steps", None)
     env = os.environ.get("ZZQH_MAX_STEPS")
-    return int(env) if env else None
-
-
-def _require_params(args):
-    if args.n is None or args.s is None:
-        raise UsageError("this command needs --n and --s")
-    if args.n < 1 or args.s < 1:
-        raise UsageError("--n and --s must be positive")
-    return args.n, args.s
+    if cap is None and env:
+        try:
+            cap = int(env)
+        except ValueError:
+            raise UsageError(f"ZZQH_MAX_STEPS is not an integer: {env!r}") from None
+    if cap is not None and cap < 1:
+        raise UsageError(f"the step cap must be at least 1, got {cap}")
+    return cap
 
 
 def _presentation(kind: str, n, s) -> Presentation:
     if kind.startswith("fixture:"):
         name = kind.split(":", 1)[1]
-        if name == "counterexample":
-            return counterexample_presentation()
-        if name == "loop":
-            return loop_presentation()
-        if name == "brauer-line":
-            return brauer_line_presentation(s if s else 2)
-        raise UsageError(f"unknown fixture: {name!r}")
-    if kind not in ALGEBRA_KINDS:
+        make = {"counterexample": counterexample_presentation,
+                "loop": loop_presentation,
+                "brauer-line": partial(brauer_line_presentation, s or 2)}.get(name)
+        if make is None:
+            raise UsageError(f"unknown fixture: {name!r}")
+    elif kind not in ALGEBRA_KINDS:
         raise UsageError(f"unknown algebra kind: {kind!r}")
-    if n is None or s is None:
+    elif n is None or s is None:
         raise UsageError(f"algebra kind {kind!r} needs --n and --s")
-    if kind == "zigzag":
-        return presentation_zigzag(n, s)
-    if kind == "cover":
-        return presentation_cover(n, s)
-    if kind == "borel":
-        return presentation_borel(n, s)
+    else:  # qdual and dual-built are built from the cover
+        make = partial({"zigzag": presentation_zigzag, "borel": presentation_borel,
+                        "dual-conjectured": presentation_dual_conjectured,
+                        }.get(kind, presentation_cover), n, s)
+    try:
+        pres = make()
+    except ValueError as e:  # parameters out of range for the algebra
+        raise UsageError(str(e)) from None
     if kind == "qdual":
-        return quadratic_dual(presentation_cover(n, s))
-    if kind == "dual-conjectured":
-        return presentation_dual_conjectured(n, s)
-    cover = compute_basis(presentation_cover(n, s))
-    return build_dual_from_ext(cover)
+        return quadratic_dual(pres)
+    if kind == "dual-built":
+        return build_dual_from_ext(compute_basis(pres))
+    return pres
 
 
 def _instance(kind: str, n, s, cap) -> AlgebraInstance:
     pres = _presentation(kind, n, s)
-    return compute_basis(pres, cap) if cap else compute_basis(pres)
+    return compute_basis(pres) if cap is None else compute_basis(pres, cap)
 
 
 def _element_terms(rel):
@@ -176,17 +177,15 @@ def algebra_json(pres: Presentation, inst: AlgebraInstance = None) -> dict:
 
 
 def cmd_build(args) -> int:
-    pres = _presentation(args.algebra, args.n, args.s)
-    cap = _max_steps(args)
     try:
-        inst = compute_basis(pres, cap) if cap else compute_basis(pres)
+        inst = _instance(args.algebra, args.n, args.s, _max_steps(args))
     except NonTerminationError as e:
         _emit_json({"algebra": args.algebra,
                     "nonterminating": True,
                     "max_length": e.max_len,
                     "dims_so_far": e.dims}, args.out)
         return EXIT_NONTERM
-    _emit_json(algebra_json(pres, inst), args.out)
+    _emit_json(algebra_json(inst.presentation, inst), args.out)
     return EXIT_OK
 
 
@@ -222,13 +221,13 @@ def cmd_resolve(args) -> int:
     kind, _, vtext = args.module.partition(":")
     if kind not in MODULE_KINDS:
         raise UsageError(f"unknown module kind: {kind!r}")
-    inst = _instance(args.algebra, args.n, args.s, None)
+    cap = _max_steps(args)
+    inst = _instance(args.algebra, args.n, args.s, cap)
     x = next((v for v in inst.presentation.vertices
               if vertex_name(v) == vtext), None)
     if x is None:
         raise UsageError(f"no vertex {vtext!r} in this algebra")
-    res = minimal_resolution(canonical_module(inst, kind, x),
-                             max_steps=_max_steps(args))
+    res = minimal_resolution(canonical_module(inst, kind, x), max_steps=cap)
     steps = []
     for terms in res.terms:
         counts = {}
@@ -247,9 +246,9 @@ def cmd_resolve(args) -> int:
 
 
 def _check_one(name: str, n: int, s: int, algebra: str, cap):
-    """One named check at one grid point; returns a plain report dict
-    with a ``passed`` entry."""
-    if name in ("qh", "koszul") and algebra == "zigzag":
+    """One named check at one grid point on a pair of ``CHECK_ALGEBRAS``;
+    returns a plain report dict with a ``passed`` entry."""
+    if algebra == "zigzag":
         inst = compute_basis(presentation_zigzag(n, s))
         if name == "qh":
             order = order_data(build_quiver(n, s - 1))
@@ -291,9 +290,15 @@ def _report_passed(report) -> bool:
 
 
 def cmd_check(args) -> int:
-    names = list(CHECKS) if args.name == "all" else [args.name]
+    supported = CHECK_ALGEBRAS.get(args.algebra, ())
+    names = list(supported) if args.name == "all" else [args.name]
+    if not supported or names[0] not in supported:
+        raise UsageError(f"check {args.name!r} does not run on "
+                         f"--algebra {args.algebra!r}")
     if (args.n is None) != (args.s is None):
         raise UsageError("--n and --s go together")
+    if args.n is not None:  # parameters out of range fail before any check
+        _presentation(args.algebra, args.n, args.s)
     points = [(args.n, args.s)] if args.n is not None else list(GRID)
     cap = _max_steps(args)
     tasks = [(n, s, name) for n, s in points for name in names]
@@ -327,8 +332,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    n, s = _require_params(args)
-    cover = compute_basis(presentation_cover(n, s))
+    cover = compute_basis(_presentation("cover", args.n, args.s))
     built = build_dual_from_ext(cover)
     if args.emit == "dot":
         _emit(export_dot(built), args.out)

@@ -61,17 +61,8 @@ class Quiver:
     vertices: tuple[Vertex, ...]
     arrows: tuple[tuple[Vertex, int], ...]
 
-    def has_vertex(self, x: Vertex) -> bool:
-        return len(x) == self.n + 1 and all(c >= 0 for c in x) and sum(x) == self.w
-
     def target(self, x: Vertex, i: int) -> Vertex:
         return tuple(a + b for a, b in zip(x, displacement(i, self.n)))
-
-    def arrows_from(self, x: Vertex):
-        return [(x, i) for (s, i) in self.arrows if s == x]
-
-    def arrows_into(self, y: Vertex):
-        return [(s, i) for (s, i) in self.arrows if self.target(s, i) == y]
 
 
 def build_quiver(n: int, w: int) -> Quiver:
@@ -127,9 +118,6 @@ class OrderData:
         """Covering pairs of the order, sorted."""
         edges = [p for p, d in self.dist.items() if d == 1]
         return sorted(edges)
-
-    def maximal_below(self, x: Vertex):
-        return sorted(y for y in self.quiver.vertices if self.lt(y, x))
 
 
 def order_data(q: Quiver) -> OrderData:

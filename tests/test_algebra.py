@@ -1,6 +1,9 @@
 """Bound quiver presentations and the degreewise basis engine: zigzag
 algebras, covers, Borels, quadratic duals, and the closed-form basis
-oracles that cross-check the engine."""
+oracles that cross-check the engine.  A reference elimination over
+every path checks the engine's basis and normal forms."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -10,8 +13,161 @@ from zzqh import (NonTerminationError, closed_form_cover_basis,
                   presentation_zigzag, quadratic_dual,
                   shifted_dual_membership, zigzag_hom_oracle)
 from zzqh.algebra import Arrow, Element, Path, Presentation
+from zzqh.koszul import (brauer_line_presentation,
+                         counterexample_presentation, loop_presentation)
 
 GRID = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
+
+
+# ---------------------------------------------------------------------------
+# reference: elimination of the relation span over every path
+
+
+def _reference_insert(rows, vec):
+    """Reduce ``vec`` against the rows (pivot -> row, pivot largest and
+    normalised to 1) until it meets no pivot; keep what is left."""
+    while True:
+        hits = [p for p in vec if p in rows]
+        if not hits:
+            break
+        pivot = max(hits, key=Path.sort_key)
+        c = vec[pivot]
+        for q, v in rows[pivot].items():
+            vec[q] = vec.get(q, 0) - c * v
+            if not vec[q]:
+                del vec[q]
+    if vec:
+        pivot = max(vec, key=Path.sort_key)
+        inv = 1 / Fraction(vec[pivot])
+        rows[pivot] = {q: v * inv for q, v in vec.items()}
+
+
+def _reference_basis(pres, max_len):
+    """Eliminate the relation span over every path of each length, with
+    no use of the engine's candidates.  In length d the span is
+    A_1 I_{d-1} + I_{d-1} A_1 plus the relations of length d.  Returns
+    the basis by length, the fully reduced pivot rows, and whether an
+    empty length was reached within ``max_len``."""
+    rel_by_len = {}
+    for r in pres.relations:
+        rel_by_len.setdefault(next(iter(r.terms)).length, []).append(r)
+    levels = [[Path(v) for v in pres.vertices]]
+    paths, prev_rows, all_rows = levels[0], [], {}
+    for d in range(1, max_len + 1):
+        paths = [Path(p.source, p.arrows + (a,))
+                 for p in paths for a in pres.arrows_from(p.target)]
+        rows = {}
+        for row in prev_rows:
+            some = next(iter(row))
+            for a in pres.arrows_from(some.target):
+                _reference_insert(rows, {Path(p.source, p.arrows + (a,)): c
+                                         for p, c in row.items()})
+            for a in pres.arrows:
+                if a.target == some.source:
+                    _reference_insert(rows, {Path(a.source, (a,) + p.arrows): c
+                                             for p, c in row.items()})
+        for r in rel_by_len.get(d, ()):
+            _reference_insert(rows, dict(r.terms))
+        for pivot in sorted(rows, key=Path.sort_key):  # back-substitute
+            row = rows[pivot]
+            for q in [q for q in row if q != pivot and q in rows]:
+                c = row[q]
+                for t, v in rows[q].items():
+                    row[t] = row.get(t, 0) - c * v
+                    if not row[t]:
+                        del row[t]
+        all_rows.update(rows)
+        levels.append(sorted((p for p in paths if p not in rows),
+                             key=Path.sort_key))
+        if not levels[-1]:
+            return levels, all_rows, True
+        prev_rows = list(rows.values())
+    return levels, all_rows, False
+
+
+def _assert_engine_matches_reference(pres, max_len=12):
+    levels, rows, finished = _reference_basis(pres, max_len)
+    if not finished:
+        with pytest.raises(NonTerminationError) as exc:
+            compute_basis(pres, max_len)
+        assert exc.value.dims == [len(level) for level in levels]
+        return
+    inst = compute_basis(pres, max_len)
+    assert [list(level) for level in inst.basis_by_length] == levels
+    paths = list(levels[0])
+    for d in range(inst.top_length + 2):
+        for p in paths:
+            if p.length > inst.top_length:
+                want = {}
+            elif p in rows:
+                want = {q: -c for q, c in rows[p].items() if q != p}
+            else:
+                want = {p: 1}
+            assert inst.reduce_path(p).terms == want, p
+        paths = [Path(p.source, p.arrows + (a,))
+                 for p in paths for a in pres.arrows_from(p.target)]
+
+
+KINDS = {"cover": presentation_cover, "zigzag": presentation_zigzag,
+         "borel": presentation_borel,
+         "qdual": lambda n, s: quadratic_dual(presentation_cover(n, s)),
+         "shifted-dual": presentation_shifted_dual,
+         "dual-conjectured": presentation_dual_conjectured}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("n,s", GRID)
+def test_basis_matches_reference_on_the_grid(kind, n, s):
+    _assert_engine_matches_reference(KINDS[kind](n, s))
+
+
+@pytest.mark.parametrize("pres", [counterexample_presentation(),
+                                  loop_presentation(),
+                                  brauer_line_presentation(2)],
+                         ids=lambda pres: pres.kind)
+def test_basis_matches_reference_on_the_fixtures(pres):
+    _assert_engine_matches_reference(pres)
+
+
+def test_basis_matches_reference_on_random_presentations():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def presentations(draw):
+        nv = draw(st.integers(1, 3))
+        ends = draw(st.lists(st.tuples(st.integers(0, nv - 1),
+                                       st.integers(0, nv - 1)),
+                             min_size=1, max_size=4))
+        arrows = [Arrow(source=u, target=v, label=f"a{i}", bidegree=(1, 0))
+                  for i, (u, v) in enumerate(ends)]
+        free = Presentation(range(nv), arrows, ())
+        by_ends = {}
+        for length in (2, 3):
+            paths = [Path(v) for v in range(nv)]
+            for _ in range(length):
+                paths = [Path(p.source, p.arrows + (a,)) for p in paths
+                         for a in free.arrows_from(p.target)]
+            for p in paths:
+                by_ends.setdefault((length, p.source, p.target), []).append(p)
+        rels = []
+        for key in sorted(by_ends, key=repr):
+            block = by_ends[key]
+            for _ in range(draw(st.integers(0, 2 if key[0] == 2 else 1))):
+                coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(block),
+                                       max_size=len(block)))
+                rel = Element(dict(zip(block, coeffs)))
+                if not rel.is_zero():
+                    rels.append(rel)
+        return Presentation(range(nv), arrows, rels)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(presentations())
+    def check(pres):
+        _assert_engine_matches_reference(pres, max_len=4)
+
+    check()
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +202,9 @@ def test_zigzag_weight_one_presentations_do_not_terminate():
             compute_basis(presentation_zigzag(n, 2), 10)
         assert exc.value.max_len == 10
         assert all(d == n + 1 for d in exc.value.dims)
+        levels, _, finished = _reference_basis(presentation_zigzag(n, 2), 10)
+        assert not finished
+        assert exc.value.dims == [len(level) for level in levels]
 
 
 def test_zigzag_socle_is_full_cycle():

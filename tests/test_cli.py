@@ -136,3 +136,57 @@ def test_out_flag_writes_file(capsys, tmp_path):
                      "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["matrix"][0] == [1, 1, 0]
+
+
+@pytest.mark.parametrize("argv,env,message", [
+    (["build", "--n", "0", "--s", "2"], None, "need n >= 1, got 0"),
+    (["build", "--n", "2", "--s", "-1"], None, "cover needs s >= 1, got s=-1"),
+    (["build", "--algebra", "zigzag", "--n", "2", "--s", "1"], None,
+     "zigzag type needs s >= 2, got s=1"),
+    (["dims", "--algebra", "qdual", "--n", "1", "--s", "0"], None,
+     "cover needs s >= 1, got s=0"),
+    (["check", "qh", "--n", "0", "--s", "2"], None, "need n >= 1, got 0"),
+    (["check", "koszul", "--algebra", "zigzag", "--n", "2", "--s", "1"], None,
+     "zigzag type needs s >= 2, got s=1"),
+    (["dual", "--n", "0", "--s", "2"], None, "need n >= 1, got 0"),
+    (["build", "--n", "1", "--s", "2", "--max-steps", "0"], None,
+     "the step cap must be at least 1, got 0"),
+    (["resolve", "--n", "1", "--s", "2", "--module", "simple:0,2",
+      "--max-steps", "-1"], None, "the step cap must be at least 1, got -1"),
+    (["build", "--n", "1", "--s", "2"], "abc",
+     "ZZQH_MAX_STEPS is not an integer: 'abc'"),
+    (["check", "koszul", "--n", "1", "--s", "2"], "0",
+     "the step cap must be at least 1, got 0"),
+    (["check", "degree-law", "--algebra", "zigzag", "--n", "2", "--s", "2"],
+     None, "check 'degree-law' does not run on --algebra 'zigzag'"),
+    (["check", "all", "--algebra", "borel", "--n", "2", "--s", "2"], None,
+     "check 'all' does not run on --algebra 'borel'"),
+    (["check", "qh", "--algebra", "fixture:loop"], None,
+     "check 'qh' does not run on --algebra 'fixture:loop'"),
+])
+def test_usage_errors_exit_two_with_one_line(capsys, monkeypatch, argv, env,
+                                             message):
+    if env is None:
+        monkeypatch.delenv("ZZQH_MAX_STEPS", raising=False)
+    else:
+        monkeypatch.setenv("ZZQH_MAX_STEPS", env)
+    code = run_cli(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+def test_check_all_on_zigzag_runs_only_its_checks(capsys):
+    code, out = _run(capsys, "check", "all", "--algebra", "zigzag",
+                     "--n", "2", "--s", "3")
+    report = json.loads(out)
+    assert [r["check"] for r in report["results"]] == ["qh", "koszul"]
+    # the zigzag algebra is not quasi-hereditary, so qh fails
+    assert code == 1 and not report["results"][0]["passed"]
+
+
+def test_resolve_caps_the_basis(capsys):
+    code, out = _run(capsys, "resolve", "--n", "1", "--s", "2",
+                     "--module", "simple:0,2", "--max-steps", "2")
+    assert code == 3
+    report = json.loads(out)
+    assert report["nonterminating"] and report["max_length"] == 2
