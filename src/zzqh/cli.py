@@ -16,9 +16,8 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .algebra import (AlgebraInstance, NonTerminationError, Presentation,
                       compute_basis, presentation_borel, presentation_cover,
@@ -245,29 +244,26 @@ def cmd_resolve(args) -> int:
     return EXIT_OK if res.complete else EXIT_NONTERM
 
 
-def _check_one(name: str, n: int, s: int, algebra: str, cap):
+def _check_one(name: str, n: int, s: int, basis, cap):
     """One named check at one grid point on a pair of ``CHECK_ALGEBRAS``;
-    returns a plain report dict with a ``passed`` entry."""
-    if algebra == "zigzag":
-        inst = compute_basis(presentation_zigzag(n, s))
-        if name == "qh":
-            order = order_data(build_quiver(n, s - 1))
-            return check_quasi_hereditary(inst, order=order, max_steps=cap)
-        return check_koszul(inst, max_steps=cap)
+    ``basis()`` is the point's algebra, which its checks share.  Returns
+    a plain report dict with a ``passed`` entry."""
     if name == "socle-lemmas":
         return check_shifted_dual_lemmas(n, s)
     if name == "dual-koszul":
         return check_dual_koszul(n, s)
-    cover = compute_basis(presentation_cover(n, s))
+    cover = basis()  # or the zigzag algebra, for qh and koszul only
     if name == "qh":
-        return check_quasi_hereditary(cover, max_steps=cap)
+        order = (order_data(build_quiver(n, s - 1))
+                 if cover.presentation.kind == "zigzag" else None)
+        return check_quasi_hereditary(cover, order=order, max_steps=cap)
+    if name == "koszul":
+        return check_koszul(cover, max_steps=cap)
     if name == "cover":
         return check_cover(cover)
     if name == "borel":
         borel = compute_basis(presentation_borel(n, s))
         return check_borel(cover, borel)
-    if name == "koszul":
-        return check_koszul(cover, max_steps=cap)
     if name == "standard-koszul":
         return check_standard_koszul(cover)
     if name == "delta-koszul":
@@ -301,32 +297,23 @@ def cmd_check(args) -> int:
         _presentation(args.algebra, args.n, args.s)
     points = [(args.n, args.s)] if args.n is not None else list(GRID)
     cap = _max_steps(args)
-    tasks = [(n, s, name) for n, s in points for name in names]
-
-    def run(task):
-        n, s, name = task
-        try:
-            report = _check_one(name, n, s, args.algebra, cap)
-        except NonTerminationError as e:
-            return task, EXIT_NONTERM, {"passed": False,
-                                        "nonterminating": True,
-                                        "max_length": e.max_len,
-                                        "dims_so_far": e.dims}
-        code = EXIT_OK if _report_passed(report) else EXIT_FAIL
-        return task, code, report
-
-    if len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(tasks))) as pool:
-            done = list(pool.map(run, tasks))
-    else:
-        done = [run(tasks[0])]
-
     results, worst = [], EXIT_OK
-    for (n, s, name), code, report in done:
-        worst = max(worst, code)
-        results.append({"check": name, "n": n, "s": s,
-                        "passed": code == EXIT_OK,
-                        "report": _jsonable(report)})
+    for n, s in points:
+        # built on first use, under the step cap, and dropped with the point
+        basis = cache(partial(_instance, args.algebra, n, s, cap))
+        for name in names:
+            try:
+                report = _check_one(name, n, s, basis, cap)
+                code = EXIT_OK if _report_passed(report) else EXIT_FAIL
+            except NonTerminationError as e:
+                code, report = EXIT_NONTERM, {"passed": False,
+                                              "nonterminating": True,
+                                              "max_length": e.max_len,
+                                              "dims_so_far": e.dims}
+            worst = max(worst, code)
+            results.append({"check": name, "n": n, "s": s,
+                            "passed": code == EXIT_OK,
+                            "report": _jsonable(report)})
     _emit_json({"passed": worst == EXIT_OK, "results": results}, args.out)
     return worst
 

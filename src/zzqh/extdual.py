@@ -37,8 +37,7 @@ from .koszul import KoszulReport, check_koszul
 from .linalg import Matrix
 from .modules import (_echelon_index, _reduce_against, algebra_order,
                       costandard_module, ext_bigraded_reps, hom_complex,
-                      hom_row_to_map, minimal_resolution, projective_module,
-                      standard_module)
+                      hom_row_to_map, projective_module, standard_resolution)
 from .quiver import build_quiver, order_data, vertex_name
 
 ZERO = Fraction(0)
@@ -129,26 +128,27 @@ class ExtTable:
 
 
 def ext_table(cover: AlgebraInstance) -> ExtTable:
-    """Resolve every standard module and tabulate bigraded Ext.
+    """Tabulate bigraded Ext between the standard modules of a cover.
 
-    Complete resolutions are required (the covers have finite global
-    dimension); dimension entries are accompanied by canonical
-    representative cocycles.
+    Standards and their complete resolutions come from
+    ``standard_resolution``.  The table, with canonical representative
+    cocycles and the products computed later, is cached on ``cover``
+    in ``cover._ext_table``: later calls return the same table.
     """
+    table = getattr(cover, "_ext_table", None)
+    if table is not None:
+        return table
     if cover.presentation.kind != "cover":
         raise ValueError("ext tables are computed over a cover instance")
     order = algebra_order(cover)
-    verts = list(cover.presentation.vertices)
-    deltas = {x: standard_module(cover, x, order=order) for x in verts}
-    resolutions = {}
-    for x in verts:
-        res = minimal_resolution(deltas[x])
-        if not res.complete:
+    deltas, resolutions = {}, {}
+    for x in cover.presentation.vertices:
+        deltas[x], resolutions[x] = standard_resolution(cover, x, order)
+        if not resolutions[x].complete:
             raise RuntimeError(f"resolution of the standard at {x} truncated")
-        resolutions[x] = res
     table = ExtTable(cover, order, deltas, resolutions)
-    for x in verts:
-        for y in verts:
+    for x in deltas:
+        for y in deltas:
             _, levels = ext_bigraded_reps(resolutions[x], deltas[y])
             for i, level in enumerate(levels):
                 for d, reps in sorted(level.items()):
@@ -157,6 +157,7 @@ def ext_table(cover: AlgebraInstance) -> ExtTable:
                     table.classes_by_key[key] = tuple(
                         ExtClass(x, y, i, (-d[0], d[1]), tuple(r), table)
                         for r in reps)
+    cover._ext_table = table
     return table
 
 
@@ -787,9 +788,7 @@ def check_simple_costandard_dims(cover: AlgebraInstance,
     verts = list(cover.presentation.vertices)
     if built is not None and set(built.vertices) != set(verts):
         raise ValueError("built dual lives on a different vertex set")
-    resolutions = {y: minimal_resolution(standard_module(cover, y,
-                                                         order=order))
-                   for y in verts}
+    resolutions = {y: standard_resolution(cover, y, order)[1] for y in verts}
     failures, hom_dims = [], {}
     for x in verts:
         nab = costandard_module(cover, x, order=order)

@@ -33,7 +33,7 @@ from .modules import (algebra_order, direct_sum, dualize, ext_bigraded_reps,
                       free_module, gldim, is_isomorphic, is_linear,
                       left_mult_map, minimal_resolution, projective_module,
                       quotient_module, simple_module, socle_rows,
-                      standard_module)
+                      standard_resolution)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -139,10 +139,9 @@ def check_standard_koszul(cover: AlgebraInstance) -> KoszulReport:
     if cover.presentation.kind != "cover":
         raise ValueError("check_standard_koszul expects a cover instance")
     order = algebra_order(cover)
-    modules = {}
-    for x in cover.presentation.vertices:
-        res = minimal_resolution(standard_module(cover, x, order=order))
-        modules[vertex_name(x)] = _linearity(res, "length")
+    modules = {vertex_name(x): _linearity(
+        standard_resolution(cover, x, order)[1], "length")
+        for x in cover.presentation.vertices}
     return KoszulReport(kind="standard", grading="length", modules=modules)
 
 
@@ -165,27 +164,20 @@ def check_delta_koszul(cover: AlgebraInstance) -> KoszulReport:
     algebras of finite global dimension; (b) it is isomorphic to the
     direct sum of the standard modules as a graded right module; (c)
     Ext^i(Delta_x, Delta_y) is concentrated in flat degree i, read off
-    flat-graded minimal resolutions, which are themselves linear in
-    the flat grading."""
+    the cover's Ext table; the minimal resolutions behind it are
+    themselves linear in the flat grading."""
+    from .extdual import ext_table  # extdual imports this module
     if cover.presentation.kind != "cover":
         raise ValueError("check_delta_koszul expects a cover instance")
     pres = cover.presentation
     order = algebra_order(cover)
     verts = pres.vertices
-    deltas = {x: standard_module(cover, x, order=order) for x in verts}
-    resolutions = {x: minimal_resolution(deltas[x]) for x in verts}
-    modules = {vertex_name(x): _linearity(resolutions[x], "flat")
-               for x in verts}
-
-    offdiag = []
-    for x in verts:
-        for y in verts:
-            _, levels = ext_bigraded_reps(resolutions[x], deltas[y])
-            for i, level in enumerate(levels):
-                for d, reps in level.items():
-                    if -d[0] != i:
-                        offdiag.append([i, [-d[0], d[1]], vertex_name(x),
-                                        vertex_name(y), len(reps)])
+    resolved = {x: standard_resolution(cover, x, order) for x in verts}
+    modules = {vertex_name(x): _linearity(res, "flat")
+               for x, (_, res) in resolved.items()}
+    offdiag = [[i, [flat, sharp], vertex_name(x), vertex_name(y), dim]
+               for (x, y, i, flat, sharp), dim in ext_table(cover).dims.items()
+               if flat != i]
 
     line = compute_basis(_line_presentation(pres))
     dims_ok = all(
@@ -208,7 +200,8 @@ def check_delta_koszul(cover: AlgebraInstance) -> KoszulReport:
             r[i] = ONE
             rows.append(r)
     gamma0, _ = quotient_module(regular, rows, label="Gamma[0]")
-    iso = is_isomorphic(gamma0, direct_sum(cover, [deltas[x] for x in verts]))
+    deltas = [delta for delta, _ in resolved.values()]
+    iso = is_isomorphic(gamma0, direct_sum(cover, deltas))
 
     return KoszulReport(kind="delta", grading="flat", modules=modules,
                         offdiagonal=offdiag,

@@ -206,20 +206,3 @@ class Matrix:
         for r, c in enumerate(pivots):
             x[c] = red.data[r][self.ncols]
         return x
-
-
-def rref(m: Matrix):
-    """Module-level convenience wrapper; see Matrix.rref."""
-    return m.rref()
-
-
-def kernel_basis(m: Matrix) -> Matrix:
-    return m.kernel_basis()
-
-
-def solve(m: Matrix, rhs):
-    return m.solve(rhs)
-
-
-def from_rows(rows) -> Matrix:
-    return Matrix(rows)

@@ -151,28 +151,11 @@ class ModuleMap:
                 return False
         return True
 
-    def bidegree(self):
-        """The uniform (flat, sharp) shift of the map, None if mixed."""
-        shift = None
-        for i in range(self.matrix.nrows):
-            for j in range(self.matrix.ncols):
-                if self.matrix.data[i][j]:
-                    d = tuple(b - a for a, b in zip(self.source.bidegrees[i],
-                                                    self.target.bidegrees[j]))
-                    if shift is None:
-                        shift = d
-                    elif shift != d:
-                        return None
-        return shift or (0, 0)
-
     def kernel_rows(self):
         return graded_rows(self.source, self.matrix.left_kernel_basis().data)
 
     def rank(self):
         return self.matrix.rank()
-
-    def is_injective(self):
-        return self.rank() == self.source.dim
 
     def is_surjective(self):
         return self.rank() == self.target.dim
@@ -322,10 +305,6 @@ def dualize(m: RightModule) -> RightModule:
     bidegrees = [tuple(-c for c in d) for d in m.bidegrees]
     return RightModule(op, m.vertices, bidegrees, action,
                        label=f"D({m.label})" if m.label else "D")
-
-
-def dualize_map(f: ModuleMap) -> ModuleMap:
-    return ModuleMap(dualize(f.target), dualize(f.source), f.matrix.transpose())
 
 
 def shift_module(m: RightModule, shift) -> RightModule:
@@ -671,19 +650,15 @@ def projective_cover(m: RightModule):
 
 @dataclass
 class Resolution:
-    """A resolution: for ``direction == 'projective'``,
-    ``maps[0]: frees[0] -> module`` and ``maps[i]: frees[i] ->
-    frees[i-1]``; for ``direction == 'injective'``, ``augmentation:
-    module -> frees[0]`` and ``maps[k]: frees[k] -> frees[k+1]``.
-    ``terms[i]`` lists the (vertex, shift) summands of step i."""
+    """A projective resolution: ``maps[0]: frees[0] -> module`` and
+    ``maps[i]: frees[i] -> frees[i-1]``; ``terms[i]`` lists the
+    (vertex, shift) summands of step i."""
 
     module: RightModule
     frees: list
     terms: list
     maps: list
     complete: bool
-    direction: str = "projective"
-    augmentation: ModuleMap = None
 
     @property
     def length(self):
@@ -693,8 +668,8 @@ class Resolution:
         """The differential frees[i] -> frees[i-1] as a matrix of
         algebra elements; entry [j][k] is a combination of paths from
         the k-th summand vertex of step i-1 to the j-th of step i."""
-        if self.direction != "projective" or i < 1:
-            raise ValueError("element matrices exist for projective steps >= 1")
+        if i < 1:
+            raise ValueError("element matrices exist for steps >= 1")
         f_i, f_prev, fmap = self.frees[i], self.frees[i - 1], self.maps[i]
         prev_paths = {}
         for (v, shift, start, stop) in f_prev.summands:
@@ -714,7 +689,7 @@ class Resolution:
     def __repr__(self):
         shape = " <- ".join(str(len(t)) for t in self.terms)
         state = "complete" if self.complete else "truncated"
-        return f"Resolution({self.direction}, {state}, terms {shape})"
+        return f"Resolution({state}, terms {shape})"
 
 
 def minimal_resolution(m: RightModule, max_steps=None) -> Resolution:
@@ -753,6 +728,25 @@ def minimal_resolution(m: RightModule, max_steps=None) -> Resolution:
         kernel = step.kernel_rows()
         steps += 1
     return Resolution(m, frees, terms, maps, complete=True)
+
+
+def standard_resolution(a: AlgebraInstance, x, order: OrderData = None,
+                        max_steps=None):
+    """Delta_x and its minimal resolution cut off after ``max_steps``,
+    cached on ``a`` in ``a._standard_cache`` as projectives are: Delta
+    per order, the resolution per order and step cap, so a resolution
+    cut off at one cap is never returned for another."""
+    order = order or algebra_order(a)
+    cache = getattr(a, "_standard_cache", None)
+    if cache is None:
+        cache = a._standard_cache = {}
+    key = (x, frozenset(order.dist.items()))
+    if key not in cache:
+        cache[key] = (standard_module(a, x, order), {})
+    delta, resolutions = cache[key]
+    if max_steps not in resolutions:
+        resolutions[max_steps] = minimal_resolution(delta, max_steps)
+    return delta, resolutions[max_steps]
 
 
 def _submodule_top(m: RightModule, rows):
@@ -819,8 +813,6 @@ def hom_complex(res: Resolution, n: RightModule):
     being that of the n basis vector minus the generator's shift;
     diffs[i] maps step i to step i+1 (rows act on the left).
     """
-    if res.direction != "projective":
-        raise ValueError("hom complexes are taken over projective resolutions")
     if not res.complete:
         raise ValueError("resolution is truncated; Ext would be unreliable")
     bases = []
@@ -863,35 +855,6 @@ def ext_dims(res: Resolution, n: RightModule):
         zrank = len(z) if i < len(diffs) else len(bases[i])
         out.append(zrank - brank)
     return out
-
-
-def cohomology_reps(res: Resolution, n: RightModule):
-    """Per homological degree: representative cocycle rows modulo
-    coboundaries, with the Hom bases (for graded bookkeeping)."""
-    bases, diffs = hom_complex(res, n)
-    reps = []
-    for i in range(len(bases)):
-        dim_i = len(bases[i])
-        if i < len(diffs):
-            z = diffs[i].left_kernel_basis().data
-        else:
-            z = [[ONE if k == j else ZERO for k in range(dim_i)]
-                 for j in range(dim_i)]
-        span = {}
-        if i >= 1 and diffs[i - 1].nrows:
-            span = _echelon_index([r for r in diffs[i - 1].data if any(r)])
-        level = []
-        for row in z:
-            resid = _reduce_against(row, span)
-            piv = next((j for j, c in enumerate(resid) if c), None)
-            if piv is None:
-                continue
-            inv = ONE / resid[piv]
-            resid = [c * inv for c in resid]
-            span[piv] = resid
-            level.append(resid)
-        reps.append(level)
-    return bases, reps
 
 
 def ext_bigraded_reps(res: Resolution, n: RightModule):
@@ -971,7 +934,7 @@ def hom_row_to_map(res: Resolution, n: RightModule, i, basis, row) -> ModuleMap:
 
 
 # ---------------------------------------------------------------------------
-# standard filtrations and costandard coresolutions
+# standard filtrations
 
 
 def delta_filtration(m: RightModule, order: OrderData = None):
@@ -1012,62 +975,3 @@ def delta_filtration(m: RightModule, order: OrderData = None):
 
 def _vkey_sort(v):
     return v if isinstance(v, tuple) else (v,)
-
-
-def costandard_coresolution(a: AlgebraInstance, x) -> Resolution:
-    """The finite injective coresolution of the costandard module at x
-    over a cover: terms I at x, x - f_0, ... down to the K vertex of
-    the chain, with maps dual to right multiplication by the index-0
-    arrows.  Exactness is verified, and the kernel of the first map is
-    checked to equal the costandard submodule of I_x."""
-    if a.presentation.kind != "cover":
-        raise ValueError("costandard coresolutions are built over covers")
-    n = a.presentation.params["n"]
-    f0 = (1,) + (0,) * (n - 1) + (-1,)
-    chain = [x]
-    while chain[-1][0] > 0:
-        z = chain[-1]
-        chain.append(tuple(c - d for c, d in zip(z, f0)))
-    op = a.opposite()
-    injectives = [shift_module(injective_module(a, z), (0, -k))
-                  for k, z in enumerate(chain)]
-    maps = []
-    for k in range(len(chain) - 1):
-        zk, znext = chain[k], chain[k + 1]
-        # the index-0 arrow z_{k+1} -> z_k of the cover, in the opposite
-        op_path = op.presentation.path(zk, (0,))
-        lmap = left_mult_map(op, Element.of_path(op_path))
-        dmat = lmap.matrix.transpose()
-        maps.append(ModuleMap(injectives[k], injectives[k + 1], dmat))
-    for f in maps:
-        if not f.is_module_map():
-            raise AssertionError("coresolution map is not a module map")
-        if f.bidegree() != (0, 0):
-            raise AssertionError("coresolution map is not degree zero")
-    # exactness in the middle and at the end
-    for k in range(len(maps)):
-        ker_next = (maps[k + 1].matrix.left_kernel_basis().nrows
-                    if k + 1 < len(maps) else injectives[k + 1].dim)
-        if maps[k].rank() != ker_next:
-            raise AssertionError(f"coresolution not exact at step {k + 1}")
-    if maps and not maps[-1].is_surjective():
-        raise AssertionError("coresolution not exact at the last step")
-    # the kernel of the first map is exactly the costandard submodule
-    nabla = costandard_module(a, x)
-    if maps:
-        ker = maps[0].kernel_rows()
-    else:
-        ker = graded_rows(injectives[0],
-                          [[ONE if i == j else ZERO for j in range(injectives[0].dim)]
-                           for i in range(injectives[0].dim)])
-    order = algebra_order(a)
-    allowed = {i for i, v in enumerate(injectives[0].vertices) if order.leq(v, x)}
-    nab_rows = largest_stable_subspace(injectives[0], allowed)
-    if [list(r) for r in ker] != [list(r) for r in nab_rows]:
-        raise AssertionError("first kernel differs from the costandard module")
-    aug = ModuleMap(nabla, injectives[0],
-                    Matrix([list(r) for r in ker], ncols=injectives[0].dim)
-                    if nabla.dim else Matrix.zero(0, injectives[0].dim))
-    terms = [[(z, (0, -k))] for k, z in enumerate(chain)]
-    return Resolution(nabla, injectives, terms, maps, complete=True,
-                      direction="injective", augmentation=aug)

@@ -31,8 +31,7 @@ from .algebra import (AlgebraInstance, Element, Path, presentation_zigzag,
                       zigzag_hom_oracle)
 from .modules import (algebra_order, costandard_module, delta_filtration,
                       ext_dims, hom_space, injective_module, is_isomorphic,
-                      minimal_resolution, projective_module, RightModule,
-                      standard_module)
+                      projective_module, RightModule, standard_resolution)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -101,7 +100,8 @@ def check_quasi_hereditary(a: AlgebraInstance, order=None,
         order = algebra_order(a)
     rep = QhReport()
     verts = a.presentation.vertices
-    deltas = {x: standard_module(a, x, order=order) for x in verts}
+    deltas = {x: standard_resolution(a, x, order, max_steps)[0]
+              for x in verts}
     nablas = {x: costandard_module(a, x, order=order) for x in verts}
 
     bad = [vertex_name(x) for x in verts
@@ -134,7 +134,7 @@ def check_quasi_hereditary(a: AlgebraInstance, order=None,
 
     ext_bad = []
     for x in verts:
-        res = minimal_resolution(deltas[x], max_steps=max_steps)
+        res = standard_resolution(a, x, order, max_steps)[1]
         if not res.complete:
             ext_bad.append({"standard": vertex_name(x),
                             "truncated_at": res.length})
@@ -482,24 +482,3 @@ def check_projective_injective(cover: AlgebraInstance) -> QhReport:
         rep.witnesses["proj_injective_at_J"] = jbad
     rep.witnesses["injective_at_K"] = at_k
     return rep
-
-
-def check_costandard_splicing(cover: AlgebraInstance) -> dict:
-    """Rank bookkeeping of the costandard coresolutions: at a J vertex
-    dim I_x = dim nabla_x + dim nabla_{x - f_0}, at a K vertex
-    I_x = nabla_x."""
-    pres = cover.presentation
-    n = pres.params["n"]
-    f0 = (1,) + (0,) * (n - 1) + (-1,)
-    order = algebra_order(cover)
-    nab = {x: costandard_module(cover, x, order=order).dim
-           for x in pres.vertices}
-    bad = []
-    for x in pres.vertices:
-        want = nab[x]
-        if x[0] > 0:
-            want += nab[tuple(c - d for c, d in zip(x, f0))]
-        got = injective_module(cover, x).dim
-        if got != want:
-            bad.append([vertex_name(x), got, want])
-    return {"passed": not bad, "mismatches": bad}

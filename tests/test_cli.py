@@ -1,9 +1,12 @@
 """The batch command surface: exit codes, JSON determinism, witnesses."""
 
 import json
+from collections import Counter
 
 import pytest
 
+import zzqh
+from zzqh import presentation_cover
 from zzqh.cli import run_cli
 
 
@@ -182,6 +185,41 @@ def test_check_all_on_zigzag_runs_only_its_checks(capsys):
     assert [r["check"] for r in report["results"]] == ["qh", "koszul"]
     # the zigzag algebra is not quasi-hereditary, so qh fails
     assert code == 1 and not report["results"][0]["passed"]
+
+
+def test_check_caps_the_basis(capsys):
+    code, out = _run(capsys, "check", "qh", "--algebra", "zigzag",
+                     "--n", "1", "--s", "2", "--max-steps", "5")
+    assert code == 3
+    report = json.loads(out)["results"][0]["report"]
+    assert report["nonterminating"] and report["max_length"] == 5
+
+
+def test_check_all_resolves_each_standard_once(capsys, monkeypatch):
+    resolve, labels = zzqh.modules.minimal_resolution, []
+
+    def counting(m, *args, **kwargs):
+        labels.append(m.label)
+        return resolve(m, *args, **kwargs)
+
+    for mod in (zzqh, zzqh.modules, zzqh.qh, zzqh.koszul, zzqh.extdual):
+        if getattr(mod, "minimal_resolution", None) is resolve:
+            monkeypatch.setattr(mod, "minimal_resolution", counting)
+    code, _ = _run(capsys, "check", "all", "--n", "2", "--s", "2")
+    assert code == 0
+    standards = Counter(l for l in labels if l.startswith("Delta["))
+    assert standards == {f"Delta[{x}]": 1
+                         for x in presentation_cover(2, 2).vertices}
+
+
+def test_check_all_matches_the_single_checks(capsys):
+    _, out = _run(capsys, "check", "all", "--n", "2", "--s", "2")
+    results = json.loads(out)["results"]
+    assert len(results) == 10
+    for result in results:
+        _, single = _run(capsys, "check", result["check"],
+                         "--n", "2", "--s", "2")
+        assert json.loads(single)["results"] == [result]
 
 
 def test_resolve_caps_the_basis(capsys):

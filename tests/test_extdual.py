@@ -4,7 +4,7 @@ against the closed form."""
 
 import pytest
 
-from zzqh import (compute_basis, presentation_cover,
+from zzqh import (Element, Presentation, compute_basis, presentation_cover,
                   presentation_dual_conjectured)
 from zzqh.extdual import (build_dual_from_ext, check_degree_law,
                           check_dual_koszul, check_simple_costandard_dims,
@@ -173,6 +173,32 @@ def test_perturbed_relation_is_detected(built_duals, tables):
         witness = rep["relation_witness"]
         assert witness and witness["block"]
         assert witness["built"] != witness["conjectured"]
+
+
+def _scale_an_arrow(pres, c):
+    """``pres`` with one arrow, of a two-term relation whose terms run
+    through it a different number of times, replaced by c times itself:
+    each relation term gains c to the power of its runs through it."""
+    two_terms = [sorted(r.terms, key=lambda p: p.sort_key())
+                 for r in pres.relations if len(r.terms) == 2]
+    arrow = next(a for p, q in two_terms for a in p.arrows
+                 if p.arrows.count(a) != q.arrows.count(a))
+    rels = [Element({p: coeff * c ** p.arrows.count(arrow)
+                     for p, coeff in r.terms.items()})
+            for r in pres.relations]
+    return Presentation(pres.vertices, pres.arrows, rels, kind=pres.kind,
+                        params=pres.params)
+
+
+@pytest.mark.parametrize("n,s", [(1, 2), (2, 2), (2, 3)])
+def test_rescaled_arrow_is_repaired(built_duals, tables, n, s):
+    scaled = _scale_an_arrow(presentation_dual_conjectured(n, s), 2)
+    rep = compare_dual(built_duals[(n, s)], scaled, tables[(n, s)])
+    assert not rep["relations_equal"] and rep["relations_rescaled"]
+    assert rep["passed"] and rep["relation_witness"] is None
+    # the scalars are fixed only up to gauge: which arrow carries 2 (or
+    # 1/2) is left open
+    assert any(v != "1" for v in rep["arrow_scalars"].values())
 
 
 def test_dual_koszul_and_shift_law():

@@ -1,7 +1,10 @@
 """Quasi-heredity of the covers, the double-centralizer property over
 the zigzag algebras, and the Borel subalgebra checks."""
 
-from zzqh import compute_basis, presentation_zigzag
+import pytest
+
+from zzqh import compute_basis, presentation_cover, presentation_zigzag
+from zzqh.extdual import ext_table
 from zzqh.qh import (QhReport, check_borel, check_cover,
                      check_projective_injective, check_quasi_hereditary)
 from zzqh.quiver import build_quiver, order_data
@@ -15,6 +18,25 @@ def test_covers_are_quasi_hereditary(covers):
         assert rep.projectives_delta_filtered
         assert rep.ext_delta_nabla_vanishing
         assert rep.hom_delta_nabla_diagonal
+
+
+@pytest.mark.parametrize("ext_first", [True, False])
+def test_capped_and_uncapped_resolutions_are_kept_apart(ext_first):
+    fresh = check_quasi_hereditary(compute_basis(presentation_cover(2, 2)),
+                                   max_steps=2)
+    witness = fresh.witnesses["ext_delta_nabla_vanishing"]
+    assert witness and all("truncated_at" in w for w in witness)
+    inst = compute_basis(presentation_cover(2, 2))
+    if ext_first:
+        table = ext_table(inst)
+    rep = check_quasi_hereditary(inst, max_steps=2)
+    if not ext_first:
+        table = ext_table(inst)
+    assert rep.as_dict() == fresh.as_dict()
+    assert all(res.complete for res in table.resolutions.values())
+    assert ext_table(inst) is table
+    assert table.dims == ext_table(
+        compute_basis(presentation_cover(2, 2))).dims
 
 
 def test_covers_cover_their_zigzag_algebras(covers):
