@@ -34,10 +34,10 @@ from .algebra import (AlgebraInstance, Arrow, Element, Path, Presentation,
                       compute_basis, presentation_cover,
                       presentation_dual_conjectured)
 from .koszul import KoszulReport, check_koszul
-from .linalg import Matrix
-from .modules import (_echelon_index, _reduce_against, algebra_order,
-                      costandard_module, ext_bigraded_reps, hom_complex,
-                      hom_row_to_map, projective_module, standard_resolution)
+from .linalg import Echelon, Matrix
+from .modules import (algebra_order, cached_module, ext_bigraded_reps,
+                      hom_complex, hom_row_to_map, map_from_generators,
+                      standard_resolution)
 from .quiver import build_quiver, order_data, vertex_name
 
 ZERO = Fraction(0)
@@ -65,17 +65,6 @@ class ExtClass:
     def is_zero(self) -> bool:
         return not any(self.row)
 
-    @property
-    def total_degree(self) -> int:
-        return self.i + self.bidegree[1]
-
-    def cocycle_map(self):
-        """The representative as a module map F_i -> Delta_target."""
-        bases, _, _ = self.table.hom_data(self.source, self.target)
-        return hom_row_to_map(self.table.resolutions[self.source],
-                              self.table.deltas[self.target], self.i,
-                              bases[self.i], list(self.row))
-
 
 @dataclass
 class ExtTable:
@@ -101,10 +90,8 @@ class ExtTable:
         got = self._hom.get((x, y))
         if got is None:
             bases, diffs = hom_complex(self.resolutions[x], self.deltas[y])
-            echelons = [{} for _ in bases]
-            for i in range(1, len(bases)):
-                rows = [r for r in diffs[i - 1].data if any(r)]
-                echelons[i] = _echelon_index(rows)
+            echelons = [Echelon(diffs[i - 1].data if i else ())
+                        for i in range(len(bases))]
             got = (bases, diffs, echelons)
             self._hom[(x, y)] = got
         return got
@@ -165,17 +152,6 @@ def ext_table(cover: AlgebraInstance) -> ExtTable:
 # Yoneda products
 
 
-def _expand_generator_images(src, tgt, gen_rows) -> Matrix:
-    """The matrix of the module map src -> tgt sending each summand
-    generator to the prescribed row of tgt."""
-    mat = Matrix.zero(src.dim, tgt.dim)
-    for grow, (v, _, start, _) in zip(gen_rows, src.summands):
-        paths = projective_module(src.algebra, v).basis_paths
-        for local, p in enumerate(paths):
-            mat.data[start + local] = tgt.act_path(grow, p)
-    return mat
-
-
 def _lift_generators(src, tgt, dmat, rhs) -> Matrix:
     """One step of a chain lift: a module map src -> tgt (free modules)
     whose composite with dmat equals rhs.  Matching the generator rows
@@ -198,7 +174,7 @@ def _lift_generators(src, tgt, dmat, rhs) -> Matrix:
         for j, val in zip(cols, sol):
             grow[j] = val
         gen_rows.append(grow)
-    return _expand_generator_images(src, tgt, gen_rows)
+    return map_from_generators(src, tgt, gen_rows).matrix
 
 
 def _zero_class(table, a, c, i, bidegree) -> ExtClass:
@@ -265,7 +241,7 @@ def yoneda_product(f: ExtClass, g: ExtClass) -> ExtClass:
                 if col is None:
                     raise ArithmeticError("product image leaves the weight")
                 row[col] = val
-    row = _reduce_against(row, ech_ac[i_total])
+    row = ech_ac[i_total].reduce(row)
     if i_total < len(diffs_ac) and any(diffs_ac[i_total].mul_row(row)):
         raise ArithmeticError("product row is not a cocycle")
     want_d = (-bidegree[0], bidegree[1])
@@ -476,35 +452,21 @@ def _two_paths(pres: Presentation, src, tgt):
     return sorted(paths, key=lambda p: p.sort_key())
 
 
-def _block_rref(rels, paths):
+def _block_rref(rels, paths, eps=None):
+    """The reduced echelon basis of the relations' span in the
+    coordinates ``paths``, with each arrow scaled by ``eps`` (arrow
+    key -> scalar, default 1)."""
+    eps = eps or {}
     idx = {p: c for c, p in enumerate(paths)}
     rows = []
     for r in rels:
         row = [ZERO] * len(paths)
         for p, c in r.terms.items():
+            for a in p.arrows:
+                c *= eps.get((a.source, a.label), ONE)
             row[idx[p]] = c
         rows.append(row)
-    if not rows:
-        return []
-    m = Matrix(rows, ncols=len(paths))
-    pivots, red = m.rref()
-    return [tuple(r) for r in red.data[:len(pivots)]]
-
-
-def _scaled_rref(rels, paths, eps):
-    rows = []
-    for r in rels:
-        row = [ZERO] * len(paths)
-        for p, c in r.terms.items():
-            t = ONE
-            for a in p.arrows:
-                t *= eps.get((a.source, a.label), ONE)
-            row[paths.index(p)] = c * t
-        rows.append(row)
-    if not rows:
-        return []
-    m = Matrix(rows, ncols=len(paths))
-    pivots, red = m.rref()
+    pivots, red = Matrix(rows, ncols=len(paths)).rref()
     return [tuple(r) for r in red.data[:len(pivots)]]
 
 
@@ -597,8 +559,8 @@ def _arrow_rescaling(built, conjectured, keys):
     for key in keys:
         paths = _two_paths(built, *key)
         rb = _block_rref(_relation_blocks(built).get(key, ()), paths)
-        rc = _scaled_rref(_relation_blocks(conjectured).get(key, ()),
-                          paths, eps)
+        rc = _block_rref(_relation_blocks(conjectured).get(key, ()),
+                         paths, eps)
         if rb != rc:
             return None
     return eps
@@ -791,7 +753,7 @@ def check_simple_costandard_dims(cover: AlgebraInstance,
     resolutions = {y: standard_resolution(cover, y, order)[1] for y in verts}
     failures, hom_dims = [], {}
     for x in verts:
-        nab = costandard_module(cover, x, order=order)
+        nab = cached_module(cover, "costandard", x, order)
         for y in verts:
             _, levels = ext_bigraded_reps(resolutions[y], nab)
             hom0 = {d: len(reps) for d, reps in levels[0].items()}

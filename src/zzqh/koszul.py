@@ -438,7 +438,8 @@ def fixture_brauer_line(s: int) -> dict:
             for rels in (fix_spans[key], cov_spans[key]):
                 m = Matrix([[rel.get(w, ZERO) for w in words] for rel in rels],
                            ncols=len(words))
-                mats.append(m.rref()[1].data[:m.rank()])
+                pivots, red = m.rref()
+                mats.append(red.data[:len(pivots)])
             if mats[0] != mats[1]:
                 relations_ok = False
 

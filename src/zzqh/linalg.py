@@ -6,6 +6,15 @@ package (action matrices of finite dimensional modules, Hom-space
 constraint systems, relation spans) are small and often sparse-ish, but
 a dense representation keeps the code simple and the pivoting
 deterministic.
+
+``Echelon`` is the one dense elimination: ``Matrix.rref`` and with it
+ranks, kernels and solving are built on it, and the module code uses
+it directly for spans, top generators and residues.  Callers rely on
+three of its conditions.  The pivot of a stored row is its leftmost
+nonzero entry, scaled to 1.  Stored rows are never rewritten, so a row
+handed out stays valid.  The residue of a vector modulo the span is
+unique: it is zero at every pivot, and the pivots depend only on the
+span, so it is the same whatever order the rows came in.
 """
 
 from __future__ import annotations
@@ -54,9 +63,6 @@ class Matrix:
             m.data[i][i] = ONE
         return m
 
-    def copy(self):
-        return Matrix([row[:] for row in self.data], ncols=self.ncols)
-
     @property
     def shape(self):
         return (self.nrows, self.ncols)
@@ -69,12 +75,6 @@ class Matrix:
     def __repr__(self):
         rows = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix({self.nrows}x{self.ncols}: {rows})"
-
-    def row(self, i):
-        return self.data[i][:]
-
-    def col(self, j):
-        return [row[j] for row in self.data]
 
     def transpose(self):
         return Matrix(
@@ -92,9 +92,6 @@ class Matrix:
             ],
             ncols=self.ncols,
         )
-
-    def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
 
     def scale(self, c):
         c = _coerce(c)
@@ -136,41 +133,17 @@ class Matrix:
             ncols=self.ncols + other.ncols,
         )
 
-    def vstack(self, other):
-        if self.ncols != other.ncols:
-            raise ValueError("shape mismatch")
-        return Matrix([r[:] for r in self.data] + [r[:] for r in other.data],
-                      ncols=self.ncols)
-
-    def is_zero(self):
-        return all(not x for row in self.data for x in row)
-
     def rref(self):
         """Reduced row echelon form; returns (pivot columns, new Matrix)."""
-        m = [row[:] for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot_row = None
-            for i in range(r, len(m)):
-                if m[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = ONE / m[r][c]
-            if inv != 1:
-                m[r] = [x * inv for x in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(m):
-                break
-        return pivots, Matrix(m, ncols=self.ncols)
+        ech = Echelon(self.data)
+        pivots = sorted(ech.rows)
+        # back-substitution: each row is reduced against the rows with
+        # pivots to its right, which are already fully reduced
+        full = Echelon(ech.rows[c] for c in reversed(pivots))
+        zero = [ZERO] * self.ncols
+        red = [full.rows[c] for c in pivots]
+        red += [zero[:] for _ in range(self.nrows - len(pivots))]
+        return pivots, Matrix(red, ncols=self.ncols)
 
     def rank(self):
         return len(self.rref()[0])
@@ -206,3 +179,43 @@ class Matrix:
         for r, c in enumerate(pivots):
             x[c] = red.data[r][self.ncols]
         return x
+
+
+class Echelon:
+    """A growing span, held as rows keyed by pivot column.
+
+    The pivot of a row is its leftmost nonzero entry, scaled to 1, and
+    each row is zero at the pivots of the rows stored before it.  Rows
+    are stored as inserted, after reduction, and never rewritten.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows=()):
+        self.rows = {}
+        for row in rows:
+            self.insert(row)
+
+    def reduce(self, vec):
+        """The residue of ``vec`` modulo the span, as a new list: the
+        rows are subtracted in insertion order, which leaves it zero at
+        every pivot."""
+        out = list(vec)
+        for piv, row in self.rows.items():
+            c = out[piv]
+            if c:
+                for j in range(piv, len(row)):
+                    v = row[j]
+                    if v:
+                        out[j] -= c * v
+        return out
+
+    def insert(self, vec):
+        """Add ``vec`` to the span; returns the pivot of its stored
+        residue, or None if ``vec`` already lies in the span."""
+        out = self.reduce(vec)
+        piv = next((j for j, c in enumerate(out) if c), None)
+        if piv is not None:
+            inv = ONE / out[piv]
+            self.rows[piv] = out if inv == 1 else [c * inv for c in out]
+        return piv

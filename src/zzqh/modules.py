@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix
+from .linalg import Echelon, Matrix
 from .quiver import OrderData, build_quiver, order_data
 from .algebra import AlgebraInstance, Element, Path
 
@@ -136,9 +136,6 @@ class ModuleMap:
         if (self.matrix.nrows, self.matrix.ncols) != (self.source.dim, self.target.dim):
             raise ValueError("map shape does not match modules")
 
-    def apply(self, row):
-        return self.matrix.mul_row(row)
-
     def compose(self, g: "ModuleMap") -> "ModuleMap":
         """self first, then g."""
         if g.source is not self.target and g.source.dim != self.target.dim:
@@ -190,32 +187,6 @@ def graded_rows(module: RightModule, rows):
         out.extend(row for row in red.data if any(row))
     if len(out) != total:
         raise AssertionError("span is not a graded subspace")
-    return out
-
-
-def _reduce_against(row, echelon):
-    """Reduce ``row`` against rref rows keyed by pivot column."""
-    out = list(row)
-    for pc, er in echelon.items():
-        c = out[pc]
-        if c:
-            for j, v in enumerate(er):
-                if v:
-                    out[j] -= c * v
-    return out
-
-
-def _echelon_index(rows):
-    """rref rows as a dict pivot column -> row."""
-    out = {}
-    if not rows:
-        return out
-    _, red = Matrix([list(r) for r in rows]).rref()
-    for r in red.data:
-        for j, c in enumerate(r):
-            if c:
-                out[j] = r
-                break
     return out
 
 
@@ -351,23 +322,17 @@ def algebra_order(a: AlgebraInstance) -> OrderData:
 
 def generated_submodule(m: RightModule, rows):
     """Row basis of the submodule generated by the given rows."""
-    ech = {}
+    span = Echelon()
     work = [list(r) for r in rows]
-    basis = []
     while work:
-        r = _reduce_against(work.pop(), ech)
-        piv = next((j for j, c in enumerate(r) if c), None)
+        piv = span.insert(work.pop())
         if piv is None:
             continue
-        inv = ONE / r[piv]
-        r = [c * inv for c in r]
-        ech[piv] = r
-        basis.append(r)
         for a in m.algebra.presentation.arrows:
-            img = m.act(a).mul_row(r)
+            img = m.act(a).mul_row(span.rows[piv])
             if any(img):
                 work.append(img)
-    return graded_rows(m, basis)
+    return graded_rows(m, list(span.rows.values()))
 
 
 def largest_stable_subspace(m: RightModule, allowed):
@@ -380,14 +345,14 @@ def largest_stable_subspace(m: RightModule, allowed):
         rows.append(r)
     rows = graded_rows(m, rows)
     while True:
-        span = _echelon_index(rows)
         if not rows:
             return []
+        span = Echelon(rows)
         resid = []
         for r in rows:
             rr = []
             for a in m.algebra.presentation.arrows:
-                rr.extend(_reduce_against(m.act(a).mul_row(r), span))
+                rr.extend(span.reduce(m.act(a).mul_row(r)))
             resid.append(rr)
         kern = Matrix(resid, ncols=len(resid[0])).left_kernel_basis()
         if kern.nrows == len(rows):
@@ -400,25 +365,22 @@ def submodule(m: RightModule, rows, label=""):
     """The submodule spanned by the rows, with its inclusion map.
     Raises if the span is not action-stable."""
     rows = graded_rows(m, rows)
-    sub_dim = len(rows)
-    base = Matrix([list(r) for r in rows], ncols=m.dim) if rows else Matrix.zero(0, m.dim)
-    vertices, bidegrees = [], []
-    for r in rows:
-        i = next(j for j, c in enumerate(r) if c)
-        vertices.append(m.vertices[i])
-        bidegrees.append(m.bidegrees[i])
+    base = Matrix([list(r) for r in rows], ncols=m.dim)
+    # the rows are reduced, so an image's coefficient on a row is its
+    # entry at that row's pivot
+    span = Echelon(rows)
+    pivots = list(span.rows)
     action = {}
-    basis_t = base.transpose()
     for a in m.algebra.presentation.arrows:
-        mat = Matrix.zero(sub_dim, sub_dim)
+        mat = Matrix.zero(len(rows), len(rows))
         for i, r in enumerate(rows):
             img = m.act(a).mul_row(r)
-            coeffs = basis_t.solve(img)
-            if coeffs is None:
+            if any(span.reduce(img)):
                 raise AssertionError("rows do not span a submodule")
-            mat.data[i] = coeffs
+            mat.data[i] = [img[p] for p in pivots]
         action[a] = mat
-    sub = RightModule(m.algebra, vertices, bidegrees, action, label=label)
+    sub = RightModule(m.algebra, [m.vertices[p] for p in pivots],
+                      [m.bidegrees[p] for p in pivots], action, label=label)
     incl = ModuleMap(sub, m, base)
     return sub, incl
 
@@ -426,24 +388,21 @@ def submodule(m: RightModule, rows, label=""):
 def quotient_module(m: RightModule, rows, label=""):
     """The quotient by the submodule spanned by the rows, with the
     projection map."""
-    rows = graded_rows(m, rows)
-    span = _echelon_index(rows)
-    keep = [i for i in range(m.dim) if i not in span]
+    span = Echelon(graded_rows(m, rows))
+    keep = [i for i in range(m.dim) if i not in span.rows]
     proj = Matrix.zero(m.dim, len(keep))
     pos = {i: k for k, i in enumerate(keep)}
     for i in range(m.dim):
         e = m.zero_vector()
         e[i] = ONE
-        e = _reduce_against(e, span)
-        for j, c in enumerate(e):
+        for j, c in enumerate(span.reduce(e)):
             if c:
                 proj.data[i][pos[j]] = c
     action = {}
     for a in m.algebra.presentation.arrows:
         mat = Matrix.zero(len(keep), len(keep))
         for k, i in enumerate(keep):
-            img = _reduce_against(list(m.act(a).data[i]), span)
-            for j, c in enumerate(img):
+            for j, c in enumerate(span.reduce(m.act(a).data[i])):
                 if c:
                     mat.data[k][pos[j]] = c
         action[a] = mat
@@ -520,10 +479,10 @@ def top_generators(m: RightModule):
     for a in m.algebra.presentation.arrows:
         rad.extend(m.act(a).data)
     rad = [r for r in rad if any(r)]
-    span = _echelon_index(graded_rows(m, rad)) if rad else {}
+    span = Echelon(graded_rows(m, rad))
     gens = []
     for i in range(m.dim):
-        if i in span:
+        if i in span.rows:
             continue
         r = m.zero_vector()
         r[i] = ONE
@@ -635,17 +594,22 @@ def projective_cover(m: RightModule):
     top generator."""
     gens = top_generators(m)
     free = free_module(m.algebra, [(v, d) for v, d, _ in gens])
-    mat = Matrix.zero(free.dim, m.dim)
-    for (v, d, rep), (_, _, start, stop) in zip(gens, free.summands):
-        proj_paths = projective_module(m.algebra, v).basis_paths
-        for local, p in enumerate(proj_paths):
-            img = m.act_path(rep, p)
-            for j, c in enumerate(img):
-                mat.data[start + local][j] = c
-    cover = ModuleMap(free, m, mat)
+    cover = map_from_generators(free, m, [r for _, _, r in gens])
     if not cover.is_surjective():
         raise AssertionError("projective cover is not surjective")
     return free, cover
+
+
+def map_from_generators(free: RightModule, target: RightModule,
+                        gen_rows) -> ModuleMap:
+    """The module map free -> target sending the generator of the k-th
+    summand of ``free`` to ``gen_rows[k]``, a row of target."""
+    mat = Matrix.zero(free.dim, target.dim)
+    for grow, (v, _, start, _) in zip(gen_rows, free.summands):
+        paths = projective_module(free.algebra, v).basis_paths
+        for local, p in enumerate(paths):
+            mat.data[start + local] = target.act_path(grow, p)
+    return ModuleMap(free, target, mat)
 
 
 @dataclass
@@ -712,14 +676,7 @@ def minimal_resolution(m: RightModule, max_steps=None) -> Resolution:
         prev = frees[-1]
         gens = _submodule_top(prev, kernel)
         free = free_module(m.algebra, [(v, d) for v, d, _ in gens])
-        mat = Matrix.zero(free.dim, prev.dim)
-        for (v, d, rep), (_, _, start, stop) in zip(gens, free.summands):
-            proj_paths = projective_module(m.algebra, v).basis_paths
-            for local, p in enumerate(proj_paths):
-                img = prev.act_path(rep, p)
-                for j, c in enumerate(img):
-                    mat.data[start + local][j] = c
-        step = ModuleMap(free, prev, mat)
+        step = map_from_generators(free, prev, [r for _, _, r in gens])
         if step.rank() != len(kernel):
             raise AssertionError("cover of syzygy is not surjective")
         frees.append(free)
@@ -730,23 +687,38 @@ def minimal_resolution(m: RightModule, max_steps=None) -> Resolution:
     return Resolution(m, frees, terms, maps, complete=True)
 
 
-def standard_resolution(a: AlgebraInstance, x, order: OrderData = None,
-                        max_steps=None):
-    """Delta_x and its minimal resolution cut off after ``max_steps``,
-    cached on ``a`` in ``a._standard_cache`` as projectives are: Delta
-    per order, the resolution per order and step cap, so a resolution
-    cut off at one cap is never returned for another."""
-    order = order or algebra_order(a)
+def _on_instance(a: AlgebraInstance, key, build):
+    """``build()``, made once per instance and key and cached on ``a``
+    in ``a._standard_cache``, as projectives are in ``_projective_cache``."""
     cache = getattr(a, "_standard_cache", None)
     if cache is None:
         cache = a._standard_cache = {}
-    key = (x, frozenset(order.dist.items()))
     if key not in cache:
-        cache[key] = (standard_module(a, x, order), {})
-    delta, resolutions = cache[key]
-    if max_steps not in resolutions:
-        resolutions[max_steps] = minimal_resolution(delta, max_steps)
-    return delta, resolutions[max_steps]
+        cache[key] = build()
+    return cache[key]
+
+
+def cached_module(a: AlgebraInstance, kind: str, x, order: OrderData = None):
+    """Delta_x (``kind`` "standard") or Nabla_x ("costandard"), made once
+    per instance, vertex and order, with the order keyed by value."""
+    order = order or algebra_order(a)
+    build = {"standard": standard_module,
+             "costandard": costandard_module}[kind]
+    key = (kind, x, frozenset(order.dist.items()))
+    return _on_instance(a, key, lambda: build(a, x, order))
+
+
+def standard_resolution(a: AlgebraInstance, x, order: OrderData = None,
+                        max_steps=None):
+    """Delta_x, from ``cached_module``, and its minimal resolution cut
+    off after ``max_steps``, cached on ``a`` per vertex, order and step
+    cap, so a resolution cut off at one cap is never returned for
+    another."""
+    order = order or algebra_order(a)
+    delta = cached_module(a, "standard", x, order)
+    key = ("resolution", x, frozenset(order.dist.items()), max_steps)
+    return delta, _on_instance(a, key,
+                               lambda: minimal_resolution(delta, max_steps))
 
 
 def _submodule_top(m: RightModule, rows):
@@ -758,18 +730,12 @@ def _submodule_top(m: RightModule, rows):
             img = m.act(a).mul_row(r)
             if any(img):
                 rad.append(img)
-    span = _echelon_index(graded_rows(m, rad)) if rad else {}
+    span = Echelon(graded_rows(m, rad))
     gens = []
     for r in rows:
-        resid = _reduce_against(r, span)
-        piv = next((j for j, c in enumerate(resid) if c), None)
-        if piv is None:
-            continue
-        inv = ONE / resid[piv]
-        resid = [c * inv for c in resid]
-        span[piv] = resid
-        i = piv
-        gens.append((m.vertices[i], m.bidegrees[i], resid))
+        piv = span.insert(r)
+        if piv is not None:
+            gens.append((m.vertices[piv], m.bidegrees[piv], span.rows[piv]))
     return gens
 
 
@@ -886,23 +852,18 @@ def ext_bigraded_reps(res: Resolution, n: RightModule):
             else:
                 cycles = [[ONE if k == j else ZERO for k in range(len(cols))]
                           for j in range(len(cols))]
-            span = {}
+            span = Echelon()
             if i >= 1:
-                rows = [r for r, (_, _, dd) in enumerate(bases[i - 1])
-                        if dd == d]
-                bnd = [[diffs[i - 1].data[r][c] for c in cols] for r in rows]
-                span = _echelon_index([r for r in bnd if any(r)])
+                for r, (_, _, dd) in enumerate(bases[i - 1]):
+                    if dd == d:
+                        span.insert([diffs[i - 1].data[r][c] for c in cols])
             reps = []
             for row in cycles:
-                resid = _reduce_against(row, span)
-                piv = next((j for j, c in enumerate(resid) if c), None)
+                piv = span.insert(row)
                 if piv is None:
                     continue
-                inv = ONE / resid[piv]
-                resid = [c * inv for c in resid]
-                span[piv] = resid
                 full = [ZERO] * len(bases[i])
-                for c, v in zip(cols, resid):
+                for c, v in zip(cols, span.rows[piv]):
                     full[c] = v
                 reps.append(full)
             if reps:
@@ -914,23 +875,10 @@ def ext_bigraded_reps(res: Resolution, n: RightModule):
 def hom_row_to_map(res: Resolution, n: RightModule, i, basis, row) -> ModuleMap:
     """Turn a Hom-basis row at step i into the module map F_i -> n."""
     free = res.frees[i]
-    mat = Matrix.zero(free.dim, n.dim)
-    by_summand = {}
+    gens = [n.zero_vector() for _ in free.summands]
     for c, (t, j, _) in enumerate(basis):
-        if row[c]:
-            by_summand.setdefault(t, []).append((j, row[c]))
-    for t, (v, shift, start, stop) in enumerate(free.summands):
-        if t not in by_summand:
-            continue
-        gen = n.zero_vector()
-        for j, c in by_summand[t]:
-            gen[j] = c
-        proj_paths = projective_module(n.algebra, v).basis_paths
-        for local, p in enumerate(proj_paths):
-            img = n.act_path(gen, p)
-            for j, c in enumerate(img):
-                mat.data[start + local][j] = c
-    return ModuleMap(free, n, mat)
+        gens[t][j] = row[c]
+    return map_from_generators(free, n, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -946,7 +894,6 @@ def delta_filtration(m: RightModule, order: OrderData = None):
     offending vertex with the dimension mismatch.
     """
     order = order or algebra_order(m.algebra)
-    std_dim = {}
     layers = []
     current = m
     while current.dim:
@@ -961,9 +908,8 @@ def delta_filtration(m: RightModule, order: OrderData = None):
             r[i] = ONE
             rows.append(r)
         sub = generated_submodule(current, rows)
-        if maximal not in std_dim:
-            std_dim[maximal] = standard_module(m.algebra, maximal, order).dim
-        expected = len(gens) * std_dim[maximal]
+        expected = len(gens) * cached_module(m.algebra, "standard", maximal,
+                                             order).dim
         if len(sub) != expected:
             witness = {"vertex": maximal, "copies": len(gens),
                        "submodule_dim": len(sub), "expected_dim": expected}

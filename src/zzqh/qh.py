@@ -25,13 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Matrix
+from .linalg import Echelon, Matrix
 from .quiver import build_quiver, vertex_name
 from .algebra import (AlgebraInstance, Element, Path, presentation_zigzag,
                       zigzag_hom_oracle)
-from .modules import (algebra_order, costandard_module, delta_filtration,
-                      ext_dims, hom_space, injective_module, is_isomorphic,
-                      projective_module, RightModule, standard_resolution)
+from .modules import (algebra_order, cached_module, costandard_module,
+                      delta_filtration, ext_dims, hom_space, injective_module,
+                      is_isomorphic, projective_module, RightModule,
+                      standard_resolution)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -102,7 +103,7 @@ def check_quasi_hereditary(a: AlgebraInstance, order=None,
     verts = a.presentation.vertices
     deltas = {x: standard_resolution(a, x, order, max_steps)[0]
               for x in verts}
-    nablas = {x: costandard_module(a, x, order=order) for x in verts}
+    nablas = {x: cached_module(a, "costandard", x, order) for x in verts}
 
     bad = [vertex_name(x) for x in verts
            if len(hom_space(deltas[x], deltas[x])) != 1]
@@ -163,21 +164,6 @@ def _down(x):
 def _lift_path(pres, p: Path) -> Path:
     src = (p.source[0] + 1,) + tuple(p.source[1:])
     return pres.path(src, tuple(a.label for a in p.arrows))
-
-
-def _reduce_insert(vec, ech):
-    """Insert into a pivot -> normalized row echelon; None if dependent."""
-    v = list(vec)
-    for piv, row in ech.items():
-        c = v[piv]
-        if c:
-            v = [a - c * b for a, b in zip(v, row)]
-    piv = next((j for j, c in enumerate(v) if c), None)
-    if piv is None:
-        return None
-    inv = ONE / v[piv]
-    ech[piv] = [c * inv for c in v]
-    return piv
 
 
 def _block_vector(elt: Element, index):
@@ -252,11 +238,11 @@ def check_cover(cover: AlgebraInstance, z: AlgebraInstance = None) -> QhReport:
     if rel_bad:
         rep.witnesses["zigzag_relations_hold"] = rel_bad
 
-    gen_ech = {key: {} for key in jpaths}
+    gen_ech = {key: Echelon() for key in jpaths}
     frontier = []
     for a in jverts:
         e = Element.of_path(Path(a))
-        _reduce_insert(_block_vector(e, jindex[(a, a)]), gen_ech[(a, a)])
+        gen_ech[(a, a)].insert(_block_vector(e, jindex[(a, a)]))
         frontier.append((a, a, e))
     while frontier:
         a, b, elt = frontier.pop()
@@ -267,13 +253,13 @@ def check_cover(cover: AlgebraInstance, z: AlgebraInstance = None) -> QhReport:
             if prod.is_zero():
                 continue
             key = (a, ar.target)
-            if _reduce_insert(_block_vector(prod, jindex[key]),
-                              gen_ech[key]) is not None:
+            vec = _block_vector(prod, jindex[key])
+            if gen_ech[key].insert(vec) is not None:
                 frontier.append((a, ar.target, prod))
-    gen_bad = [[vertex_name(a), vertex_name(b), len(gen_ech[(a, b)]),
+    gen_bad = [[vertex_name(a), vertex_name(b), len(gen_ech[(a, b)].rows),
                 len(jpaths[(a, b)])]
                for a in jverts for b in jverts
-               if len(gen_ech[(a, b)]) != len(jpaths[(a, b)])]
+               if len(gen_ech[(a, b)].rows) != len(jpaths[(a, b)])]
     detail["arrows_generate"] = not gen_bad
     if gen_bad:
         rep.witnesses["arrows_generate"] = gen_bad
@@ -285,13 +271,12 @@ def check_cover(cover: AlgebraInstance, z: AlgebraInstance = None) -> QhReport:
 
         psi = {}
         dep = []
-        psi_ech = {key: {} for key in jpaths}
+        psi_ech = {key: Echelon() for key in jpaths}
         for p in z.basis():
             img = cover.normal_form(Element.of_path(_lift_path(pres, p)))
             key = ((p.source[0] + 1,) + tuple(p.source[1:]),
                    (p.target[0] + 1,) + tuple(p.target[1:]))
-            if _reduce_insert(_block_vector(img, jindex[key]),
-                              psi_ech[key]) is None:
+            if psi_ech[key].insert(_block_vector(img, jindex[key])) is None:
                 dep.append(repr(p))
             psi[p] = img
         detail["basis_correspondence_bijective"] = not dep and not dim_bad
@@ -449,7 +434,7 @@ def check_borel(cover: AlgebraInstance, borel: AlgebraInstance) -> QhReport:
 
     iso_bad = []
     for x in cover.presentation.vertices:
-        nab = costandard_module(cover, x)
+        nab = cached_module(cover, "costandard", x)
         restricted = RightModule(
             borel, nab.vertices, nab.bidegrees,
             {ar: nab.act(ar) for ar in borel.presentation.arrows},

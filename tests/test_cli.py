@@ -1,5 +1,6 @@
 """The batch command surface: exit codes, JSON determinism, witnesses."""
 
+import hashlib
 import json
 from collections import Counter
 
@@ -196,20 +197,52 @@ def test_check_caps_the_basis(capsys):
 
 
 def test_check_all_resolves_each_standard_once(capsys, monkeypatch):
-    resolve, labels = zzqh.modules.minimal_resolution, []
+    """Each standard is built and resolved once, and each costandard of
+    the cover built once (the Borel's own costandards aside)."""
+    resolved, built = Counter(), Counter()
 
-    def counting(m, *args, **kwargs):
-        labels.append(m.label)
-        return resolve(m, *args, **kwargs)
+    def counting(name, fn):
+        def wrapped(first, *args, **kwargs):
+            out = fn(first, *args, **kwargs)
+            if name == "minimal_resolution":  # first is the module
+                resolved[first.label] += 1
+            elif first.presentation.kind == "cover":  # first is the algebra
+                built[out.label] += 1
+            return out
+        return wrapped
 
-    for mod in (zzqh, zzqh.modules, zzqh.qh, zzqh.koszul, zzqh.extdual):
-        if getattr(mod, "minimal_resolution", None) is resolve:
-            monkeypatch.setattr(mod, "minimal_resolution", counting)
+    for name in ("minimal_resolution", "standard_module",
+                 "costandard_module"):
+        fn = getattr(zzqh.modules, name)
+        wrapped = counting(name, fn)
+        for mod in (zzqh, zzqh.modules, zzqh.qh, zzqh.koszul, zzqh.extdual):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrapped)
     code, _ = _run(capsys, "check", "all", "--n", "2", "--s", "2")
     assert code == 0
-    standards = Counter(l for l in labels if l.startswith("Delta["))
-    assert standards == {f"Delta[{x}]": 1
-                         for x in presentation_cover(2, 2).vertices}
+    verts = presentation_cover(2, 2).vertices
+    standards = {l: k for l, k in resolved.items() if l.startswith("Delta[")}
+    assert standards == {f"Delta[{x}]": 1 for x in verts}
+    assert built == {f"{kind}[{x}]": 1 for x in verts
+                     for kind in ("Delta", "Nabla")}
+
+
+# sha256 of stdout, recorded with the column-by-column Gauss-Jordan rref.
+# Any correct elimination gives the same representatives, so the same
+# bytes, whatever its order of work.
+FROZEN_STDOUT = {
+    ("check", "all"):
+        "930e5316200e69cc913e924dab42a67380f6ca889a13356ed2ead905c4f21339",
+    ("dual", "--n", "2", "--s", "3", "--emit", "json"):
+        "ad78cf5e8378653ab8d59561dfd4ac6b5c92156907be6e95bb43aa90e49277ba",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FROZEN_STDOUT), ids=" ".join)
+def test_stdout_is_byte_identical_to_the_frozen_digest(capsys, argv):
+    code, out = _run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_STDOUT[argv]
 
 
 def test_check_all_matches_the_single_checks(capsys):

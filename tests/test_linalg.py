@@ -4,7 +4,9 @@ and solving."""
 import random
 from fractions import Fraction
 
-from zzqh.linalg import Matrix
+import pytest
+
+from zzqh.linalg import Echelon, Matrix
 
 F = Fraction
 
@@ -92,3 +94,103 @@ def test_exactness_no_float_drift():
     _, red = m.rref()
     assert m.rank() == 2
     assert red == Matrix.identity(2)
+
+
+# ---------------------------------------------------------------------------
+# Echelon and the rref built on it
+
+
+def _gauss_jordan(m):
+    """Reference reduced row echelon form of a Matrix by plain
+    Gauss-Jordan elimination, column by column: (pivots, rows)."""
+    rows = [row[:] for row in m.data]
+    pivots = []
+    r = 0
+    for c in range(m.ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, rows
+
+
+def _strategies():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.one_of(st.just(F(0)),
+                        st.fractions(min_value=-3, max_value=3,
+                                     max_denominator=4))
+
+    @st.composite
+    def row_lists(draw, ncols):
+        """Rows of width ncols, with zero rows and duplicates mixed in."""
+        rows = draw(st.lists(st.lists(entries, min_size=ncols,
+                                      max_size=ncols), max_size=5))
+        for k in draw(st.lists(st.integers(0, len(rows)), max_size=3)):
+            rows.insert(k, rows[k][:] if k < len(rows) else [F(0)] * ncols)
+        return rows
+
+    settings = hypothesis.settings(max_examples=80, deadline=None,
+                                   derandomize=True, database=None)
+    return hypothesis, st, row_lists, settings
+
+
+def test_rref_matches_gauss_jordan_reference():
+    hypothesis, st, row_lists, settings = _strategies()
+
+    @settings
+    @hypothesis.given(st.integers(0, 5).flatmap(
+        lambda n: st.tuples(st.just(n), row_lists(n))))
+    def check(shape_rows):
+        ncols, rows = shape_rows
+        m = Matrix(rows, ncols=ncols)
+        pivots, red = m.rref()
+        want_pivots, want_rows = _gauss_jordan(m)
+        assert pivots == want_pivots
+        assert red.shape == m.shape and red.data == want_rows
+
+    check()
+
+
+def test_echelon_residue_does_not_depend_on_insertion_order():
+    hypothesis, st, row_lists, settings = _strategies()
+
+    @settings
+    @hypothesis.given(st.integers(1, 5).flatmap(
+        lambda n: st.tuples(row_lists(n), row_lists(n), st.randoms())))
+    def check(args):
+        rows, vectors, rng = args
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        one, two = Echelon(rows), Echelon(shuffled)
+        assert set(one.rows) == set(two.rows)
+        for ech in (one, two):
+            stored = list(ech.rows.items())
+            for k, (piv, row) in enumerate(stored):
+                assert row[piv] == 1 and not any(row[:piv])
+                assert all(row[p] == 0 for p, _ in stored[:k])
+        for v in vectors + rows:
+            resid = one.reduce(v)
+            assert resid == two.reduce(v)
+            assert all(resid[p] == 0 for p in one.rows)
+
+    check()
+
+
+def test_echelon_insert_keeps_stored_rows():
+    ech = Echelon()
+    assert ech.insert([F(0), F(2), F(4)]) == 1
+    first = ech.rows[1]
+    assert ech.insert([F(0), F(1), F(2)]) is None
+    assert ech.insert([F(3), F(1), F(0)]) == 0
+    assert ech.rows[1] is first and first == [F(0), F(1), F(2)]
+    assert ech.rows[0] == [F(1), F(0), F(-2, 3)]
+    assert ech.reduce([F(1), F(1), F(1)]) == [F(0), F(0), F(-1, 3)]

@@ -5,10 +5,11 @@ import pytest
 
 from zzqh import compute_basis, presentation_cover
 from zzqh.modules import (canonical_module, costandard_module, delta_filtration,
-                          dualize, ext_dims, gldim, hom_space, injective_module,
-                          is_isomorphic, is_linear, minimal_resolution,
-                          projective_module, simple_module, socle_top,
-                          standard_module)
+                          dualize, ext_dims, generated_submodule, gldim,
+                          hom_space, injective_module, is_isomorphic,
+                          is_linear, minimal_resolution, projective_module,
+                          quotient_module, simple_module, socle_top,
+                          standard_module, submodule, top_generators)
 
 VERTS = ((0, 2), (1, 1), (2, 0))
 
@@ -45,6 +46,19 @@ def test_standard_is_quotient_costandard_is_sub(cover12):
         assert dtop == [(x, (0, 0))]
         nsoc, _ = socle_top(nabla)
         assert [(v, (0, 0)) for v, _ in nsoc] == [(x, (0, 0))]
+
+
+def test_unstable_rows_are_rejected(cover12):
+    """The top generator of a projective alone is not action-stable:
+    it spans neither a submodule nor the kernel of a quotient."""
+    proj = projective_module(cover12, (1, 1))
+    (_, _, top), = top_generators(proj)
+    with pytest.raises(AssertionError, match="do not span a submodule"):
+        submodule(proj, [top])
+    with pytest.raises(AssertionError, match="do not span a submodule"):
+        quotient_module(proj, [top])
+    sub, incl = submodule(proj, generated_submodule(proj, [top]))
+    assert sub.dim == proj.dim and incl.is_module_map()
 
 
 def test_duality_swaps_projective_injective(cover12):
