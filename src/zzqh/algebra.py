@@ -340,25 +340,11 @@ def presentation_borel(n: int, s: int) -> Presentation:
     if s < 1:
         raise ValueError(f"borel needs s >= 1, got s={s}")
     q = build_quiver(n, s)
-    arrows = [a for a in _translation_arrows(q) if a.label != 0]
-    pres = Presentation(q.vertices, arrows, [],
-                        kind="borel", params={"n": n, "s": s})
-    rels = []
-    vset = set(q.vertices)
-    for x in q.vertices:
-        for i in range(1, q.n + 1):
-            yi = q.target(x, i)
-            if yi not in vset:
-                continue
-            if q.target(yi, i) in vset:
-                rels.append(Element.of_path(pres.path(x, (i, i))))
-            for j in range(i + 1, q.n + 1):
-                yj = q.target(x, j)
-                if q.target(yi, j) in vset and yj in vset:
-                    rels.append(Element.of_path(pres.path(x, (i, j)))
-                                - Element.of_path(pres.path(x, (j, i))))
-    return Presentation(q.vertices, pres.arrows, rels,
-                        kind="borel", params={"n": n, "s": s})
+    full = Presentation(q.vertices, _translation_arrows(q), [])
+    rels = [r for r in _zigzag_relations(full, q)
+            if all(a.label != 0 for p in r.terms for a in p.arrows)]
+    return Presentation(q.vertices, [a for a in full.arrows if a.label != 0],
+                        rels, kind="borel", params={"n": n, "s": s})
 
 
 def presentation_dual_conjectured(n: int, s: int) -> Presentation:

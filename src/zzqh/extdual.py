@@ -96,12 +96,6 @@ class ExtTable:
             self._hom[(x, y)] = got
         return got
 
-    def dim(self, x, y, i, flat, sharp) -> int:
-        return self.dims.get((x, y, i, flat, sharp), 0)
-
-    def classes(self, x, y, i, bidegree):
-        return self.classes_by_key.get((x, y, i) + tuple(bidegree), ())
-
     def identity(self, x) -> ExtClass:
         reps = self.classes_by_key.get((x, x, 0, 0, 0), ())
         if len(reps) != 1:

@@ -56,13 +56,6 @@ class Matrix:
     def zero(cls, nrows, ncols):
         return cls([[ZERO] * ncols for _ in range(nrows)], ncols=ncols)
 
-    @classmethod
-    def identity(cls, n):
-        m = cls.zero(n, n)
-        for i in range(n):
-            m.data[i][i] = ONE
-        return m
-
     @property
     def shape(self):
         return (self.nrows, self.ncols)
@@ -82,36 +75,19 @@ class Matrix:
             ncols=self.nrows,
         )
 
-    def __add__(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            ncols=self.ncols,
-        )
-
-    def scale(self, c):
-        c = _coerce(c)
-        return Matrix([[c * x for x in row] for row in self.data], ncols=self.ncols)
-
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise ValueError("shape mismatch")
-            out = Matrix.zero(self.nrows, other.ncols)
-            for i, row in enumerate(self.data):
-                orow = out.data[i]
-                for k, a in enumerate(row):
-                    if a:
-                        brow = other.data[k]
-                        for j, b in enumerate(brow):
-                            if b:
-                                orow[j] += a * b
-            return out
-        return self.scale(other)
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch")
+        out = Matrix.zero(self.nrows, other.ncols)
+        for i, row in enumerate(self.data):
+            orow = out.data[i]
+            for k, a in enumerate(row):
+                if a:
+                    brow = other.data[k]
+                    for j, b in enumerate(brow):
+                        if b:
+                            orow[j] += a * b
+        return out
 
     def mul_row(self, vec):
         """vec (length nrows) times this matrix; returns list of Fractions."""
@@ -124,14 +100,6 @@ class Matrix:
                     if b:
                         out[j] += a * b
         return out
-
-    def hstack(self, other):
-        if self.nrows != other.nrows:
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [ra + rb for ra, rb in zip(self.data, other.data)],
-            ncols=self.ncols + other.ncols,
-        )
 
     def rref(self):
         """Reduced row echelon form; returns (pivot columns, new Matrix)."""
@@ -164,14 +132,14 @@ class Matrix:
 
     def left_kernel_basis(self):
         """Basis of {v : v * self = 0}, as rows of a Matrix."""
-        ker = self.transpose().kernel_basis()
-        return ker
+        return self.transpose().kernel_basis()
 
     def solve(self, rhs):
         """One solution x of self * x = rhs (a list), or None if inconsistent."""
         if len(rhs) != self.nrows:
             raise ValueError("shape mismatch")
-        aug = self.hstack(Matrix([[v] for v in rhs], ncols=1))
+        aug = Matrix([row + [v] for row, v in zip(self.data, rhs)],
+                     ncols=self.ncols + 1)
         pivots, red = aug.rref()
         if self.ncols in pivots:
             return None

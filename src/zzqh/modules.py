@@ -10,21 +10,22 @@ covers, minimal bigraded resolutions, Hom spaces, cochain complexes
 computing Ext, filtration by standard modules, and the duality to the
 opposite algebra.
 
-Conventions.  Module maps are matrices acting on row vectors, so
-``compose(f, g)`` multiplies ``f.matrix * g.matrix`` and applies f
-first.  Duality negates bidegrees: the socle of an injective sits in
-bidegree (0, 0) and everything else below.
+Conventions.  Module maps are matrices acting on row vectors: row i
+holds the image of source basis vector i.  Duality negates bidegrees:
+the socle of an injective sits in bidegree (0, 0) and everything else
+below.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Echelon, Matrix
 from .quiver import OrderData, build_quiver, order_data
-from .algebra import AlgebraInstance, Element, Path
+from .algebra import AlgebraInstance, Element, Path, _vkey
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -83,13 +84,6 @@ class RightModule:
             out.setdefault(key, []).append(i)
         return out
 
-    def graded_dims(self):
-        return {k: len(ix) for k, ix in sorted(self.blocks().items(),
-                                               key=lambda kv: _block_key(kv[0]))}
-
-    def weight_dims(self):
-        return {k: len(ix) for k, ix in self.blocks(graded=False).items()}
-
     def check(self):
         """Validate weight compatibility, grading, and the relations."""
         pres = self.algebra.presentation
@@ -121,7 +115,7 @@ class RightModule:
 
 def _block_key(key):
     v, d = key
-    return ((v if isinstance(v, tuple) else (v,)), d)
+    return _vkey(v), d
 
 
 @dataclass
@@ -136,12 +130,6 @@ class ModuleMap:
         if (self.matrix.nrows, self.matrix.ncols) != (self.source.dim, self.target.dim):
             raise ValueError("map shape does not match modules")
 
-    def compose(self, g: "ModuleMap") -> "ModuleMap":
-        """self first, then g."""
-        if g.source is not self.target and g.source.dim != self.target.dim:
-            raise ValueError("maps do not compose")
-        return ModuleMap(self.source, g.target, self.matrix * g.matrix)
-
     def is_module_map(self) -> bool:
         for a in self.source.algebra.presentation.arrows:
             if self.source.act(a) * self.matrix != self.matrix * self.target.act(a):
@@ -153,9 +141,6 @@ class ModuleMap:
 
     def rank(self):
         return self.matrix.rank()
-
-    def is_surjective(self):
-        return self.rank() == self.target.dim
 
     def __repr__(self):
         return f"ModuleMap({self.source.dim} -> {self.target.dim})"
@@ -387,8 +372,12 @@ def submodule(m: RightModule, rows, label=""):
 
 def quotient_module(m: RightModule, rows, label=""):
     """The quotient by the submodule spanned by the rows, with the
-    projection map."""
+    projection map.  Raises if the span is not action-stable."""
     span = Echelon(graded_rows(m, rows))
+    for r in span.rows.values():
+        for a in m.algebra.presentation.arrows:
+            if any(span.reduce(m.act(a).mul_row(r))):
+                raise AssertionError("rows do not span a submodule")
     keep = [i for i in range(m.dim) if i not in span.rows]
     proj = Matrix.zero(m.dim, len(keep))
     pos = {i: k for k, i in enumerate(keep)}
@@ -408,10 +397,7 @@ def quotient_module(m: RightModule, rows, label=""):
         action[a] = mat
     quot = RightModule(m.algebra, [m.vertices[i] for i in keep],
                        [m.bidegrees[i] for i in keep], action, label=label)
-    pmap = ModuleMap(m, quot, proj)
-    if not pmap.is_module_map():
-        raise AssertionError("rows do not span a submodule")
-    return quot, pmap
+    return quot, ModuleMap(m, quot, proj)
 
 
 def standard_module(a: AlgebraInstance, x, order: OrderData = None) -> RightModule:
@@ -462,13 +448,10 @@ def canonical_module(a: AlgebraInstance, kind: str, x, shift=(0, 0)) -> RightMod
 
 
 def socle_rows(m: RightModule):
-    mats = [m.act(a) for a in m.algebra.presentation.arrows]
-    if not mats:
-        return graded_rows(m, [[ONE if i == j else ZERO for j in range(m.dim)]
-                               for i in range(m.dim)])
-    stacked = mats[0]
-    for mat in mats[1:]:
-        stacked = stacked.hstack(mat)
+    """Rows spanning the socle: the vectors every arrow sends to zero."""
+    mats = [m.act(a).data for a in m.algebra.presentation.arrows]
+    stacked = Matrix([[c for mat in mats for c in mat[i]] for i in range(m.dim)],
+                     ncols=m.dim * len(mats))
     return graded_rows(m, stacked.left_kernel_basis().data)
 
 
@@ -502,42 +485,39 @@ def socle_top(m: RightModule):
 
 def hom_space(m: RightModule, n: RightModule, shift=None):
     """A basis of module maps m -> n; with ``shift`` only the maps
-    homogeneous of that (flat, sharp) bidegree."""
-    allowed = []
-    for i in range(m.dim):
-        for j in range(n.dim):
-            if m.vertices[i] != n.vertices[j]:
-                continue
-            if shift is not None:
-                if tuple(b - a for a, b in zip(m.bidegrees[i], n.bidegrees[j])) \
-                        != tuple(shift):
-                    continue
-            allowed.append((i, j))
-    if not allowed:
+    homogeneous of that (flat, sharp) bidegree.  The unknowns f[i][j]
+    pair basis vectors of equal weight; arrow a gives the equation
+    (a_m f - f a_n)[i][j] = 0 for each (i, j) a nonzero action entry
+    reaches."""
+    targets = {}
+    for j, v in enumerate(n.vertices):
+        targets.setdefault(v, []).append(j)
+    pos = {}
+    for i, v in enumerate(m.vertices):
+        for j in targets.get(v, ()):
+            if shift is None or tuple(shift) == tuple(
+                    b - a for a, b in zip(m.bidegrees[i], n.bidegrees[j])):
+                pos[(i, j)] = len(pos)
+    if not pos:
         return []
-    pos = {p: k for k, p in enumerate(allowed)}
-    equations = []
+    by_row, by_col = {}, {}
+    for (i, j), col in pos.items():
+        by_row.setdefault(i, []).append((j, col))
+        by_col.setdefault(j, []).append((i, col))
+    equations = defaultdict(lambda: [ZERO] * len(pos))
     for a in m.algebra.presentation.arrows:
-        am, an = m.act(a), n.act(a)
-        for i in range(m.dim):
-            for j in range(n.dim):
-                row = [ZERO] * len(allowed)
-                touched = False
-                for (k, jj), col in pos.items():
-                    if jj == j and am.data[i][k]:
-                        row[col] += am.data[i][k]
-                        touched = True
-                for (ii, l), col in pos.items():
-                    if ii == i and an.data[l][j]:
-                        row[col] -= an.data[l][j]
-                        touched = True
-                if touched:
-                    equations.append(row)
-    if equations:
-        sols = Matrix(equations, ncols=len(allowed)).kernel_basis()
-    else:
-        sols = Matrix.identity(len(allowed))
+        for i, row in enumerate(m.act(a).data):
+            for k, c in enumerate(row):
+                if c:
+                    for j, col in by_row.get(k, ()):
+                        equations[(a, i, j)][col] += c
+        for l, row in enumerate(n.act(a).data):
+            for j, c in enumerate(row):
+                if c:
+                    for i, col in by_col.get(l, ()):
+                        equations[(a, i, j)][col] -= c
     maps = []
+    sols = Matrix(list(equations.values()), ncols=len(pos)).kernel_basis()
     for srow in sols.data:
         mat = Matrix.zero(m.dim, n.dim)
         for (i, j), col in pos.items():
@@ -553,18 +533,16 @@ def is_isomorphic(m: RightModule, n: RightModule, graded=True):
     otherwise a seeded search through the Hom space must produce an
     invertible map.  Raises if the invariants match but no isomorphism
     is found, rather than guessing."""
-    if m.dim != n.dim:
-        return False
-    if graded and m.graded_dims() != n.graded_dims():
-        return False
-    if not graded and m.weight_dims() != n.weight_dims():
+    def block_dims(mod):
+        return {k: len(ix) for k, ix in mod.blocks(graded).items()}
+    if m.dim != n.dim or block_dims(m) != block_dims(n):
         return False
     ms, mt = socle_top(m)
     ns, nt = socle_top(n)
     if graded and (ms, mt) != (ns, nt):
         return False
     if not graded:
-        strip = lambda pairs: sorted(_block_key((v, ()))[0] for v, _ in pairs)
+        strip = lambda pairs: sorted(_vkey(v) for v, _ in pairs)
         if strip(ms) != strip(ns) or strip(mt) != strip(nt):
             return False
     maps = hom_space(m, n, shift=(0, 0) if graded else None)
@@ -573,12 +551,15 @@ def is_isomorphic(m: RightModule, n: RightModule, graded=True):
             return True
     rng = random.Random(0)
     for _ in range(500):
-        mat = Matrix.zero(m.dim, n.dim)
+        rows = [[ZERO] * n.dim for _ in range(m.dim)]
         for f in maps:
-            c = Fraction(rng.randint(-3, 3))
+            c = rng.randint(-3, 3)
             if c:
-                mat = mat + f.matrix.scale(c)
-        if mat.rank() == m.dim:
+                for row, frow in zip(rows, f.matrix.data):
+                    for j, v in enumerate(frow):
+                        if v:
+                            row[j] += c * v
+        if Matrix(rows, ncols=n.dim).rank() == m.dim:
             return True
     if not maps:
         return False
@@ -595,7 +576,7 @@ def projective_cover(m: RightModule):
     gens = top_generators(m)
     free = free_module(m.algebra, [(v, d) for v, d, _ in gens])
     cover = map_from_generators(free, m, [r for _, _, r in gens])
-    if not cover.is_surjective():
+    if cover.rank() != m.dim:
         raise AssertionError("projective cover is not surjective")
     return free, cover
 
@@ -627,28 +608,6 @@ class Resolution:
     @property
     def length(self):
         return len(self.frees) - 1
-
-    def element_matrix(self, i):
-        """The differential frees[i] -> frees[i-1] as a matrix of
-        algebra elements; entry [j][k] is a combination of paths from
-        the k-th summand vertex of step i-1 to the j-th of step i."""
-        if i < 1:
-            raise ValueError("element matrices exist for steps >= 1")
-        f_i, f_prev, fmap = self.frees[i], self.frees[i - 1], self.maps[i]
-        prev_paths = {}
-        for (v, shift, start, stop) in f_prev.summands:
-            prev_paths[(start, stop)] = projective_module(self.module.algebra, v).basis_paths
-        out = []
-        for (v, shift, start, stop) in f_i.summands:
-            gen_row = fmap.matrix.data[start]
-            row_elems = []
-            for (pv, pshift, pstart, pstop) in f_prev.summands:
-                paths = prev_paths[(pstart, pstop)]
-                terms = {paths[l]: gen_row[pstart + l]
-                         for l in range(pstop - pstart) if gen_row[pstart + l]}
-                row_elems.append(Element(terms))
-            out.append(row_elems)
-        return out
 
     def __repr__(self):
         shape = " <- ".join(str(len(t)) for t in self.terms)
@@ -792,35 +751,36 @@ def hom_complex(res: Resolution, n: RightModule):
         bases.append(basis)
     diffs = []
     for i in range(len(res.frees) - 1):
-        elems = res.element_matrix(i + 1)
         src, tgt = bases[i], bases[i + 1]
         pos = {(t, j): c for c, (t, j, _) in enumerate(tgt)}
+        gens = [res.maps[i + 1].matrix.data[start]
+                for _, _, start, _ in res.frees[i + 1].summands]
         mat = Matrix.zero(len(src), len(tgt))
         for c0, (t, j, _) in enumerate(src):
+            v, _, start, _ = res.frees[i].summands[t]
+            paths = projective_module(res.module.algebra, v).basis_paths
             row = n.zero_vector()
             row[j] = ONE
-            for t1 in range(len(res.frees[i + 1].summands)):
-                img = n.act_element(row, elems[t1][t])
-                for jj, coeff in enumerate(img):
-                    if coeff:
-                        mat.data[c0][pos[(t1, jj)]] = coeff
+            # the cochain sending generator t to e_j sends generator t1
+            # of F_{i+1} to e_j times its image's component in summand
+            # t, a combination of the basis paths of that summand
+            for l, p in enumerate(paths):
+                coeffs = [(t1, g[start + l]) for t1, g in enumerate(gens)
+                          if g[start + l]]
+                img = n.act_path(row, p) if coeffs else ()
+                for t1, c in coeffs:
+                    for jj, x in enumerate(img):
+                        if x:
+                            mat.data[c0][pos[(t1, jj)]] += c * x
         diffs.append(mat)
     return bases, diffs
 
 
 def ext_dims(res: Resolution, n: RightModule):
-    """Ungraded Ext dimensions from a projective resolution."""
-    bases, diffs = hom_complex(res, n)
-    out = []
-    for i in range(len(bases)):
-        z = diffs[i].left_kernel_basis().data if i < len(diffs) \
-            else [[ONE if k == j else ZERO for k in range(len(bases[i]))]
-                  for j in range(len(bases[i]))]
-        b = diffs[i - 1].data if i >= 1 else []
-        brank = Matrix([list(r) for r in b], ncols=len(bases[i])).rank() if b else 0
-        zrank = len(z) if i < len(diffs) else len(bases[i])
-        out.append(zrank - brank)
-    return out
+    """Ungraded Ext dimensions from a projective resolution: the class
+    counts of ``ext_bigraded_reps``, summed over bidegrees."""
+    _, levels = ext_bigraded_reps(res, n)
+    return [sum(len(reps) for reps in level.values()) for level in levels]
 
 
 def ext_bigraded_reps(res: Resolution, n: RightModule):
@@ -897,7 +857,7 @@ def delta_filtration(m: RightModule, order: OrderData = None):
     layers = []
     current = m
     while current.dim:
-        present = sorted({v for v in current.vertices}, key=_vkey_sort)
+        present = sorted({v for v in current.vertices}, key=_vkey)
         maximal = next(x for x in present
                        if not any(order.lt(x, y) for y in present if y != x))
         gens = [(i, current.bidegrees[i]) for i, v in enumerate(current.vertices)
@@ -917,7 +877,3 @@ def delta_filtration(m: RightModule, order: OrderData = None):
         layers.extend((maximal, d) for _, d in gens)
         current, _ = quotient_module(current, sub)
     return layers, None
-
-
-def _vkey_sort(v):
-    return v if isinstance(v, tuple) else (v,)

@@ -31,8 +31,8 @@ from .algebra import (AlgebraInstance, Element, Path, presentation_zigzag,
                       zigzag_hom_oracle)
 from .modules import (algebra_order, cached_module, costandard_module,
                       delta_filtration, ext_dims, hom_space, injective_module,
-                      is_isomorphic, projective_module, RightModule,
-                      standard_resolution)
+                      is_isomorphic, left_mult_map, projective_module,
+                      RightModule, standard_resolution)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -302,7 +302,7 @@ def check_cover(cover: AlgebraInstance, z: AlgebraInstance = None) -> QhReport:
     else:
         detail["zigzag_engine_compared"] = False
 
-    ff_bad = _fully_faithful_failures(cover, jverts, jarrows)
+    ff_bad = _fully_faithful_failures(cover, jset)
     detail["fully_faithful_pairs"] = not ff_bad
     if ff_bad:
         rep.witnesses["fully_faithful_pairs"] = ff_bad
@@ -312,81 +312,35 @@ def check_cover(cover: AlgebraInstance, z: AlgebraInstance = None) -> QhReport:
     return rep
 
 
-def _fully_faithful_failures(cover, jverts, jarrows):
+def _fully_faithful_failures(cover, jset):
     """Pairs (a, b) where Hom(P_a, P_b) -> Hom(F P_a, F P_b) is not
-    bijective, with the three dimensions as witness."""
-    pres = cover.presentation
-    jset = set(jverts)
-    tpaths = {}
-    for p in cover.basis():
-        if p.target in jset:
-            tpaths.setdefault((p.source, p.target), []).append(p)
-    for ps in tpaths.values():
-        ps.sort(key=Path.sort_key)
-    tindex = {key: {p: i for i, p in enumerate(ps)}
-              for key, ps in tpaths.items()}
-
-    rmul = {}
-    for ps in tpaths.values():
-        for p in ps:
-            for ar in jarrows:
-                if ar.source != p.target:
-                    continue
-                red = cover.reduce_path(Path(p.source, p.arrows + (ar,)))
-                key = (p.source, ar.target)
-                rmul[(p, ar)] = _block_vector(red, tindex.get(key, {}))
-
+    bijective, with the three dimensions as witness.  F P_x is P_x
+    restricted to the paths ending in ``jset``: an action entry between
+    two such paths belongs to an arrow inside J, so only those act."""
+    verts = cover.presentation.vertices
+    keep, fproj = {}, {}
+    for x in verts:
+        proj = projective_module(cover, x)
+        ix = keep[x] = [i for i, v in enumerate(proj.vertices) if v in jset]
+        fproj[x] = RightModule(
+            cover, [proj.vertices[i] for i in ix],
+            [proj.bidegrees[i] for i in ix],
+            {ar: Matrix([[m.data[i][j] for j in ix] for i in ix], ncols=len(ix))
+             for ar, m in proj.action.items()})
     by_pair = {}
     for p in cover.basis():
         by_pair.setdefault((p.source, p.target), []).append(p)
 
     bad = []
-    for a in pres.vertices:
-        for b in pres.vertices:
+    for a in verts:
+        for b in verts:
             hom_dim = cover.dim_block(b, a)
-            pos = {}
-            for j in jverts:
-                for p in tpaths.get((a, j), ()):
-                    for q in tpaths.get((b, j), ()):
-                        pos[(p, q)] = len(pos)
-            eqs = []
-            for ar in jarrows:
-                src, tgt = ar.source, ar.target
-                for p in tpaths.get((a, src), ()):
-                    pvec = rmul[(p, ar)]
-                    for r in tpaths.get((b, tgt), ()):
-                        row = [ZERO] * len(pos)
-                        touched = False
-                        for p2, coef in zip(tpaths.get((a, tgt), ()), pvec):
-                            if coef:
-                                row[pos[(p2, r)]] += coef
-                                touched = True
-                        for q in tpaths.get((b, src), ()):
-                            d = rmul[(q, ar)][tindex[(b, tgt)][r]]
-                            if d:
-                                row[pos[(p, q)]] -= d
-                                touched = True
-                        if touched:
-                            eqs.append(row)
-            if not pos:
-                end_dim = 0
-            elif not eqs:
-                end_dim = len(pos)
-            else:
-                end_dim = Matrix(eqs, ncols=len(pos)).kernel_basis().nrows
-
-            fmat = []
+            end_dim = len(hom_space(fproj[a], fproj[b]))
+            images = []
             for g in by_pair.get((b, a), ()):
-                row = [ZERO] * len(pos)
-                for j in jverts:
-                    idx = tindex.get((b, j), {})
-                    for p in tpaths.get((a, j), ()):
-                        img = cover.multiply(Element.of_path(g),
-                                             Element.of_path(p))
-                        for q, c in img.terms.items():
-                            row[pos[(p, tpaths[(b, j)][idx[q]])]] = c
-                fmat.append(row)
-            frank = Matrix(fmat, ncols=len(pos)).rank() if fmat and pos else 0
+                m = left_mult_map(cover, Element.of_path(g)).matrix
+                images.append([m.data[i][j] for i in keep[a] for j in keep[b]])
+            frank = Matrix(images, ncols=len(keep[a]) * len(keep[b])).rank()
             if end_dim != hom_dim or frank != hom_dim:
                 bad.append([vertex_name(a), vertex_name(b),
                             hom_dim, end_dim, frank])

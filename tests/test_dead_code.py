@@ -1,0 +1,46 @@
+"""Every function and class defined in the package has a user.
+
+A definition counts as used when its name appears anywhere in the
+package, the tests or the benchmark scripts: as a name, an attribute,
+an imported name or a string constant (the benchmark tracer names
+``Matrix`` methods by string).  Dunder methods are used implicitly.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "zzqh"
+
+
+def _trees(paths):
+    for path in paths:
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_every_definition_is_used():
+    defined = {}
+    for path, tree in _trees(sorted(PACKAGE.glob("*.py"))):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.setdefault(node.name, []).append(
+                    f"{path.name}:{node.lineno}")
+    sources = (sorted((ROOT / "src").rglob("*.py"))
+               + sorted((ROOT / "tests").glob("*.py"))
+               + sorted((ROOT / "bench").glob("*.py")))
+    used = set()
+    for _, tree in _trees(sources):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    unused = sorted((name, where) for name, where in defined.items()
+                    if name not in used
+                    and not (name.startswith("__") and name.endswith("__")))
+    assert not unused, unused

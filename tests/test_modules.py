@@ -1,9 +1,12 @@
 """Graded right modules over the computed algebras: canonical modules,
 socles, Hom spaces, minimal resolutions and Ext."""
 
+from fractions import Fraction
+
 import pytest
 
 from zzqh import compute_basis, presentation_cover
+from zzqh.linalg import Matrix
 from zzqh.modules import (canonical_module, costandard_module, delta_filtration,
                           dualize, ext_dims, generated_submodule, gldim,
                           hom_space, injective_module, is_isomorphic,
@@ -12,6 +15,7 @@ from zzqh.modules import (canonical_module, costandard_module, delta_filtration,
                           standard_module, submodule, top_generators)
 
 VERTS = ((0, 2), (1, 1), (2, 0))
+KINDS = ("simple", "projective", "injective", "standard", "costandard")
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +77,68 @@ def test_hom_projectives_match_blocks(cover12):
             h = hom_space(projective_module(cover12, x),
                           projective_module(cover12, y))
             assert len(h) == cover12.dim_block(y, x)
+
+
+def _hom_space_reference(m, n, shift=None):
+    """The dense Hom solver: one equation per (arrow, i, j), each built
+    by scanning every unknown.  Returns the matrices of the basis maps."""
+    allowed = []
+    for i in range(m.dim):
+        for j in range(n.dim):
+            if m.vertices[i] != n.vertices[j]:
+                continue
+            if shift is not None:
+                if tuple(b - a for a, b in zip(m.bidegrees[i], n.bidegrees[j])) \
+                        != tuple(shift):
+                    continue
+            allowed.append((i, j))
+    if not allowed:
+        return []
+    pos = {p: k for k, p in enumerate(allowed)}
+    equations = []
+    for a in m.algebra.presentation.arrows:
+        am, an = m.act(a), n.act(a)
+        for i in range(m.dim):
+            for j in range(n.dim):
+                row = [Fraction(0)] * len(allowed)
+                touched = False
+                for (k, jj), col in pos.items():
+                    if jj == j and am.data[i][k]:
+                        row[col] += am.data[i][k]
+                        touched = True
+                for (ii, l), col in pos.items():
+                    if ii == i and an.data[l][j]:
+                        row[col] -= an.data[l][j]
+                        touched = True
+                if touched:
+                    equations.append(row)
+    if equations:
+        sols = Matrix(equations, ncols=len(allowed)).kernel_basis().data
+    else:
+        sols = [[int(r == c) for c in range(len(allowed))]
+                for r in range(len(allowed))]
+    maps = []
+    for srow in sols:
+        mat = Matrix.zero(m.dim, n.dim)
+        for (i, j), col in pos.items():
+            mat.data[i][j] = srow[col]
+        maps.append(mat)
+    return maps
+
+
+@pytest.mark.parametrize("point", [(1, 2), (2, 2)])
+def test_hom_space_matches_dense_reference(covers, point):
+    """The sparse equations of ``hom_space`` span the same row space as
+    the dense ones, so the canonical kernel, and every map, agrees."""
+    a = covers[point]
+    mods = [canonical_module(a, kind, x) for kind in KINDS
+            for x in a.presentation.vertices]
+    for m in mods:
+        for n in mods:
+            for shift in (None, (0, 0), (0, 1)):
+                got = [f.matrix for f in hom_space(m, n, shift)]
+                assert got == _hom_space_reference(m, n, shift), \
+                    (m, n, shift)
 
 
 def test_minimal_resolution_of_simple_exact_shape(cover12):

@@ -5,8 +5,9 @@ import pytest
 
 from zzqh import compute_basis, presentation_cover, presentation_zigzag
 from zzqh.extdual import ext_table
-from zzqh.qh import (QhReport, check_borel, check_cover,
-                     check_projective_injective, check_quasi_hereditary)
+from zzqh.qh import (QhReport, _fully_faithful_failures, check_borel,
+                     check_cover, check_projective_injective,
+                     check_quasi_hereditary)
 from zzqh.quiver import build_quiver, order_data
 
 
@@ -44,6 +45,23 @@ def test_covers_cover_their_zigzag_algebras(covers):
         rep = check_cover(cover)
         assert rep.passed(), ((n, s), rep.witnesses)
         assert rep.cover_fully_faithful
+
+
+def test_fully_faithful_fails_off_the_true_j_set(covers):
+    """Negative control for the cover property on cover(1, 2): the J
+    vertices (first coordinate > 0) pass, and other vertex sets fail
+    with frozen witnesses [a, b, hom_dim, end_dim, frank]."""
+    cover = covers[(1, 2)]
+    assert _fully_faithful_failures(cover, {(1, 1), (2, 0)}) == []
+    assert _fully_faithful_failures(cover, {(1, 1)}) == [
+        ['0,2', '1,1', 1, 2, 1], ['0,2', '2,0', 0, 1, 0],
+        ['1,1', '0,2', 1, 2, 1], ['1,1', '1,1', 2, 4, 2],
+        ['1,1', '2,0', 1, 2, 1], ['2,0', '0,2', 0, 1, 0],
+        ['2,0', '1,1', 1, 2, 1], ['2,0', '2,0', 2, 1, 1]]
+    assert _fully_faithful_failures(cover, {(0, 2)}) == [
+        ['1,1', '0,2', 1, 1, 0], ['1,1', '1,1', 2, 1, 1],
+        ['1,1', '2,0', 1, 0, 0], ['2,0', '1,1', 1, 0, 0],
+        ['2,0', '2,0', 2, 0, 0]]
 
 
 def test_borel_restriction(covers, borels):
