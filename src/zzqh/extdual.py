@@ -36,7 +36,7 @@ from .algebra import (AlgebraInstance, Arrow, Element, Path, Presentation,
 from .koszul import KoszulReport, check_koszul
 from .linalg import Echelon, Matrix
 from .modules import (algebra_order, cached_module, ext_bigraded_reps,
-                      hom_complex, hom_row_to_map, map_from_generators,
+                      hom_row_to_map, map_from_generators,
                       standard_resolution)
 from .quiver import build_quiver, order_data, vertex_name
 
@@ -72,8 +72,9 @@ class ExtTable:
 
     ``dims`` maps (x, y, i, flat, sharp) to a dimension and
     ``classes_by_key`` to the tuple of representative classes; the
-    Hom-complex data and coboundary echelons per pair are cached so
-    products computed later land in the same canonical coordinates.
+    Hom complex of each pair, as ``ext_table`` built it, and its
+    coboundary echelons are kept so products computed later land in
+    the same canonical coordinates.
     """
 
     cover: AlgebraInstance
@@ -83,18 +84,18 @@ class ExtTable:
     dims: dict = field(default_factory=dict)
     classes_by_key: dict = field(default_factory=dict)
     _hom: dict = field(default_factory=dict, repr=False)
+    _echelons: dict = field(default_factory=dict, repr=False)
     _products: dict = field(default_factory=dict, repr=False)
 
     def hom_data(self, x, y):
         """(bases, diffs, coboundary echelons) of Hom(F_*(x), Delta_y)."""
-        got = self._hom.get((x, y))
-        if got is None:
-            bases, diffs = hom_complex(self.resolutions[x], self.deltas[y])
-            echelons = [Echelon(diffs[i - 1].data if i else ())
-                        for i in range(len(bases))]
-            got = (bases, diffs, echelons)
-            self._hom[(x, y)] = got
-        return got
+        bases, diffs = self._hom[(x, y)]
+        echelons = self._echelons.get((x, y))
+        if echelons is None:
+            echelons = self._echelons[(x, y)] = [
+                Echelon(diffs[i - 1].data if i else ())
+                for i in range(len(bases))]
+        return bases, diffs, echelons
 
     def identity(self, x) -> ExtClass:
         reps = self.classes_by_key.get((x, x, 0, 0, 0), ())
@@ -130,7 +131,8 @@ def ext_table(cover: AlgebraInstance) -> ExtTable:
     table = ExtTable(cover, order, deltas, resolutions)
     for x in deltas:
         for y in deltas:
-            _, levels = ext_bigraded_reps(resolutions[x], deltas[y])
+            bases, diffs, levels = ext_bigraded_reps(resolutions[x], deltas[y])
+            table._hom[(x, y)] = (bases, diffs)
             for i, level in enumerate(levels):
                 for d, reps in sorted(level.items()):
                     key = (x, y, i, -d[0], d[1])
@@ -749,7 +751,7 @@ def check_simple_costandard_dims(cover: AlgebraInstance,
     for x in verts:
         nab = cached_module(cover, "costandard", x, order)
         for y in verts:
-            _, levels = ext_bigraded_reps(resolutions[y], nab)
+            _, _, levels = ext_bigraded_reps(resolutions[y], nab)
             hom0 = {d: len(reps) for d, reps in levels[0].items()}
             hom_dims[f"{vertex_name(y)}->{vertex_name(x)}"] = \
                 sum(hom0.values())

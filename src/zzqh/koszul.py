@@ -37,7 +37,6 @@ from .modules import (algebra_order, direct_sum, dualize, ext_bigraded_reps,
                       standard_resolution)
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass
@@ -339,12 +338,8 @@ def _flat_degree_zero_part(a: AlgebraInstance, label):
     """The regular right module of ``a`` modulo its flat degree >= 1
     part."""
     regular = free_module(a, [(x, (0, 0)) for x in a.presentation.vertices])
-    rows = []
-    for i, d in enumerate(regular.bidegrees):
-        if d[0] >= 1:
-            r = regular.zero_vector()
-            r[i] = ONE
-            rows.append(r)
+    rows = [regular.unit(i) for i, d in enumerate(regular.bidegrees)
+            if d[0] >= 1]
     quot, _ = quotient_module(regular, rows, label=label)
     return quot
 
@@ -369,7 +364,7 @@ def fixture_counterexample() -> dict:
     t = dual_degree_zero_module(inst)
     res_t = minimal_resolution(t)
     offdiag = []
-    _, levels = ext_bigraded_reps(res_t, t)
+    _, _, levels = ext_bigraded_reps(res_t, t)
     for i, level in enumerate(levels):
         for d, reps in level.items():
             if -d[0] != i:

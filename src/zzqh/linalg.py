@@ -2,10 +2,10 @@
 
 Everything here works with ``fractions.Fraction`` entries, so ranks,
 kernels and solutions are exact.  The matrices that show up in this
-package (action matrices of finite dimensional modules, Hom-space
-constraint systems, relation spans) are small and often sparse-ish, but
-a dense representation keeps the code simple and the pivoting
-deterministic.
+package (module maps, Hom-space constraint systems, Hom-complex
+differentials, relation spans) are small, and a dense representation
+keeps the code simple and the pivoting deterministic.  Arrow actions
+are not matrices: ``modules.RightModule`` stores them as sparse rows.
 
 ``Echelon`` is the one dense elimination: ``Matrix.rref`` and with it
 ranks, kernels and solving are built on it, and the module code uses

@@ -1,8 +1,10 @@
 """Finite dimensional right modules over a computed algebra.
 
 A ``RightModule`` is a based bigraded module: each basis vector carries
-a vertex (its weight) and a bidegree, and every arrow acts by a matrix
-in the basis (row i holds the image of basis vector i).  Canonical
+a vertex (its weight) and a bidegree, and every arrow acts by sparse
+rows: ``action[arrow][i]`` maps j to the nonzero coefficient of basis
+vector j in basis vector i times the arrow.  ``RightModule.act(arrow,
+row)`` is the one product of a dense row with an arrow.  Canonical
 constructors build simples, projectives e_x A, injectives D(A e_x),
 and, over a quasi-hereditary cover, standard and costandard modules
 from the partial order on vertices.  On top of that live projective
@@ -33,8 +35,10 @@ ONE = Fraction(1)
 
 class RightModule:
     """A based right module.  ``vertices[i]`` and ``bidegrees[i]``
-    describe basis vector i; ``action[arrow]`` is the dim x dim matrix
-    of the right action."""
+    describe basis vector i; ``action[arrow]`` is a list of ``dim``
+    sparse rows, row i a dict {j: c} of the nonzero coefficients of
+    basis vector i times the arrow.  ``act`` is the one product of a
+    dense row with an arrow."""
 
     def __init__(self, algebra, vertices, bidegrees, action, label=""):
         self.algebra = algebra
@@ -49,14 +53,23 @@ class RightModule:
     def dim(self):
         return len(self.vertices)
 
-    def act(self, arrow) -> Matrix:
-        m = self.action.get(arrow)
-        if m is None:
+    def act(self, arrow, row):
+        """The dense row ``row`` times ``arrow``, as a new list."""
+        rows = self.action.get(arrow)
+        if rows is None:
             raise KeyError(f"no action stored for arrow {arrow}")
-        return m
+        out = [ZERO] * self.dim
+        for a, srow in zip(row, rows, strict=True):
+            if a:
+                for j, c in srow.items():
+                    out[j] += a * c
+        return out
 
-    def zero_vector(self):
-        return [ZERO] * self.dim
+    def unit(self, i):
+        """Basis vector i as a dense row."""
+        row = [ZERO] * self.dim
+        row[i] = ONE
+        return row
 
     def act_path(self, row, path: Path):
         if path.length == 0:
@@ -64,11 +77,11 @@ class RightModule:
                     for i, c in enumerate(row)]
         out = list(row)
         for a in path.arrows:
-            out = self.act(a).mul_row(out)
+            out = self.act(a, out)
         return out
 
     def act_element(self, row, elt: Element):
-        out = self.zero_vector()
+        out = [ZERO] * self.dim
         for p, c in elt.terms.items():
             img = self.act_path(row, p)
             for i, v in enumerate(img):
@@ -88,13 +101,11 @@ class RightModule:
         """Validate weight compatibility, grading, and the relations."""
         pres = self.algebra.presentation
         for a in pres.arrows:
-            m = self.act(a)
-            if m.nrows != self.dim or m.ncols != self.dim:
+            rows = self.action.get(a)
+            if rows is None or len(rows) != self.dim:
                 raise AssertionError(f"bad action shape for {a}")
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    if not m.data[i][j]:
-                        continue
+            for i, srow in enumerate(rows):
+                for j in srow:
                     if self.vertices[i] != a.source or self.vertices[j] != a.target:
                         raise AssertionError(f"action of {a} breaks weights")
                     db = tuple(x + y for x, y in zip(self.bidegrees[i], a.bidegree))
@@ -102,8 +113,7 @@ class RightModule:
                         raise AssertionError(f"action of {a} breaks the grading")
         for r in pres.relations:
             for i in range(self.dim):
-                row = [ONE if k == i else ZERO for k in range(self.dim)]
-                img = self.act_element(row, r)
+                img = self.act_element(self.unit(i), r)
                 if any(img):
                     raise AssertionError(f"relation {r!r} not satisfied")
         return True
@@ -131,10 +141,10 @@ class ModuleMap:
             raise ValueError("map shape does not match modules")
 
     def is_module_map(self) -> bool:
-        for a in self.source.algebra.presentation.arrows:
-            if self.source.act(a) * self.matrix != self.matrix * self.target.act(a):
-                return False
-        return True
+        src, tgt, f = self.source, self.target, self.matrix
+        return all(f.mul_row(src.act(a, src.unit(i))) == tgt.act(a, f.data[i])
+                   for a in src.algebra.presentation.arrows
+                   for i in range(src.dim))
 
     def kernel_rows(self):
         return graded_rows(self.source, self.matrix.left_kernel_basis().data)
@@ -180,39 +190,37 @@ def graded_rows(module: RightModule, rows):
 
 
 def projective_module(a: AlgebraInstance, x, shift=(0, 0)) -> RightModule:
+    """e_x A, made once per instance and vertex and cached on ``a`` in
+    ``a._projective_cache``; a shifted one shares the cached action."""
+    if shift != (0, 0):
+        return shift_module(projective_module(a, x), shift)
     cache = getattr(a, "_projective_cache", None)
     if cache is None:
         cache = a._projective_cache = {}
-    if shift == (0, 0) and x in cache:
+    if x in cache:
         return cache[x]
     paths = sorted((p for p in a.basis() if p.source == x), key=Path.sort_key)
     if not paths:
         raise ValueError(f"no such vertex: {x}")
     index = {p: i for i, p in enumerate(paths)}
-    dim = len(paths)
     action = {}
     for arr in a.presentation.arrows:
-        m = Matrix.zero(dim, dim)
+        rows = action[arr] = [{} for _ in paths]
         for p, i in index.items():
-            if p.target != arr.source:
-                continue
-            img = a.reduce_path(Path(p.source, p.arrows + (arr,)))
-            for q, c in img.terms.items():
-                m.data[i][index[q]] = c
-        action[arr] = m
-    bidegrees = [tuple(u + s for u, s in zip(p.bidegree, shift)) for p in paths]
-    mod = RightModule(a, [p.target for p in paths], bidegrees, action,
-                      label=f"P[{x}]")
+            if p.target == arr.source:
+                img = a.reduce_path(Path(p.source, p.arrows + (arr,)))
+                rows[i] = {index[q]: c for q, c in img.terms.items()}
+    mod = RightModule(a, [p.target for p in paths],
+                      [p.bidegree for p in paths], action, label=f"P[{x}]")
     mod.basis_paths = tuple(paths)
-    if shift == (0, 0):
-        cache[x] = mod
+    cache[x] = mod
     return mod
 
 
 def simple_module(a: AlgebraInstance, x, shift=(0, 0)) -> RightModule:
     if x not in a.presentation.vertices:
         raise ValueError(f"no such vertex: {x}")
-    action = {arr: Matrix.zero(1, 1) for arr in a.presentation.arrows}
+    action = {arr: [{}] for arr in a.presentation.arrows}
     return RightModule(a, [x], [shift], action, label=f"S[{x}]")
 
 
@@ -234,19 +242,13 @@ def free_module(a: AlgebraInstance, gens) -> RightModule:
 def direct_sum(a: AlgebraInstance, parts) -> RightModule:
     vertices = [v for m in parts for v in m.vertices]
     bidegrees = [d for m in parts for d in m.bidegrees]
-    dim = len(vertices)
     action = {}
     for arr in a.presentation.arrows:
-        m = Matrix.zero(dim, dim)
-        at = 0
+        rows = action[arr] = []
         for part in parts:
-            pm = part.act(arr)
-            for i in range(part.dim):
-                for j in range(part.dim):
-                    if pm.data[i][j]:
-                        m.data[at + i][at + j] = pm.data[i][j]
-            at += part.dim
-        action[arr] = m
+            at = len(rows)
+            rows.extend({at + j: c for j, c in srow.items()}
+                        for srow in part.action[arr])
     return RightModule(a, vertices, bidegrees, action, label="sum")
 
 
@@ -256,8 +258,11 @@ def dualize(m: RightModule) -> RightModule:
     op = m.algebra.opposite()
     action = {}
     for a in m.algebra.presentation.arrows:
-        op_arrow = op.presentation.arrow(a.target, a.label)
-        action[op_arrow] = m.act(a).transpose()
+        rows = action[op.presentation.arrow(a.target, a.label)] = [
+            {} for _ in range(m.dim)]
+        for i, srow in enumerate(m.action[a]):
+            for j, c in srow.items():
+                rows[j][i] = c
     bidegrees = [tuple(-c for c in d) for d in m.bidegrees]
     return RightModule(op, m.vertices, bidegrees, action,
                        label=f"D({m.label})" if m.label else "D")
@@ -314,7 +319,7 @@ def generated_submodule(m: RightModule, rows):
         if piv is None:
             continue
         for a in m.algebra.presentation.arrows:
-            img = m.act(a).mul_row(span.rows[piv])
+            img = m.act(a, span.rows[piv])
             if any(img):
                 work.append(img)
     return graded_rows(m, list(span.rows.values()))
@@ -323,12 +328,7 @@ def generated_submodule(m: RightModule, rows):
 def largest_stable_subspace(m: RightModule, allowed):
     """Row basis of the largest submodule supported on the coordinates
     in ``allowed`` (a set of basis indices)."""
-    rows = []
-    for i in sorted(allowed):
-        r = m.zero_vector()
-        r[i] = ONE
-        rows.append(r)
-    rows = graded_rows(m, rows)
+    rows = graded_rows(m, [m.unit(i) for i in sorted(allowed)])
     while True:
         if not rows:
             return []
@@ -337,7 +337,7 @@ def largest_stable_subspace(m: RightModule, allowed):
         for r in rows:
             rr = []
             for a in m.algebra.presentation.arrows:
-                rr.extend(span.reduce(m.act(a).mul_row(r)))
+                rr.extend(span.reduce(m.act(a, r)))
             resid.append(rr)
         kern = Matrix(resid, ncols=len(resid[0])).left_kernel_basis()
         if kern.nrows == len(rows):
@@ -357,13 +357,12 @@ def submodule(m: RightModule, rows, label=""):
     pivots = list(span.rows)
     action = {}
     for a in m.algebra.presentation.arrows:
-        mat = Matrix.zero(len(rows), len(rows))
-        for i, r in enumerate(rows):
-            img = m.act(a).mul_row(r)
+        action[a] = []
+        for r in rows:
+            img = m.act(a, r)
             if any(span.reduce(img)):
                 raise AssertionError("rows do not span a submodule")
-            mat.data[i] = [img[p] for p in pivots]
-        action[a] = mat
+            action[a].append({k: img[p] for k, p in enumerate(pivots) if img[p]})
     sub = RightModule(m.algebra, [m.vertices[p] for p in pivots],
                       [m.bidegrees[p] for p in pivots], action, label=label)
     incl = ModuleMap(sub, m, base)
@@ -376,25 +375,20 @@ def quotient_module(m: RightModule, rows, label=""):
     span = Echelon(graded_rows(m, rows))
     for r in span.rows.values():
         for a in m.algebra.presentation.arrows:
-            if any(span.reduce(m.act(a).mul_row(r))):
+            if any(span.reduce(m.act(a, r))):
                 raise AssertionError("rows do not span a submodule")
     keep = [i for i in range(m.dim) if i not in span.rows]
     proj = Matrix.zero(m.dim, len(keep))
     pos = {i: k for k, i in enumerate(keep)}
     for i in range(m.dim):
-        e = m.zero_vector()
-        e[i] = ONE
-        for j, c in enumerate(span.reduce(e)):
+        for j, c in enumerate(span.reduce(m.unit(i))):
             if c:
                 proj.data[i][pos[j]] = c
     action = {}
     for a in m.algebra.presentation.arrows:
-        mat = Matrix.zero(len(keep), len(keep))
-        for k, i in enumerate(keep):
-            for j, c in enumerate(span.reduce(m.act(a).data[i])):
-                if c:
-                    mat.data[k][pos[j]] = c
-        action[a] = mat
+        action[a] = [{pos[j]: c for j, c in
+                      enumerate(span.reduce(m.act(a, m.unit(i)))) if c}
+                     for i in keep]
     quot = RightModule(m.algebra, [m.vertices[i] for i in keep],
                        [m.bidegrees[i] for i in keep], action, label=label)
     return quot, ModuleMap(m, quot, proj)
@@ -406,11 +400,7 @@ def standard_module(a: AlgebraInstance, x, order: OrderData = None) -> RightModu
     order = order or algebra_order(a)
     proj = projective_module(a, x)
     bad = [i for i, v in enumerate(proj.vertices) if not order.leq(v, x)]
-    rows = []
-    for i in bad:
-        r = proj.zero_vector()
-        r[i] = ONE
-        rows.append(r)
+    rows = [proj.unit(i) for i in bad]
     gen = generated_submodule(proj, rows) if rows else []
     quot, _ = quotient_module(proj, gen, label=f"Delta[{x}]")
     return quot
@@ -449,28 +439,20 @@ def canonical_module(a: AlgebraInstance, kind: str, x, shift=(0, 0)) -> RightMod
 
 def socle_rows(m: RightModule):
     """Rows spanning the socle: the vectors every arrow sends to zero."""
-    mats = [m.act(a).data for a in m.algebra.presentation.arrows]
-    stacked = Matrix([[c for mat in mats for c in mat[i]] for i in range(m.dim)],
-                     ncols=m.dim * len(mats))
+    arrows = m.algebra.presentation.arrows
+    stacked = Matrix([[c for a in arrows for c in m.act(a, m.unit(i))]
+                      for i in range(m.dim)], ncols=m.dim * len(arrows))
     return graded_rows(m, stacked.left_kernel_basis().data)
 
 
 def top_generators(m: RightModule):
     """Deterministic representatives of m / m*rad: a list of rows, each
     a coordinate vector, with their (vertex, bidegree)."""
-    rad = []
-    for a in m.algebra.presentation.arrows:
-        rad.extend(m.act(a).data)
-    rad = [r for r in rad if any(r)]
+    rad = [m.act(a, m.unit(i)) for a in m.algebra.presentation.arrows
+           for i, srow in enumerate(m.action[a]) if srow]
     span = Echelon(graded_rows(m, rad))
-    gens = []
-    for i in range(m.dim):
-        if i in span.rows:
-            continue
-        r = m.zero_vector()
-        r[i] = ONE
-        gens.append((m.vertices[i], m.bidegrees[i], r))
-    return gens
+    return [(m.vertices[i], m.bidegrees[i], m.unit(i))
+            for i in range(m.dim) if i not in span.rows]
 
 
 def socle_top(m: RightModule):
@@ -506,16 +488,14 @@ def hom_space(m: RightModule, n: RightModule, shift=None):
         by_col.setdefault(j, []).append((i, col))
     equations = defaultdict(lambda: [ZERO] * len(pos))
     for a in m.algebra.presentation.arrows:
-        for i, row in enumerate(m.act(a).data):
-            for k, c in enumerate(row):
-                if c:
-                    for j, col in by_row.get(k, ()):
-                        equations[(a, i, j)][col] += c
-        for l, row in enumerate(n.act(a).data):
-            for j, c in enumerate(row):
-                if c:
-                    for i, col in by_col.get(l, ()):
-                        equations[(a, i, j)][col] -= c
+        for i, row in enumerate(m.action[a]):
+            for k, c in row.items():
+                for j, col in by_row.get(k, ()):
+                    equations[(a, i, j)][col] += c
+        for l, row in enumerate(n.action[a]):
+            for j, c in row.items():
+                for i, col in by_col.get(l, ()):
+                    equations[(a, i, j)][col] -= c
     maps = []
     sols = Matrix(list(equations.values()), ncols=len(pos)).kernel_basis()
     for srow in sols.data:
@@ -686,7 +666,7 @@ def _submodule_top(m: RightModule, rows):
     rad = []
     for r in rows:
         for a in m.algebra.presentation.arrows:
-            img = m.act(a).mul_row(r)
+            img = m.act(a, r)
             if any(img):
                 rad.append(img)
     span = Echelon(graded_rows(m, rad))
@@ -759,8 +739,7 @@ def hom_complex(res: Resolution, n: RightModule):
         for c0, (t, j, _) in enumerate(src):
             v, _, start, _ = res.frees[i].summands[t]
             paths = projective_module(res.module.algebra, v).basis_paths
-            row = n.zero_vector()
-            row[j] = ONE
+            row = n.unit(j)
             # the cochain sending generator t to e_j sends generator t1
             # of F_{i+1} to e_j times its image's component in summand
             # t, a combination of the basis paths of that summand
@@ -779,17 +758,17 @@ def hom_complex(res: Resolution, n: RightModule):
 def ext_dims(res: Resolution, n: RightModule):
     """Ungraded Ext dimensions from a projective resolution: the class
     counts of ``ext_bigraded_reps``, summed over bidegrees."""
-    _, levels = ext_bigraded_reps(res, n)
+    _, _, levels = ext_bigraded_reps(res, n)
     return [sum(len(reps) for reps in level.values()) for level in levels]
 
 
 def ext_bigraded_reps(res: Resolution, n: RightModule):
     """Ext split by cocycle bidegree.
 
-    Returns (bases, levels) with bases as in hom_complex and levels[i]
-    a dict bidegree -> list of representative cocycle rows (full
-    width, supported on that bidegree, reduced against the coboundary
-    echelon, leading coefficient one).  The Hom-complex differentials
+    Returns (bases, diffs, levels) with bases and diffs from
+    hom_complex and levels[i] a dict bidegree -> list of representative
+    cocycle rows (full width, supported on that bidegree, reduced
+    against the coboundary echelon, leading coefficient one).  The Hom-complex differentials
     are verified to preserve bidegree before splitting.
     """
     bases, diffs = hom_complex(res, n)
@@ -829,13 +808,13 @@ def ext_bigraded_reps(res: Resolution, n: RightModule):
             if reps:
                 level[d] = reps
         levels.append(level)
-    return bases, levels
+    return bases, diffs, levels
 
 
 def hom_row_to_map(res: Resolution, n: RightModule, i, basis, row) -> ModuleMap:
     """Turn a Hom-basis row at step i into the module map F_i -> n."""
     free = res.frees[i]
-    gens = [n.zero_vector() for _ in free.summands]
+    gens = [[ZERO] * n.dim for _ in free.summands]
     for c, (t, j, _) in enumerate(basis):
         gens[t][j] = row[c]
     return map_from_generators(free, n, gens)
@@ -862,12 +841,7 @@ def delta_filtration(m: RightModule, order: OrderData = None):
                        if not any(order.lt(x, y) for y in present if y != x))
         gens = [(i, current.bidegrees[i]) for i, v in enumerate(current.vertices)
                 if v == maximal]
-        rows = []
-        for i, _ in gens:
-            r = current.zero_vector()
-            r[i] = ONE
-            rows.append(r)
-        sub = generated_submodule(current, rows)
+        sub = generated_submodule(current, [current.unit(i) for i, _ in gens])
         expected = len(gens) * cached_module(m.algebra, "standard", maximal,
                                              order).dim
         if len(sub) != expected:

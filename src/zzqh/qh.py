@@ -322,11 +322,13 @@ def _fully_faithful_failures(cover, jset):
     for x in verts:
         proj = projective_module(cover, x)
         ix = keep[x] = [i for i, v in enumerate(proj.vertices) if v in jset]
+        new = {i: k for k, i in enumerate(ix)}
         fproj[x] = RightModule(
             cover, [proj.vertices[i] for i in ix],
             [proj.bidegrees[i] for i in ix],
-            {ar: Matrix([[m.data[i][j] for j in ix] for i in ix], ncols=len(ix))
-             for ar, m in proj.action.items()})
+            {ar: [{new[j]: c for j, c in rows[i].items() if j in new}
+                  for i in ix]
+             for ar, rows in proj.action.items()})
     by_pair = {}
     for p in cover.basis():
         by_pair.setdefault((p.source, p.target), []).append(p)
@@ -391,7 +393,7 @@ def check_borel(cover: AlgebraInstance, borel: AlgebraInstance) -> QhReport:
         nab = cached_module(cover, "costandard", x)
         restricted = RightModule(
             borel, nab.vertices, nab.bidegrees,
-            {ar: nab.act(ar) for ar in borel.presentation.arrows},
+            {ar: nab.action[ar] for ar in borel.presentation.arrows},
             label=f"Nabla[{x}]|B")
         restricted.check()
         if not is_isomorphic(restricted, costandard_module(borel, x)):

@@ -235,6 +235,12 @@ FROZEN_STDOUT = {
         "930e5316200e69cc913e924dab42a67380f6ca889a13356ed2ead905c4f21339",
     ("dual", "--n", "2", "--s", "3", "--emit", "json"):
         "ad78cf5e8378653ab8d59561dfd4ac6b5c92156907be6e95bb43aa90e49277ba",
+    ("check", "koszul", "--n", "2", "--s", "4"):
+        "f76ae2de152701ed3e610f554d9799863d29e8461d28e9da8f6dc0fa2870e166",
+    ("check", "qh", "--n", "2", "--s", "4"):
+        "330a44896d40d84aee449830705915eda206cc46453c7d7c7d12ce82a741543a",
+    ("resolve", "--n", "3", "--s", "3", "--module", "simple:0,1,0,2"):
+        "77ee14df0a0af105251a533ccbaa998647cf93051735d982c0e01e68aecdbcef",
 }
 
 

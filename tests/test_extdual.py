@@ -2,10 +2,12 @@
 products, extraction of the dual presentation and its certification
 against the closed form."""
 
+from collections import Counter
+
 import pytest
 
-from zzqh import (Element, Presentation, compute_basis, presentation_cover,
-                  presentation_dual_conjectured)
+from zzqh import (Element, Presentation, compute_basis, extdual, modules,
+                  presentation_cover, presentation_dual_conjectured)
 from zzqh.extdual import (build_dual_from_ext, check_degree_law,
                           check_dual_koszul, check_simple_costandard_dims,
                           check_yoneda_associative, compare_dual,
@@ -105,6 +107,24 @@ def test_product_of_incomposable_classes_rejected(tables):
     g = table.identity((2, 0))
     with pytest.raises(ValueError):
         yoneda_product(f, g)
+
+
+def test_each_hom_complex_is_built_once(monkeypatch):
+    """The products of ``build_dual_from_ext`` reuse the Hom complexes
+    that ``ext_table`` built, one per (standard, standard) pair."""
+    built = Counter()
+    original = modules.hom_complex
+
+    def counting(res, n):
+        built[(res.module.label, n.label)] += 1
+        return original(res, n)
+
+    monkeypatch.setattr(modules, "hom_complex", counting)
+    monkeypatch.setattr(extdual, "hom_complex", counting, raising=False)
+    cover = compute_basis(presentation_cover(1, 2))
+    build_dual_from_ext(cover, ext_table(cover))
+    labels = [f"Delta[{x}]" for x in cover.presentation.vertices]
+    assert built == {(x, y): 1 for x in labels for y in labels}
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,16 @@ import pytest
 
 from zzqh import compute_basis, presentation_cover
 from zzqh.linalg import Matrix
-from zzqh.modules import (canonical_module, costandard_module, delta_filtration,
-                          dualize, ext_dims, generated_submodule, gldim,
-                          hom_space, injective_module, is_isomorphic,
-                          is_linear, minimal_resolution, projective_module,
-                          quotient_module, simple_module, socle_top,
-                          standard_module, submodule, top_generators)
+from zzqh.modules import (RightModule, canonical_module, costandard_module,
+                          delta_filtration, direct_sum, dualize, ext_dims,
+                          generated_submodule, gldim, hom_space,
+                          injective_module, is_isomorphic, is_linear,
+                          minimal_resolution, projective_module,
+                          quotient_module, shift_module, simple_module,
+                          socle_rows, socle_top, standard_module, submodule,
+                          top_generators)
 
+GRID = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
 VERTS = ((0, 2), (1, 1), (2, 0))
 KINDS = ("simple", "projective", "injective", "standard", "costandard")
 
@@ -65,6 +68,64 @@ def test_unstable_rows_are_rejected(cover12):
     assert sub.dim == proj.dim and incl.is_module_map()
 
 
+def _format_cases(a):
+    """Every canonical module at ``a``, and a direct sum, a shift, a
+    submodule and a quotient built from them."""
+    mods = [canonical_module(a, kind, x) for kind in KINDS
+            for x in a.presentation.vertices]
+    x = a.presentation.vertices[len(a.presentation.vertices) // 2]
+    proj, inj = projective_module(a, x), injective_module(a, x)
+    # the basis paths of positive length span the radical of P_x
+    rad = generated_submodule(proj, [proj.unit(i) for i in range(1, proj.dim)])
+    return mods + [direct_sum(a, [proj, inj, simple_module(a, x, (0, 1))]),
+                   shift_module(standard_module(a, x), (1, 2)),
+                   submodule(proj, rad)[0],
+                   quotient_module(inj, socle_rows(inj))[0]]
+
+
+@pytest.mark.parametrize("point", GRID)
+def test_sparse_actions_are_valid_and_dualize_back(covers, point):
+    """Stored actions satisfy the weights, the grading and the
+    relations, hold no zero coefficient, and transpose back under
+    double duality."""
+    for m in _format_cases(covers[point]):
+        assert m.check(), m
+        assert all(c for rows in m.action.values() for row in rows
+                   for c in row.values()), m
+        assert dualize(dualize(m)).action == m.action, m
+
+
+def _with_action(m, edit):
+    """A copy of m whose action dict of row lists ``edit`` changes."""
+    action = {a: [dict(row) for row in rows] for a, rows in m.action.items()}
+    edit(action)
+    return RightModule(m.algebra, m.vertices, m.bidegrees, action)
+
+
+def test_check_rejects_broken_actions(cover12):
+    proj = projective_module(cover12, (1, 1))
+    m = direct_sum(cover12, [proj, shift_module(proj, (1, 0))])
+    a, i, j = next((a, i, j) for a, rows in proj.action.items()
+                   for i, row in enumerate(rows) for j in row)
+    off = next(k for k, v in enumerate(m.vertices) if v != a.target)
+
+    def weights(action):
+        action[a][i][off] = Fraction(1)
+
+    def grading(action):  # from the first copy into the shifted one
+        action[a][i][proj.dim + j] = Fraction(1)
+
+    def length(action):
+        action[a].pop()
+
+    assert _with_action(m, lambda action: None).check()
+    for edit, msg in ((weights, "breaks weights"),
+                      (grading, "breaks the grading"),
+                      (length, "bad action shape")):
+        with pytest.raises(AssertionError, match=msg):
+            _with_action(m, edit).check()
+
+
 def test_duality_swaps_projective_injective(cover12):
     for x in VERTS:
         d = dualize(projective_module(cover12, x))
@@ -97,18 +158,19 @@ def _hom_space_reference(m, n, shift=None):
     pos = {p: k for k, p in enumerate(allowed)}
     equations = []
     for a in m.algebra.presentation.arrows:
-        am, an = m.act(a), n.act(a)
+        am = [m.act(a, m.unit(i)) for i in range(m.dim)]
+        an = [n.act(a, n.unit(l)) for l in range(n.dim)]
         for i in range(m.dim):
             for j in range(n.dim):
                 row = [Fraction(0)] * len(allowed)
                 touched = False
                 for (k, jj), col in pos.items():
-                    if jj == j and am.data[i][k]:
-                        row[col] += am.data[i][k]
+                    if jj == j and am[i][k]:
+                        row[col] += am[i][k]
                         touched = True
                 for (ii, l), col in pos.items():
-                    if ii == i and an.data[l][j]:
-                        row[col] -= an.data[l][j]
+                    if ii == i and an[l][j]:
+                        row[col] -= an[l][j]
                         touched = True
                 if touched:
                     equations.append(row)
@@ -195,7 +257,6 @@ def test_truncated_resolution_is_flagged(cover12):
 def test_is_isomorphic_detects_shifts(cover12):
     p = projective_module(cover12, (1, 1))
     assert is_isomorphic(p, p)
-    from zzqh.modules import shift_module
     shifted = shift_module(p, (1, 0))
     assert not is_isomorphic(p, shifted)
     assert is_isomorphic(p, shifted, graded=False)
