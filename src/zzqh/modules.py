@@ -12,6 +12,11 @@ covers, minimal bigraded resolutions, Hom spaces, cochain complexes
 computing Ext, filtration by standard modules, and the duality to the
 opposite algebra.
 
+Elimination is block-local: an arrow maps each (vertex, bidegree) block
+into one other block and a module map keeps blocks in place, so kernels,
+radicals and stable subspaces are reduced block by block, in the block's
+own coordinates, and an entry outside its block raises ``AssertionError``.
+
 Conventions.  Module maps are matrices acting on row vectors: row i
 holds the image of source basis vector i.  Duality negates bidegrees:
 the socle of an injective sits in bidegree (0, 0) and everything else
@@ -53,14 +58,17 @@ class RightModule:
     def dim(self):
         return len(self.vertices)
 
-    def act(self, arrow, row):
-        """The dense row ``row`` times ``arrow``, as a new list."""
+    def act(self, arrow, row, support=None):
+        """``row`` times ``arrow``, as a new dense row; with ``support``,
+        ``row`` holds just the coefficients of the basis vectors listed."""
         rows = self.action.get(arrow)
         if rows is None:
             raise KeyError(f"no action stored for arrow {arrow}")
+        if support is not None:
+            rows = [rows[i] for i in support]
         out = [ZERO] * self.dim
         for a, srow in zip(row, rows, strict=True):
-            if a:
+            if srow and a:
                 for j, c in srow.items():
                     out[j] += a * c
         return out
@@ -78,14 +86,6 @@ class RightModule:
         out = list(row)
         for a in path.arrows:
             out = self.act(a, out)
-        return out
-
-    def act_element(self, row, elt: Element):
-        out = [ZERO] * self.dim
-        for p, c in elt.terms.items():
-            img = self.act_path(row, p)
-            for i, v in enumerate(img):
-                out[i] += c * v
         return out
 
     def blocks(self, graded=True):
@@ -113,7 +113,10 @@ class RightModule:
                         raise AssertionError(f"action of {a} breaks the grading")
         for r in pres.relations:
             for i in range(self.dim):
-                img = self.act_element(self.unit(i), r)
+                img = [ZERO] * self.dim
+                for p, c in r.terms.items():
+                    for j, v in enumerate(self.act_path(self.unit(i), p)):
+                        img[j] += c * v
                 if any(img):
                     raise AssertionError(f"relation {r!r} not satisfied")
         return True
@@ -140,48 +143,86 @@ class ModuleMap:
         if (self.matrix.nrows, self.matrix.ncols) != (self.source.dim, self.target.dim):
             raise ValueError("map shape does not match modules")
 
-    def is_module_map(self) -> bool:
-        src, tgt, f = self.source, self.target, self.matrix
-        return all(f.mul_row(src.act(a, src.unit(i))) == tgt.act(a, f.data[i])
-                   for a in src.algebra.presentation.arrows
-                   for i in range(src.dim))
-
-    def kernel_rows(self):
-        return graded_rows(self.source, self.matrix.left_kernel_basis().data)
-
-    def rank(self):
-        return self.matrix.rank()
-
     def __repr__(self):
         return f"ModuleMap({self.source.dim} -> {self.target.dim})"
 
 
 # ---------------------------------------------------------------------------
-# block-aware row reduction
+# block-local row reduction
+
+
+def _restrict(row, cols):
+    """``row`` at ``cols`` (one block); raises unless it is zero elsewhere."""
+    part = [row[j] for j in cols]
+    if len(row) - row.count(ZERO) != len(part) - part.count(ZERO):
+        raise AssertionError("row leaves its (vertex, bidegree) block")
+    return part
+
+
+def _dense(entries, dim):
+    """The dense row of length ``dim`` with these (index, value) entries."""
+    row = [ZERO] * dim
+    for j, c in entries:
+        row[j] = c
+    return row
+
+
+def _arrows_from(m: RightModule, blocks, key):
+    """(arrow, target block, its indices) for each arrow that starts at
+    the vertex of block ``key``; raises if another arrow acts on it."""
+    v, d = key
+    out = []
+    for a in m.algebra.presentation.arrows:
+        if a.source == v:
+            tkey = (a.target, tuple(x + y for x, y in zip(d, a.bidegree)))
+            out.append((a, tkey, blocks.get(tkey, ())))
+        elif any(map(m.action[a].__getitem__, blocks[key])):
+            raise AssertionError(f"action of {a} breaks weights")
+    return out
+
+
+def _left_kernel(rows, width):
+    """(rank, kernel) of the matrix ``rows`` with ``width`` columns; the
+    kernel is the reduced echelon basis of {v : v * rows = 0}, from rref."""
+    n = len(rows)
+    aug = [list(r) + [ONE if k == i else ZERO for k in range(n)]
+           for i, r in enumerate(rows)]
+    pivots, red = Matrix(aug, ncols=width + n).rref()
+    rank = sum(p < width for p in pivots)
+    return rank, [row[width:] for row in red.data[rank:]]
+
+
+def _block_kernel(f: ModuleMap):
+    """(rank, kernel) of a module map by source block: ``kernel`` maps a
+    block to (its indices, the reduced echelon basis of its nonzero
+    kernel in its own coordinates).  Raises if an entry leaves its block."""
+    targets = f.target.blocks()
+    rank, kernel = 0, {}
+    for key, cols in f.source.blocks().items():
+        tcols = targets.get(key, ())
+        r, kern = _left_kernel([_restrict(f.matrix.data[i], tcols)
+                                for i in cols], len(tcols))
+        rank += r
+        if kern:
+            kernel[key] = (cols, kern)
+    return rank, kernel
 
 
 def graded_rows(module: RightModule, rows):
-    """Split spanning rows into (vertex, bidegree) blocks and reduce
-    each block.  Certifies the span is a graded subspace: splitting must
-    not change the total rank."""
-    if not rows:
-        return []
-    total = Matrix([list(r) for r in rows], ncols=module.dim).rank()
+    """The rows grouped by block, each block reduced; raises unless each
+    row lies in one block, which certifies the span graded."""
+    blocks = module.blocks()
     per_block = {}
     for r in rows:
-        seen = {}
-        for i, c in enumerate(r):
-            if c:
-                key = (module.vertices[i], module.bidegrees[i])
-                seen.setdefault(key, [ZERO] * module.dim)[i] = c
-        for key, comp in seen.items():
-            per_block.setdefault(key, []).append(comp)
+        i = next((i for i, c in enumerate(r) if c), None)
+        if i is not None:
+            key = (module.vertices[i], module.bidegrees[i])
+            per_block.setdefault(key, []).append(_restrict(r, blocks[key]))
     out = []
     for key in sorted(per_block, key=_block_key):
-        _, red = Matrix(per_block[key], ncols=module.dim).rref()
-        out.extend(row for row in red.data if any(row))
-    if len(out) != total:
-        raise AssertionError("span is not a graded subspace")
+        pivots, red = Matrix(per_block[key]).rref()
+        out.extend(_dense(zip(blocks[key], row), module.dim)
+                   for row in red.data[:len(pivots)])
     return out
 
 
@@ -327,23 +368,32 @@ def generated_submodule(m: RightModule, rows):
 
 def largest_stable_subspace(m: RightModule, allowed):
     """Row basis of the largest submodule supported on the coordinates
-    in ``allowed`` (a set of basis indices)."""
-    rows = graded_rows(m, [m.unit(i) for i in sorted(allowed)])
-    while True:
-        if not rows:
-            return []
-        span = Echelon(rows)
-        resid = []
-        for r in rows:
-            rr = []
-            for a in m.algebra.presentation.arrows:
-                rr.extend(span.reduce(m.act(a, r)))
-            resid.append(rr)
-        kern = Matrix(resid, ncols=len(resid[0])).left_kernel_basis()
-        if kern.nrows == len(rows):
-            return rows
-        base = Matrix([list(r) for r in rows], ncols=m.dim)
-        rows = graded_rows(m, (kern * base).data)
+    in ``allowed`` (a set of basis indices), one block at a time: a
+    vector of block B stays while each arrow a sends it into what is left
+    of block B+a.  Passes run, deepest block first, until none shrinks."""
+    blocks = m.blocks()
+    space = {key: [[ONE if j == k else ZERO for j in range(len(cols))]
+                   for k, i in enumerate(cols) if i in allowed]
+             for key, cols in blocks.items()}
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        for key in sorted(filter(space.get, space), key=lambda k: -sum(k[1])):
+            cols, rows = blocks[key], space[key]
+            resid = [[] for _ in rows]
+            for a, tkey, tcols in _arrows_from(m, blocks, key):
+                span = Echelon(space.get(tkey, ()))
+                for r, rr in zip(rows, resid):
+                    rr.extend(span.reduce(_restrict(m.act(a, r, cols), tcols)))
+            _, kern = _left_kernel(resid, len(resid[0]))
+            if len(kern) < len(rows):
+                space[key] = (Matrix(kern, ncols=len(rows)) * Matrix(rows)).data
+                shrunk = True
+    out = []
+    for key in sorted(space, key=_block_key):
+        _, red = Matrix(space[key], ncols=len(blocks[key])).rref()
+        out.extend(_dense(zip(blocks[key], r), m.dim) for r in red.data)
+    return out
 
 
 def submodule(m: RightModule, rows, label=""):
@@ -386,9 +436,10 @@ def quotient_module(m: RightModule, rows, label=""):
                 proj.data[i][pos[j]] = c
     action = {}
     for a in m.algebra.presentation.arrows:
-        action[a] = [{pos[j]: c for j, c in
-                      enumerate(span.reduce(m.act(a, m.unit(i)))) if c}
-                     for i in keep]
+        stored = m.action[a]
+        action[a] = [{pos[j]: c for j, c in enumerate(
+                          span.reduce(_dense(stored[i].items(), m.dim))) if c}
+                     if stored[i] else {} for i in keep]
     quot = RightModule(m.algebra, [m.vertices[i] for i in keep],
                        [m.bidegrees[i] for i in keep], action, label=label)
     return quot, ModuleMap(m, quot, proj)
@@ -440,19 +491,27 @@ def canonical_module(a: AlgebraInstance, kind: str, x, shift=(0, 0)) -> RightMod
 def socle_rows(m: RightModule):
     """Rows spanning the socle: the vectors every arrow sends to zero."""
     arrows = m.algebra.presentation.arrows
-    stacked = Matrix([[c for a in arrows for c in m.act(a, m.unit(i))]
+    stacked = Matrix([[c for a in arrows
+                       for c in _dense(m.action[a][i].items(), m.dim)]
                       for i in range(m.dim)], ncols=m.dim * len(arrows))
     return graded_rows(m, stacked.left_kernel_basis().data)
 
 
 def top_generators(m: RightModule):
-    """Deterministic representatives of m / m*rad: a list of rows, each
-    a coordinate vector, with their (vertex, bidegree)."""
-    rad = [m.act(a, m.unit(i)) for a in m.algebra.presentation.arrows
-           for i, srow in enumerate(m.action[a]) if srow]
-    span = Echelon(graded_rows(m, rad))
+    """Deterministic representatives of m / m*rad: the coordinate rows,
+    with their (vertex, bidegree), of the basis vectors that are not
+    pivots of the radical, which is eliminated one block at a time."""
+    blocks = m.blocks()
+    rad = defaultdict(Echelon)
+    for key, cols in blocks.items():
+        for a, tkey, tcols in _arrows_from(m, blocks, key):
+            for i in cols:
+                if m.action[a][i]:
+                    img = _dense(m.action[a][i].items(), m.dim)
+                    rad[tkey].insert(_restrict(img, tcols))
+    pivots = {blocks[key][p] for key, span in rad.items() for p in span.rows}
     return [(m.vertices[i], m.bidegrees[i], m.unit(i))
-            for i in range(m.dim) if i not in span.rows]
+            for i in range(m.dim) if i not in pivots]
 
 
 def socle_top(m: RightModule):
@@ -527,7 +586,7 @@ def is_isomorphic(m: RightModule, n: RightModule, graded=True):
             return False
     maps = hom_space(m, n, shift=(0, 0) if graded else None)
     for f in maps:
-        if f.rank() == m.dim:
+        if f.matrix.rank() == m.dim:
             return True
     rng = random.Random(0)
     for _ in range(500):
@@ -548,17 +607,6 @@ def is_isomorphic(m: RightModule, n: RightModule, graded=True):
 
 # ---------------------------------------------------------------------------
 # projective covers and minimal resolutions
-
-
-def projective_cover(m: RightModule):
-    """The projective cover (F, F -> m) with one shifted projective per
-    top generator."""
-    gens = top_generators(m)
-    free = free_module(m.algebra, [(v, d) for v, d, _ in gens])
-    cover = map_from_generators(free, m, [r for _, _, r in gens])
-    if cover.rank() != m.dim:
-        raise AssertionError("projective cover is not surjective")
-    return free, cover
 
 
 def map_from_generators(free: RightModule, target: RightModule,
@@ -597,33 +645,29 @@ class Resolution:
 
 def minimal_resolution(m: RightModule, max_steps=None) -> Resolution:
     """The minimal bigraded projective resolution, computed by repeated
-    projective covers of syzygies.  Stops after ``max_steps`` covers
-    (default: algebra dimension + 1) and flags the result truncated if
-    the last kernel is nonzero."""
+    projective covers of syzygies, the rank and kernel of each map one
+    block at a time.  Stops after ``max_steps`` covers (default: algebra
+    dimension + 1) and flags the result truncated if the last kernel is
+    nonzero."""
     if max_steps is None:
         max_steps = m.algebra.dim() + 1
     frees, maps, terms = [], [], []
-    free, cover = projective_cover(m)
-    frees.append(free)
-    maps.append(cover)
-    terms.append([(v, d) for v, d, _, _ in free.summands])
-    kernel = cover.kernel_rows()
-    steps = 1
-    while kernel:
-        if steps >= max_steps:
-            return Resolution(m, frees, terms, maps, complete=False)
-        prev = frees[-1]
-        gens = _submodule_top(prev, kernel)
+    target, gens, want = m, top_generators(m), m.dim
+    while True:
         free = free_module(m.algebra, [(v, d) for v, d, _ in gens])
-        step = map_from_generators(free, prev, [r for _, _, r in gens])
-        if step.rank() != len(kernel):
-            raise AssertionError("cover of syzygy is not surjective")
+        step = map_from_generators(free, target, [r for _, _, r in gens])
+        rank, kernel = _block_kernel(step)
+        if rank != want:
+            raise AssertionError("projective cover is not surjective")
         frees.append(free)
         maps.append(step)
         terms.append([(v, d) for v, d, _, _ in free.summands])
-        kernel = step.kernel_rows()
-        steps += 1
-    return Resolution(m, frees, terms, maps, complete=True)
+        if not kernel:
+            return Resolution(m, frees, terms, maps, complete=True)
+        if len(frees) >= max_steps:
+            return Resolution(m, frees, terms, maps, complete=False)
+        target, gens = free, _submodule_top(free, kernel)
+        want = sum(len(rows) for _, rows in kernel.values())
 
 
 def _on_instance(a: AlgebraInstance, key, build):
@@ -660,21 +704,26 @@ def standard_resolution(a: AlgebraInstance, x, order: OrderData = None,
                                lambda: minimal_resolution(delta, max_steps))
 
 
-def _submodule_top(m: RightModule, rows):
-    """Top generators of the submodule of m spanned by ``rows``:
-    (vertex, bidegree, representative row) triples, deterministic."""
-    rad = []
-    for r in rows:
-        for a in m.algebra.presentation.arrows:
-            img = m.act(a, r)
-            if any(img):
-                rad.append(img)
-    span = Echelon(graded_rows(m, rad))
+def _submodule_top(m: RightModule, kernel):
+    """Top generators of the submodule of m given by ``kernel`` as
+    ``_block_kernel`` returns it: (vertex, bidegree, representative row)
+    triples, deterministic.  A row of block B reaches block B+a through
+    arrow a, so the radical is eliminated one block at a time."""
+    blocks = m.blocks()
+    rad = defaultdict(Echelon)
+    for key, (cols, rows) in kernel.items():
+        for a, tkey, tcols in _arrows_from(m, blocks, key):
+            for r in rows:
+                img = _restrict(m.act(a, r, cols), tcols)
+                if any(img):
+                    rad[tkey].insert(img)
     gens = []
-    for r in rows:
-        piv = span.insert(r)
-        if piv is not None:
-            gens.append((m.vertices[piv], m.bidegrees[piv], span.rows[piv]))
+    for key in sorted(kernel, key=_block_key):
+        (cols, rows), span = kernel[key], rad[key]
+        for r in rows:
+            piv = span.insert(r)
+            if piv is not None:
+                gens.append((*key, _dense(zip(cols, span.rows[piv]), m.dim)))
     return gens
 
 

@@ -241,6 +241,12 @@ FROZEN_STDOUT = {
         "330a44896d40d84aee449830705915eda206cc46453c7d7c7d12ce82a741543a",
     ("resolve", "--n", "3", "--s", "3", "--module", "simple:0,1,0,2"):
         "77ee14df0a0af105251a533ccbaa998647cf93051735d982c0e01e68aecdbcef",
+    ("check", "dual", "--n", "3", "--s", "3"):
+        "b06f7e9771e50a24dd4e1b0f7676bf7b414c4d08973000b9a3481d4d393d8791",
+    ("dual", "--n", "2", "--s", "5", "--emit", "json"):
+        "fc8927154ce6c12b3746011dc0bb5bf592624d375df1d1f5874a6c70426a672b",
+    ("check", "koszul", "--n", "3", "--s", "3"):
+        "135306a3684b1a71c280b79283100f96c85af50225c7967ba709448694fd7d69",
 }
 
 

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from zzqh import compute_basis, presentation_cover
-from zzqh.linalg import Matrix
-from zzqh.modules import (RightModule, canonical_module, costandard_module,
-                          delta_filtration, direct_sum, dualize, ext_dims,
-                          generated_submodule, gldim, hom_space,
-                          injective_module, is_isomorphic, is_linear,
+from zzqh.linalg import Echelon, Matrix
+from zzqh.modules import (ModuleMap, RightModule, _block_kernel, _block_key,
+                          _dense, algebra_order, canonical_module,
+                          costandard_module, delta_filtration, direct_sum,
+                          dualize, ext_dims, generated_submodule, gldim,
+                          graded_rows, hom_space, injective_module,
+                          is_isomorphic, is_linear, largest_stable_subspace,
                           minimal_resolution, projective_module,
                           quotient_module, shift_module, simple_module,
                           socle_rows, socle_top, standard_module, submodule,
@@ -65,7 +67,16 @@ def test_unstable_rows_are_rejected(cover12):
     with pytest.raises(AssertionError, match="do not span a submodule"):
         quotient_module(proj, [top])
     sub, incl = submodule(proj, generated_submodule(proj, [top]))
-    assert sub.dim == proj.dim and incl.is_module_map()
+    assert sub.dim == proj.dim and _is_module_map(incl)
+
+
+def _is_module_map(f):
+    """Whether f commutes with every arrow on every basis vector."""
+    src, tgt = f.source, f.target
+    return all(f.matrix.mul_row(src.act(a, src.unit(i)))
+               == tgt.act(a, f.matrix.data[i])
+               for a in src.algebra.presentation.arrows
+               for i in range(src.dim))
 
 
 def _format_cases(a):
@@ -260,3 +271,142 @@ def test_is_isomorphic_detects_shifts(cover12):
     shifted = shift_module(p, (1, 0))
     assert not is_isomorphic(p, shifted)
     assert is_isomorphic(p, shifted, graded=False)
+
+
+# ---------------------------------------------------------------------------
+# block-local elimination against the whole-matrix routes it replaced
+
+
+def _graded_rows_reference(module, rows):
+    """The whole-span route: split rows into (vertex, bidegree)
+    components, reduce each block at full width, and require the split
+    to keep the total rank."""
+    if not rows:
+        return []
+    total = Matrix([list(r) for r in rows], ncols=module.dim).rank()
+    per_block = {}
+    for r in rows:
+        seen = {}
+        for i, c in enumerate(r):
+            if c:
+                key = (module.vertices[i], module.bidegrees[i])
+                seen.setdefault(key, [Fraction(0)] * module.dim)[i] = c
+        for key, comp in seen.items():
+            per_block.setdefault(key, []).append(comp)
+    out = []
+    for key in sorted(per_block, key=_block_key):
+        _, red = Matrix(per_block[key], ncols=module.dim).rref()
+        out.extend(row for row in red.data if any(row))
+    assert len(out) == total, "span is not a graded subspace"
+    return out
+
+
+def _kernel_rows_reference(f):
+    """The left kernel of the whole map matrix, split by block."""
+    return _graded_rows_reference(f.source, f.matrix.left_kernel_basis().data)
+
+
+def _largest_stable_subspace_reference(m, allowed):
+    """The whole-module iteration: keep the rows whose images under
+    every arrow lie in the span, through one wide residue matrix."""
+    rows = _graded_rows_reference(m, [m.unit(i) for i in sorted(allowed)])
+    while rows:
+        span = Echelon(rows)
+        resid = [[c for a in m.algebra.presentation.arrows
+                  for c in span.reduce(m.act(a, r))] for r in rows]
+        kern = Matrix(resid, ncols=len(resid[0])).left_kernel_basis()
+        if kern.nrows == len(rows):
+            return rows
+        base = Matrix([list(r) for r in rows], ncols=m.dim)
+        rows = _graded_rows_reference(m, (kern * base).data)
+    return []
+
+
+def _block_kernel_rows(f):
+    """The kernel of ``_block_kernel`` as full-width rows, blocks in
+    order."""
+    _, kernel = _block_kernel(f)
+    return [_dense(zip(kernel[key][0], r), f.source.dim)
+            for key in sorted(kernel, key=_block_key) for r in kernel[key][1]]
+
+
+@pytest.mark.parametrize("point", GRID)
+def test_block_kernels_match_the_whole_matrix_route(covers, point):
+    """Every map in the resolutions of the simples and the standards
+    has the same rank and the same kernel rows, in the same order, by
+    blocks as by the whole matrix."""
+    a = covers[point]
+    for x in a.presentation.vertices:
+        for m in (simple_module(a, x), standard_module(a, x)):
+            for f in minimal_resolution(m).maps:
+                assert _block_kernel(f)[0] == f.matrix.rank()
+                assert _block_kernel_rows(f) == _kernel_rows_reference(f), (m, f)
+
+
+@pytest.mark.parametrize("point", [(1, 2), (2, 2), (2, 3)])
+def test_costandard_rows_match_the_whole_module_route(covers, point):
+    a = covers[point]
+    order = algebra_order(a)
+    for x in a.presentation.vertices:
+        inj = injective_module(a, x)
+        allowed = {i for i, v in enumerate(inj.vertices) if order.leq(v, x)}
+        got = largest_stable_subspace(inj, allowed)
+        assert got == _largest_stable_subspace_reference(inj, allowed), x
+        assert len(got) == costandard_module(a, x).dim
+
+
+def test_act_on_a_support_matches_the_dense_row(cover12):
+    proj = projective_module(cover12, (0, 2))
+    for key, cols in proj.blocks().items():
+        for a in cover12.presentation.arrows:
+            for k in range(len(cols)):
+                part = [Fraction(k + j + 1) for j in range(len(cols))]
+                assert proj.act(a, part, cols) == \
+                    proj.act(a, _dense(zip(cols, part), proj.dim))
+
+
+def test_a_map_entry_in_another_block_is_rejected(cover12):
+    f = minimal_resolution(simple_module(cover12, (0, 2))).maps[1]
+    assert _block_kernel(f)
+    i, j = next((i, j) for i, row in enumerate(f.matrix.data)
+                for j, c in enumerate(row) if c)
+    key = (f.target.vertices[j], f.target.bidegrees[j])
+    other = next(k for k in range(f.target.dim)
+                 if (f.target.vertices[k], f.target.bidegrees[k]) != key)
+    moved = Matrix([list(row) for row in f.matrix.data])
+    moved.data[i][other], moved.data[i][j] = moved.data[i][j], Fraction(0)
+    with pytest.raises(AssertionError, match="leaves its"):
+        _block_kernel(ModuleMap(f.source, f.target, moved))
+
+
+def test_rows_across_blocks_are_rejected(cover12):
+    proj = projective_module(cover12, (1, 1))
+    mixed = [c + d for c, d in zip(proj.unit(0), proj.unit(proj.dim - 1))]
+    assert graded_rows(proj, [proj.unit(0)]) == [proj.unit(0)]
+    with pytest.raises(AssertionError, match="leaves its"):
+        graded_rows(proj, [mixed])
+
+
+def test_block_elimination_rejects_broken_actions(cover12):
+    """An action entry that keeps the weight but breaks the bidegree, or
+    breaks the weight, stops the resolution, the top and the largest
+    stable subspace."""
+    proj = projective_module(cover12, (1, 1))
+    m = direct_sum(cover12, [proj, shift_module(proj, (1, 0))])
+    a, i, j = next((a, i, j) for a, rows in proj.action.items()
+                   for i, row in enumerate(rows) for j in row)
+    off = next(k for k, v in enumerate(m.vertices) if v != a.target)
+
+    def grading(action):  # from the first copy into the shifted one
+        action[a][i][proj.dim + j] = Fraction(1)
+
+    def weights(action):
+        b = next(b for b in action if b.source != m.vertices[off])
+        action[b][off][off] = Fraction(1)
+
+    everything = set(range(m.dim))
+    for edit, msg in ((grading, "leaves its"), (weights, "breaks weights")):
+        for build in (top_generators, minimal_resolution,
+                      lambda mod: largest_stable_subspace(mod, everything)):
+            with pytest.raises(AssertionError, match=msg):
+                build(_with_action(m, edit))
