@@ -247,6 +247,16 @@ FROZEN_STDOUT = {
         "fc8927154ce6c12b3746011dc0bb5bf592624d375df1d1f5874a6c70426a672b",
     ("check", "koszul", "--n", "3", "--s", "3"):
         "135306a3684b1a71c280b79283100f96c85af50225c7967ba709448694fd7d69",
+    ("fixtures",):
+        "8b183a67d97934314865d31cc0924b9b972e1d66d6d31f521c38d5b19a9a5424",
+    ("build", "--algebra", "qdual", "--n", "2", "--s", "3"):
+        "5c1dfd86f7b11e56e8d15838c5386159498177cc988ff957db917d913a6faf26",
+    ("build", "--algebra", "dual-built", "--n", "3", "--s", "3"):
+        "9c5becd61c7cb6f5b9ae11be5ee02306afe8f760f59dbf55c34f95a449e65408",
+    ("dims", "--algebra", "dual-conjectured", "--n", "2", "--s", "4"):
+        "0b7ff2925d6506bd90ab9fa8a281277d86b6eb58e23e8aa6b8330951e4e9d576",
+    ("cartan", "--n", "3", "--s", "3"):
+        "de23e93058dac2599312e6ee1def7ef6216d349121734a0f44cee4e54006148d",
 }
 
 
