@@ -523,6 +523,10 @@ class AlgebraInstance:
         self.top_length = len(self.basis_by_length) - 1
         self._basis_set = {p for level in self.basis_by_length for p in level}
         self._op = None
+        self._blocks = {}  # (source, target) -> bidegree -> path count
+        for p in self.basis():
+            counts = self._blocks.setdefault((p.source, p.target), {})
+            counts[p.bidegree] = counts.get(p.bidegree, 0) + 1
 
     # -- basic queries ----------------------------------------------------
 
@@ -538,14 +542,10 @@ class AlgebraInstance:
 
     def dim_block(self, x, y):
         """dim of the span of basis paths from x to y."""
-        return sum(1 for p in self.basis() if p.source == x and p.target == y)
+        return sum(self._blocks.get((x, y), {}).values())
 
     def block_bidegrees(self, x, y):
-        out = {}
-        for p in self.basis():
-            if p.source == x and p.target == y:
-                out[p.bidegree] = out.get(p.bidegree, 0) + 1
-        return out
+        return dict(self._blocks.get((x, y), {}))
 
     def is_basis_path(self, p: Path) -> bool:
         return p in self._basis_set
@@ -688,6 +688,40 @@ def opposite_presentation(pres: Presentation) -> Presentation:
                         kind=pres.kind + "-op", params=pres.params)
 
 
+def quadratic_blocks(pres: Presentation, eps=None) -> dict:
+    """The relation span of a quadratic presentation, one block per
+    (source, target) pair of length-2 paths, keys in vertex order:
+    (the block's paths, sorted, and the reduced echelon rows of its
+    relations in those coordinates, each arrow scaled by ``eps``, a map
+    (source, label) -> scalar that defaults to 1)."""
+    eps = eps or {}
+    paths, rels = {}, {}
+    for v in pres.vertices:
+        for a in pres.arrows_from(v):
+            for b in pres.arrows_from(a.target):
+                paths.setdefault((v, b.target), []).append(Path(v, (a, b)))
+    for r in pres.relations:
+        p0 = next(iter(r.terms))
+        if p0.length != 2:
+            raise ValueError("quadratic blocks need quadratic relations")
+        rels.setdefault((p0.source, p0.target), []).append(r)
+    out = {}
+    for key in sorted(paths, key=lambda k: (_vkey(k[0]), _vkey(k[1]))):
+        block = sorted(paths[key], key=Path.sort_key)
+        idx = {p: c for c, p in enumerate(block)}
+        rows = []
+        for r in rels.get(key, ()):
+            row = [ZERO] * len(block)
+            for p, c in r.terms.items():
+                for a in p.arrows:
+                    c *= eps.get((a.source, a.label), ONE)
+                row[idx[p]] = c
+            rows.append(row)
+        pivots, red = Matrix(rows, ncols=len(block)).rref()
+        out[key] = (block, [tuple(row) for row in red.data[:len(pivots)]])
+    return out
+
+
 def quadratic_dual(pres: Presentation) -> Presentation:
     """The quadratic dual on the same quiver.
 
@@ -696,29 +730,9 @@ def quadratic_dual(pres: Presentation) -> Presentation:
     pairing in the path basis.  Pairs with no relations acquire full
     zero relations; pairs whose relation space is full lose them.
     """
-    for r in pres.relations:
-        if next(iter(r.terms)).length != 2:
-            raise ValueError("quadratic dual needs quadratic relations")
-    paths2 = {}
-    for v in pres.vertices:
-        for a in pres.arrows_from(v):
-            for b in pres.arrows_from(a.target):
-                p = Path(v, (a, b))
-                paths2.setdefault((v, p.target), []).append(p)
-    for block in paths2.values():
-        block.sort(key=Path.sort_key)
-    rel_blocks = {}
-    for r in pres.relations:
-        p0 = next(iter(r.terms))
-        rel_blocks.setdefault((p0.source, p0.target), []).append(r)
-    new_rels = []
-    for key in sorted(paths2, key=lambda k: (_vkey(k[0]), _vkey(k[1]))):
-        block = paths2[key]
-        rows = [[r.terms.get(p, ZERO) for p in block]
-                for r in rel_blocks.get(key, [])]
-        m = Matrix(rows, ncols=len(block)) if rows else Matrix.zero(0, len(block))
-        for vec in m.kernel_basis().data:
-            new_rels.append(Element({p: c for p, c in zip(block, vec) if c}))
+    new_rels = [Element({p: c for p, c in zip(block, vec) if c})
+                for block, rows in quadratic_blocks(pres).values()
+                for vec in Matrix(rows, ncols=len(block)).kernel_basis().data]
     return Presentation(pres.vertices, pres.arrows, new_rels,
                         kind=pres.kind + "!", params=pres.params)
 

@@ -25,7 +25,8 @@ from .algebra import (AlgebraInstance, NonTerminationError, Presentation,
                       quadratic_dual)
 from .extdual import (build_dual_from_ext, check_degree_law,
                       check_dual_koszul, check_simple_costandard_dims,
-                      compare_dual, dual_presentation_json, ext_table)
+                      compare_dual, dual_presentation_json, ext_table,
+                      relations_json)
 from .koszul import (brauer_line_presentation, check_delta_koszul,
                      check_koszul, check_shifted_dual_lemmas,
                      check_standard_koszul, counterexample_presentation,
@@ -145,12 +146,6 @@ def _instance(kind: str, n, s, cap) -> AlgebraInstance:
     return compute_basis(pres) if cap is None else compute_basis(pres, cap)
 
 
-def _element_terms(rel):
-    terms = sorted(rel.terms.items(), key=lambda t: t[0].sort_key())
-    return [{"coeff": str(c), "src": vertex_name(p.source),
-             "labels": [a.label for a in p.arrows]} for p, c in terms]
-
-
 def algebra_json(pres: Presentation, inst: AlgebraInstance = None) -> dict:
     out = {
         "kind": pres.kind,
@@ -160,10 +155,7 @@ def algebra_json(pres: Presentation, inst: AlgebraInstance = None) -> dict:
                     "tgt": vertex_name(a.target),
                     "label": a.label,
                     "bidegree": list(a.bidegree)} for a in pres.arrows],
-        "relations": sorted(
-            (_element_terms(r) for r in pres.relations),
-            key=lambda ts: (ts[0]["src"],
-                            [[str(l) for l in t["labels"]] for t in ts])),
+        "relations": relations_json(pres),
     }
     if inst is not None:
         out["dim"] = inst.dim()

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .algebra import (AlgebraInstance, Arrow, Element, Path, Presentation,
                       compute_basis, presentation_cover,
-                      presentation_dual_conjectured)
+                      presentation_dual_conjectured, quadratic_blocks)
 from .koszul import KoszulReport, check_koszul
 from .linalg import Echelon, Matrix
 from .modules import (algebra_order, cached_module, ext_bigraded_reps,
@@ -162,8 +162,9 @@ def _lift_generators(src, tgt, dmat, rhs) -> Matrix:
                 raise ArithmeticError(f"chain lift failed: no room at {v}")
             gen_rows.append([ZERO] * tgt.dim)
             continue
-        sub = Matrix([list(dmat.data[j]) for j in cols], ncols=dmat.ncols)
-        sol = sub.transpose().solve(list(want))
+        sub = Matrix([[dmat.data[j][k] for j in cols]
+                      for k in range(dmat.ncols)], ncols=len(cols))
+        sol = sub.solve(list(want))
         if sol is None:
             raise ArithmeticError("chain lift failed: complex not exact?")
         grow = [ZERO] * tgt.dim
@@ -320,17 +321,12 @@ def build_dual_from_ext(cover: AlgebraInstance,
 
     pres0 = Presentation(cover.presentation.vertices, arrows, [],
                          kind="dual-built", params={"n": n, "s": s})
-    blocks = {}
-    for x in pres0.vertices:
-        for a1 in pres0.arrows_from(x):
-            for a2 in pres0.arrows_from(a1.target):
-                blocks.setdefault((x, a2.target), []).append(
-                    Path(x, (a1, a2)))
+    blocks = quadratic_blocks(pres0)
     rels, detail = [], {}
     for (src, tgt) in sorted(blocks,
                              key=lambda k: (vertex_name(k[0]),
                                             vertex_name(k[1]))):
-        paths = sorted(blocks[(src, tgt)], key=lambda p: p.sort_key())
+        paths = blocks[(src, tgt)][0]
         # products of the block land in a direct sum of Ext components,
         # one per (homological degree, bidegree) of total degree two
         prods, comps = [], {}
@@ -340,32 +336,17 @@ def build_dual_from_ext(cover: AlgebraInstance,
                                   arrow_class[(a2.source, a2.label)])
             prods.append(prod)
             comps[(prod.i, prod.bidegree)] = len(prod.row)
-        offsets, width = {}, 0
-        for ck in sorted(comps):
-            offsets[ck] = width
-            width += comps[ck]
-        if width:
-            rows = []
-            for prod in prods:
-                row = [ZERO] * width
-                off = offsets[(prod.i, prod.bidegree)]
-                for c, v in enumerate(prod.row):
-                    row[off + c] = v
-                rows.append(row)
-            ker = Matrix(rows, ncols=width).left_kernel_basis().data
-        else:
-            ker = [[ONE if k == j else ZERO for k in range(len(paths))]
-                   for j in range(len(paths))]
+        rows = [[c for ck in sorted(comps)
+                 for c in (prod.row if ck == (prod.i, prod.bidegree)
+                           else (ZERO,) * comps[ck])] for prod in prods]
+        rank, ker = Matrix(rows, ncols=sum(comps.values())).left_kernel()
         ext2 = sum(m for (xx, yy, i, _, js), m in table.dims.items()
                    if (xx, yy) == (tgt, src) and i + js == 2)
         detail[f"{vertex_name(src)}|{vertex_name(tgt)}"] = {
             "paths": len(paths), "relations": len(ker),
-            "image_rank": len(paths) - len(ker), "ext2_dim": ext2}
-        for krow in ker:
-            piv = next(c for c, val in enumerate(krow) if val)
-            inv = ONE / krow[piv]
-            rels.append(Element({paths[c]: val * inv
-                                 for c, val in enumerate(krow) if val}))
+            "image_rank": rank, "ext2_dim": ext2}
+        rels.extend(Element({paths[c]: val for c, val in enumerate(krow)})
+                    for krow in ker)
     gauge = _preferred_gauge(rels)
     if gauge:
         rels = [_apply_gauge(r, gauge) for r in rels]
@@ -403,13 +384,7 @@ def _preferred_gauge(rels):
             continue
         (p, cp), (q, cq) = sorted(r.terms.items(),
                                   key=lambda t: t[0].sort_key())
-        exps = _path_exponents(q, p)
-        ratio = -cq / cp
-        if not exps:
-            if ratio != 1:
-                return {}
-            continue
-        constraints.append((exps, ratio))
+        constraints.append((_path_exponents(q, p), -cq / cp))
     return _solve_multiplicative(constraints) or {}
 
 
@@ -429,41 +404,6 @@ def _apply_gauge(rel: Element, eps: dict) -> Element:
 
 # ---------------------------------------------------------------------------
 # comparison with the closed-form presentation
-
-
-def _relation_blocks(pres: Presentation) -> dict:
-    out = {}
-    for r in pres.relations:
-        p0 = next(iter(r.terms))
-        out.setdefault((p0.source, p0.target), []).append(r)
-    return out
-
-
-def _two_paths(pres: Presentation, src, tgt):
-    paths = []
-    for a1 in pres.arrows_from(src):
-        for a2 in pres.arrows_from(a1.target):
-            if a2.target == tgt:
-                paths.append(Path(src, (a1, a2)))
-    return sorted(paths, key=lambda p: p.sort_key())
-
-
-def _block_rref(rels, paths, eps=None):
-    """The reduced echelon basis of the relations' span in the
-    coordinates ``paths``, with each arrow scaled by ``eps`` (arrow
-    key -> scalar, default 1)."""
-    eps = eps or {}
-    idx = {p: c for c, p in enumerate(paths)}
-    rows = []
-    for r in rels:
-        row = [ZERO] * len(paths)
-        for p, c in r.terms.items():
-            for a in p.arrows:
-                c *= eps.get((a.source, a.label), ONE)
-            row[idx[p]] = c
-        rows.append(row)
-    pivots, red = Matrix(rows, ncols=len(paths)).rref()
-    return [tuple(r) for r in red.data[:len(pivots)]]
 
 
 def _path_exponents(plus: Path, minus: Path) -> dict:
@@ -517,15 +457,14 @@ def _solve_multiplicative(constraints):
     return eps
 
 
-def _arrow_rescaling(built, conjectured, keys):
+def _arrow_rescaling(conjectured, blocks):
     """Search for nonzero scalars on the arrows making the relation
     subspaces coincide; None if there are none (or the blocks fall
-    outside the binomial shapes this solver handles)."""
+    outside the binomial shapes this solver handles).  ``blocks`` maps
+    a key of ``quadratic_blocks`` to (paths, built rows, conjectured
+    rows)."""
     constraints = []
-    for key in keys:
-        paths = _two_paths(built, *key)
-        rb = _block_rref(_relation_blocks(built).get(key, ()), paths)
-        rc = _block_rref(_relation_blocks(conjectured).get(key, ()), paths)
+    for paths, rb, rc in blocks.values():
         if len(rb) != len(rc):
             return None
         pb = {next(c for c, v in enumerate(r) if v): r for r in rb}
@@ -542,23 +481,14 @@ def _arrow_rescaling(built, conjectured, keys):
             if len(supb) > 2:
                 return None
             q = supb[1]
-            ratio = rowb[q] / rowc[q]
-            exps = _path_exponents(paths[q], paths[piv])
-            if not exps:
-                if ratio != 1:
-                    return None
-                continue
-            constraints.append((exps, ratio))
+            constraints.append((_path_exponents(paths[q], paths[piv]),
+                                rowb[q] / rowc[q]))
     eps = _solve_multiplicative(constraints)
     if eps is None:
         return None
-    for key in keys:
-        paths = _two_paths(built, *key)
-        rb = _block_rref(_relation_blocks(built).get(key, ()), paths)
-        rc = _block_rref(_relation_blocks(conjectured).get(key, ()),
-                         paths, eps)
-        if rb != rc:
-            return None
+    scaled = quadratic_blocks(conjectured, eps)
+    if any(rb != scaled[key][1] for key, (_, rb, _) in blocks.items()):
+        return None
     return eps
 
 
@@ -588,31 +518,32 @@ def compare_dual(built: Presentation, conjectured: Presentation,
     relations_equal, rescaled, witness, scalars = False, False, None, None
     blocks_rep = {}
     if report["arrows_equal"]:
-        bb, cb = _relation_blocks(built), _relation_blocks(conjectured)
-        keys = sorted(set(bb) | set(cb),
-                      key=lambda k: (vertex_name(k[0]), vertex_name(k[1])))
+        # the arrows agree, so both sides have the same blocks of paths;
+        # only blocks with relations on either side are compared
+        bb, cb = quadratic_blocks(built), quadratic_blocks(conjectured)
+        blocks = {k: (*bb[k], cb[k][1]) for k in sorted(
+            bb, key=lambda k: (vertex_name(k[0]), vertex_name(k[1])))
+            if bb[k][1] or cb[k][1]}
         mismatched = []
-        for key in keys:
-            paths = _two_paths(built, *key)
-            rb = _block_rref(bb.get(key, ()), paths)
-            rc = _block_rref(cb.get(key, ()), paths)
+        for key, (paths, rb, rc) in blocks.items():
             name = f"{vertex_name(key[0])}|{vertex_name(key[1])}"
             blocks_rep[name] = {"equal": rb == rc,
                                 "built": [[str(v) for v in r] for r in rb],
                                 "conjectured": [[str(v) for v in r]
                                                 for r in rc]}
             if rb != rc:
-                mismatched.append((key, paths, rb, rc))
+                mismatched.append(key)
         if not mismatched:
             relations_equal = True
         else:
-            eps = _arrow_rescaling(built, conjectured, keys)
+            eps = _arrow_rescaling(conjectured, blocks)
             if eps is not None:
                 rescaled = True
                 scalars = {f"{vertex_name(k[0])}|a{k[1]}": str(v)
                            for k, v in sorted(eps.items(), key=repr)}
             else:
-                key, paths, rb, rc = mismatched[0]
+                key = mismatched[0]
+                paths, rb, rc = blocks[key]
                 witness = {
                     "block": f"{vertex_name(key[0])}|{vertex_name(key[1])}",
                     "paths": [[a.label for a in p.arrows] for p in paths],
@@ -771,19 +702,22 @@ def check_simple_costandard_dims(cover: AlgebraInstance,
             "failures": failures}
 
 
+def relations_json(pres: Presentation) -> list:
+    """The relations, each a list of coefficient/source/label-word terms
+    in path order, sorted by source and words."""
+    rels = [[{"coeff": str(c), "src": vertex_name(p.source),
+              "labels": [a.label for a in p.arrows]}
+             for p, c in sorted(r.terms.items(), key=lambda t: t[0].sort_key())]
+            for r in pres.relations]
+    return sorted(rels, key=lambda ts: (
+        ts[0]["src"], [[str(l) for l in t["labels"]] for t in ts]))
+
+
 def dual_presentation_json(pres: Presentation) -> dict:
     """JSON-ready dual presentation: vertices, arrows tagged a0 or ai,
-    and relations as coefficient/source/label-word terms."""
+    and relations as ``relations_json`` writes them."""
     arrows = [{"src": vertex_name(a.source), "tgt": vertex_name(a.target),
                "kind": "a0" if a.label == 0 else "ai", "i": a.label}
               for a in pres.arrows]
-    rels = []
-    for r in pres.relations:
-        terms = sorted(r.terms.items(), key=lambda t: t[0].sort_key())
-        rels.append([{"coeff": str(c), "src": vertex_name(p.source),
-                      "labels": [a.label for a in p.arrows]}
-                     for p, c in terms])
-    rels.sort(key=lambda ts: (ts[0]["src"],
-                              [[str(l) for l in t["labels"]] for t in ts]))
     return {"vertices": [vertex_name(v) for v in pres.vertices],
-            "arrows": arrows, "relations": rels}
+            "arrows": arrows, "relations": relations_json(pres)}

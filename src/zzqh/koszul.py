@@ -22,21 +22,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .linalg import Matrix
 from .quiver import vertex_name
 from .algebra import (AlgebraInstance, Arrow, Element, Path, Presentation,
                       compute_basis, presentation_cover,
-                      presentation_shifted_dual, quadratic_dual,
-                      shifted_dual_membership)
+                      presentation_shifted_dual, quadratic_blocks,
+                      quadratic_dual, shifted_dual_membership)
 from .modules import (algebra_order, direct_sum, dualize, ext_bigraded_reps,
                       free_module, gldim, is_isomorphic, is_linear,
                       left_mult_map, minimal_resolution, projective_module,
                       quotient_module, simple_module, socle_rows,
                       standard_resolution)
-
-ZERO = Fraction(0)
 
 
 @dataclass
@@ -408,32 +404,13 @@ def fixture_brauer_line(s: int) -> dict:
                 or mapped.bidegree != ar.bidegree:
             arrows_ok = False
 
-    def rel_spans(pres, vertex_of, word_of):
-        spans = {}
-        for r in pres.relations:
-            p0 = next(iter(r.terms))
-            key = (vertex_of(p0.source), vertex_of(p0.target))
-            spans.setdefault(key, []).append(
-                {word_of(p): c for p, c in r.terms.items()})
-        return spans
+    def on_cover(p):
+        return cov.path(vmap[p.source], [lmap[a.label] for a in p.arrows])
 
-    fix_spans = rel_spans(fix, lambda v: vmap[v],
-                          lambda p: tuple(lmap[a.label] for a in p.arrows))
-    cov_spans = rel_spans(cov, lambda v: v,
-                          lambda p: tuple(a.label for a in p.arrows))
-    relations_ok = set(fix_spans) == set(cov_spans)
-    if relations_ok:
-        for key in fix_spans:
-            words = sorted({w for rel in fix_spans[key] + cov_spans[key]
-                            for w in rel})
-            mats = []
-            for rels in (fix_spans[key], cov_spans[key]):
-                m = Matrix([[rel.get(w, ZERO) for w in words] for rel in rels],
-                           ncols=len(words))
-                pivots, red = m.rref()
-                mats.append(red.data[:len(pivots)])
-            if mats[0] != mats[1]:
-                relations_ok = False
+    relations_ok = arrows_ok and quadratic_blocks(cov) == quadratic_blocks(
+        Presentation(cov.vertices, cov.arrows, [
+            Element({on_cover(p): c for p, c in r.terms.items()})
+            for r in fix.relations]))
 
     fix_inst = compute_basis(fix)
     cov_inst = compute_basis(cov)

@@ -15,6 +15,10 @@ nonzero entry, scaled to 1.  Stored rows are never rewritten, so a row
 handed out stays valid.  The residue of a vector modulo the span is
 unique: it is zero at every pivot, and the pivots depend only on the
 span, so it is the same whatever order the rows came in.
+
+``Matrix.left_kernel`` is the one left kernel, for module maps, socles,
+cocycles and the extracted dual's relations; relation spans come from
+``algebra.quadratic_blocks``.
 """
 
 from __future__ import annotations
@@ -68,12 +72,6 @@ class Matrix:
     def __repr__(self):
         rows = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix({self.nrows}x{self.ncols}: {rows})"
-
-    def transpose(self):
-        return Matrix(
-            [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
 
     def __mul__(self, other):
         if self.ncols != other.nrows:
@@ -130,9 +128,15 @@ class Matrix:
             rows.append(v)
         return Matrix(rows, ncols=self.ncols)
 
-    def left_kernel_basis(self):
-        """Basis of {v : v * self = 0}, as rows of a Matrix."""
-        return self.transpose().kernel_basis()
+    def left_kernel(self):
+        """(rank, kernel): the kernel is the reduced echelon basis of
+        {v : v * self = 0}, as lists, from the rref of [self | identity]."""
+        n = self.nrows
+        aug = [row + [ONE if k == i else ZERO for k in range(n)]
+               for i, row in enumerate(self.data)]
+        pivots, red = Matrix(aug, ncols=self.ncols + n).rref()
+        rank = sum(p < self.ncols for p in pivots)
+        return rank, [row[self.ncols:] for row in red.data[rank:]]
 
     def solve(self, rhs):
         """One solution x of self * x = rhs (a list), or None if inconsistent."""

@@ -181,17 +181,6 @@ def _arrows_from(m: RightModule, blocks, key):
     return out
 
 
-def _left_kernel(rows, width):
-    """(rank, kernel) of the matrix ``rows`` with ``width`` columns; the
-    kernel is the reduced echelon basis of {v : v * rows = 0}, from rref."""
-    n = len(rows)
-    aug = [list(r) + [ONE if k == i else ZERO for k in range(n)]
-           for i, r in enumerate(rows)]
-    pivots, red = Matrix(aug, ncols=width + n).rref()
-    rank = sum(p < width for p in pivots)
-    return rank, [row[width:] for row in red.data[rank:]]
-
-
 def _block_kernel(f: ModuleMap):
     """(rank, kernel) of a module map by source block: ``kernel`` maps a
     block to (its indices, the reduced echelon basis of its nonzero
@@ -200,8 +189,8 @@ def _block_kernel(f: ModuleMap):
     rank, kernel = 0, {}
     for key, cols in f.source.blocks().items():
         tcols = targets.get(key, ())
-        r, kern = _left_kernel([_restrict(f.matrix.data[i], tcols)
-                                for i in cols], len(tcols))
+        r, kern = Matrix([_restrict(f.matrix.data[i], tcols) for i in cols],
+                         ncols=len(tcols)).left_kernel()
         rank += r
         if kern:
             kernel[key] = (cols, kern)
@@ -295,7 +284,7 @@ def direct_sum(a: AlgebraInstance, parts) -> RightModule:
 
 def dualize(m: RightModule) -> RightModule:
     """The vector space dual as a module over the opposite algebra,
-    with transposed actions and negated bidegrees."""
+    with each action's rows and columns swapped and negated bidegrees."""
     op = m.algebra.opposite()
     action = {}
     for a in m.algebra.presentation.arrows:
@@ -385,15 +374,12 @@ def largest_stable_subspace(m: RightModule, allowed):
                 span = Echelon(space.get(tkey, ()))
                 for r, rr in zip(rows, resid):
                     rr.extend(span.reduce(_restrict(m.act(a, r, cols), tcols)))
-            _, kern = _left_kernel(resid, len(resid[0]))
+            _, kern = Matrix(resid).left_kernel()
             if len(kern) < len(rows):
                 space[key] = (Matrix(kern, ncols=len(rows)) * Matrix(rows)).data
                 shrunk = True
-    out = []
-    for key in sorted(space, key=_block_key):
-        _, red = Matrix(space[key], ncols=len(blocks[key])).rref()
-        out.extend(_dense(zip(blocks[key], r), m.dim) for r in red.data)
-    return out
+    return graded_rows(m, [_dense(zip(blocks[key], r), m.dim)
+                           for key, rows in space.items() for r in rows])
 
 
 def submodule(m: RightModule, rows, label=""):
@@ -489,12 +475,17 @@ def canonical_module(a: AlgebraInstance, kind: str, x, shift=(0, 0)) -> RightMod
 
 
 def socle_rows(m: RightModule):
-    """Rows spanning the socle: the vectors every arrow sends to zero."""
-    arrows = m.algebra.presentation.arrows
-    stacked = Matrix([[c for a in arrows
-                       for c in _dense(m.action[a][i].items(), m.dim)]
-                      for i in range(m.dim)], ncols=m.dim * len(arrows))
-    return graded_rows(m, stacked.left_kernel_basis().data)
+    """Rows spanning the socle, the vectors every arrow sends to zero:
+    per block, the left kernel of its basis vectors' images."""
+    blocks = m.blocks()
+    out = []
+    for key in sorted(blocks, key=_block_key):
+        cols, arrows = blocks[key], _arrows_from(m, blocks, key)
+        images = [[c for a, _, tcols in arrows for c in _restrict(
+            _dense(m.action[a][i].items(), m.dim), tcols)] for i in cols]
+        _, kern = Matrix(images).left_kernel()
+        out.extend(_dense(zip(cols, r), m.dim) for r in kern)
+    return out
 
 
 def top_generators(m: RightModule):
@@ -831,15 +822,12 @@ def ext_bigraded_reps(res: Resolution, n: RightModule):
         level = {}
         for d in sorted({dd for _, _, dd in bases[i]}):
             cols = [c for c, (_, _, dd) in enumerate(bases[i]) if dd == d]
-            if i < len(diffs):
-                tcols = [c for c, (_, _, dd) in enumerate(bases[i + 1])
-                         if dd == d]
-                sub = Matrix([[diffs[i].data[r][c] for c in tcols]
-                              for r in cols], ncols=len(tcols))
-                cycles = sub.left_kernel_basis().data
-            else:
-                cycles = [[ONE if k == j else ZERO for k in range(len(cols))]
-                          for j in range(len(cols))]
+            # at the last step there is no differential: every cochain
+            # is a cocycle, the kernel of a matrix with no columns
+            tcols = [c for c, (_, _, dd) in enumerate(bases[i + 1])
+                     if dd == d] if i < len(diffs) else []
+            _, cycles = Matrix([[diffs[i].data[r][c] for c in tcols]
+                                for r in cols], ncols=len(tcols)).left_kernel()
             span = Echelon()
             if i >= 1:
                 for r, (_, _, dd) in enumerate(bases[i - 1]):

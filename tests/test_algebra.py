@@ -12,7 +12,8 @@ from zzqh import (NonTerminationError, closed_form_cover_basis,
                   presentation_dual_conjectured, presentation_shifted_dual,
                   presentation_zigzag, quadratic_dual,
                   shifted_dual_membership, zigzag_hom_oracle)
-from zzqh.algebra import Arrow, Element, Path, Presentation
+from zzqh.algebra import (Arrow, Element, Path, Presentation,
+                          quadratic_blocks)
 from zzqh.koszul import (brauer_line_presentation,
                          counterexample_presentation, loop_presentation)
 
@@ -289,6 +290,45 @@ def test_quadratic_dual_is_involutive_on_dims():
     base = compute_basis(pres)
     assert twice.dims_by_length() == base.dims_by_length()
     assert once.dim() == 14
+
+
+@pytest.mark.parametrize("n, s", GRID)
+@pytest.mark.parametrize("build", [
+    presentation_cover, presentation_zigzag, presentation_borel,
+    presentation_shifted_dual, presentation_dual_conjectured])
+def test_quadratic_dual_is_an_involution_on_relation_blocks(build, n, s):
+    pres = build(n, s)
+    blocks = quadratic_blocks(pres)
+    assert quadratic_blocks(quadratic_dual(quadratic_dual(pres))) == blocks
+    # the dual's rows span the annihilator of the block's rows
+    for key, (paths, rows) in quadratic_blocks(quadratic_dual(pres)).items():
+        assert len(rows) + len(blocks[key][1]) == len(paths)
+        assert all(sum(a * b for a, b in zip(r, d)) == 0
+                   for r in rows for d in blocks[key][1])
+
+
+def test_quadratic_blocks_scale_arrows_and_need_quadratic_relations():
+    """With arrow k scaled by k + 2, each reduced row is the old one with
+    each entry scaled by its path's weight, renormalized at the pivot."""
+    pres = presentation_cover(2, 2)
+    eps = {(a.source, a.label): Fraction(k + 2)
+           for k, a in enumerate(pres.arrows)}
+    blocks, scaled = quadratic_blocks(pres), quadratic_blocks(pres, eps)
+    assert scaled != blocks
+    for key, (paths, rows) in blocks.items():
+        weight = [eps[(a.source, a.label)] * eps[(b.source, b.label)]
+                  for a, b in (p.arrows for p in paths)]
+        want = []
+        for row in rows:
+            piv = next(c for c, v in enumerate(row) if v)
+            want.append(tuple(v * weight[c] / weight[piv]
+                              for c, v in enumerate(row)))
+        assert scaled[key] == (paths, want)
+    loop = loop_presentation()
+    cube = Presentation(loop.vertices, loop.arrows,
+                        [Element.of_path(loop.path(1, ("loop",) * 3))])
+    with pytest.raises(ValueError, match="quadratic relations"):
+        quadratic_blocks(cube)
 
 
 def test_shifted_dual_dims():

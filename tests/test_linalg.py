@@ -51,11 +51,14 @@ def test_rank_nullity():
 
 def test_left_kernel_is_kernel_of_transpose():
     m = Matrix([[1, 2], [2, 4], [0, 1]])
-    left = m.left_kernel_basis()
-    assert left.nrows == 1
-    u = left.data[0]
+    rank, left = m.left_kernel()
+    assert rank == 2 and len(left) == 1
+    u = left[0]
     assert all(sum(u[i] * m.data[i][j] for i in range(m.nrows)) == 0
                for j in range(m.ncols))
+    assert u == [F(1), F(-1, 2), F(0)]
+    assert _transposed_kernel_reference(m.data, m.ncols) \
+        == [[F(-2), F(1), F(0)]]
 
 
 def test_solve_consistent_and_inconsistent():
@@ -122,6 +125,22 @@ def _gauss_jordan(m):
     return pivots, rows
 
 
+def _transposed_kernel_reference(rows, width):
+    """A basis of {v : v * rows = 0}: the right kernel of the transposed
+    matrix, read off its Gauss-Jordan form, one vector per free column."""
+    n = len(rows)
+    pivots, red = _gauss_jordan(Matrix(
+        [[row[j] for row in rows] for j in range(width)], ncols=n))
+    out = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [F(0)] * n
+        v[f] = F(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        out.append(v)
+    return out
+
+
 def _strategies():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -156,6 +175,30 @@ def test_rref_matches_gauss_jordan_reference():
         want_pivots, want_rows = _gauss_jordan(m)
         assert pivots == want_pivots
         assert red.shape == m.shape and red.data == want_rows
+
+    check()
+
+
+def test_left_kernel_matches_the_transposed_kernel():
+    """Same span as the kernel of the transpose, rank = rows - kernel,
+    and the kernel in reduced echelon form."""
+    hypothesis, st, row_lists, settings = _strategies()
+
+    @settings
+    @hypothesis.given(st.integers(0, 5).flatmap(
+        lambda n: st.tuples(st.just(n), row_lists(n))))
+    def check(shape_rows):
+        ncols, rows = shape_rows
+        m = Matrix(rows, ncols=ncols)
+        rank, kern = m.left_kernel()
+        assert rank == m.nrows - len(kern) == m.rank()
+        ref = Matrix(_transposed_kernel_reference(rows, ncols), ncols=m.nrows)
+        pivots, red = _gauss_jordan(ref)
+        assert len(pivots) == ref.nrows == len(kern) and red == kern
+        assert _gauss_jordan(Matrix(kern, ncols=m.nrows))[1] == kern
+        for v in kern:
+            assert all(sum(v[i] * rows[i][j] for i in range(m.nrows)) == 0
+                       for j in range(ncols))
 
     check()
 

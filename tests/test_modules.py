@@ -301,9 +301,17 @@ def _graded_rows_reference(module, rows):
     return out
 
 
+def _left_kernel_reference(rows, width):
+    """A basis of {v : v * rows = 0}, as the right kernel of the
+    transposed matrix, built entry by entry."""
+    return Matrix([[row[j] for row in rows] for j in range(width)],
+                  ncols=len(rows)).kernel_basis().data
+
+
 def _kernel_rows_reference(f):
     """The left kernel of the whole map matrix, split by block."""
-    return _graded_rows_reference(f.source, f.matrix.left_kernel_basis().data)
+    return _graded_rows_reference(
+        f.source, _left_kernel_reference(f.matrix.data, f.matrix.ncols))
 
 
 def _largest_stable_subspace_reference(m, allowed):
@@ -314,12 +322,23 @@ def _largest_stable_subspace_reference(m, allowed):
         span = Echelon(rows)
         resid = [[c for a in m.algebra.presentation.arrows
                   for c in span.reduce(m.act(a, r))] for r in rows]
-        kern = Matrix(resid, ncols=len(resid[0])).left_kernel_basis()
+        kern = Matrix(_left_kernel_reference(resid, len(resid[0])),
+                      ncols=len(rows))
         if kern.nrows == len(rows):
             return rows
         base = Matrix([list(r) for r in rows], ncols=m.dim)
         rows = _graded_rows_reference(m, (kern * base).data)
     return []
+
+
+def _socle_rows_reference(m):
+    """The whole-module route: the left kernel of every basis vector's
+    images under all the arrows side by side, split by block."""
+    arrows = m.algebra.presentation.arrows
+    stacked = [[c for a in arrows for c in _dense(m.action[a][i].items(), m.dim)]
+               for i in range(m.dim)]
+    return _graded_rows_reference(
+        m, _left_kernel_reference(stacked, m.dim * len(arrows)))
 
 
 def _block_kernel_rows(f):
@@ -353,6 +372,15 @@ def test_costandard_rows_match_the_whole_module_route(covers, point):
         got = largest_stable_subspace(inj, allowed)
         assert got == _largest_stable_subspace_reference(inj, allowed), x
         assert len(got) == costandard_module(a, x).dim
+
+
+@pytest.mark.parametrize("point", GRID)
+def test_socle_rows_match_the_stacked_route(covers, point):
+    a = covers[point]
+    for kind in KINDS:
+        for x in a.presentation.vertices:
+            m = canonical_module(a, kind, x)
+            assert socle_rows(m) == _socle_rows_reference(m), (kind, x)
 
 
 def test_act_on_a_support_matches_the_dense_row(cover12):
@@ -389,8 +417,8 @@ def test_rows_across_blocks_are_rejected(cover12):
 
 def test_block_elimination_rejects_broken_actions(cover12):
     """An action entry that keeps the weight but breaks the bidegree, or
-    breaks the weight, stops the resolution, the top and the largest
-    stable subspace."""
+    breaks the weight, stops the resolution, the top, the socle and the
+    largest stable subspace."""
     proj = projective_module(cover12, (1, 1))
     m = direct_sum(cover12, [proj, shift_module(proj, (1, 0))])
     a, i, j = next((a, i, j) for a, rows in proj.action.items()
@@ -406,7 +434,7 @@ def test_block_elimination_rejects_broken_actions(cover12):
 
     everything = set(range(m.dim))
     for edit, msg in ((grading, "leaves its"), (weights, "breaks weights")):
-        for build in (top_generators, minimal_resolution,
+        for build in (top_generators, minimal_resolution, socle_rows,
                       lambda mod: largest_stable_subspace(mod, everything)):
             with pytest.raises(AssertionError, match=msg):
                 build(_with_action(m, edit))
