@@ -257,6 +257,15 @@ FROZEN_STDOUT = {
         "0b7ff2925d6506bd90ab9fa8a281277d86b6eb58e23e8aa6b8330951e4e9d576",
     ("cartan", "--n", "3", "--s", "3"):
         "de23e93058dac2599312e6ee1def7ef6216d349121734a0f44cee4e54006148d",
+    ("check", "borel", "--n", "2", "--s", "4"):
+        "5fe3f9f4e8ae5d0ae0b3bc140b55b65a91ac7c29ac86c5b385df913be466d08b",
+    ("check", "cover", "--n", "3", "--s", "3"):
+        "535dbd3a34d367268dee813a57172be2e23c7673a66b1521bd5e1eafff59c250",
+    ("check", "qh", "--n", "3", "--s", "3"):
+        "06d85a57251a6b3a0134db7f87bf30354b4686a339e962862f56d5f16d79d601",
+    ("resolve", "--n", "2", "--s", "4", "--module", "costandard:0,1,3",
+     "--grading", "flat"):
+        "e077f749b98a8109b8fcb2d0daa1357def4c7663bbe2431e689396ef8f1fdd46",
 }
 
 
