@@ -568,14 +568,6 @@ class AlgebraInstance:
 
     # -- derived structure --------------------------------------------------
 
-    def cartan_matrix(self) -> Matrix:
-        """Entry (x, y) = dim e_x A e_y, rows/cols in vertex order."""
-        idx = {v: i for i, v in enumerate(self.presentation.vertices)}
-        m = Matrix.zero(len(idx), len(idx))
-        for p in self.basis():
-            m.data[idx[p.source]][idx[p.target]] += 1
-        return m
-
     def opposite(self) -> "AlgebraInstance":
         if self._op is None:
             self._op = compute_basis(opposite_presentation(self.presentation),

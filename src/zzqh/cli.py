@@ -32,7 +32,8 @@ from .koszul import (brauer_line_presentation, check_delta_koszul,
                      check_standard_koszul, counterexample_presentation,
                      fixture_brauer_line, fixture_counterexample,
                      loop_presentation)
-from .modules import canonical_module, is_linear, minimal_resolution
+from .modules import (algebra_order, canonical_module, is_linear,
+                      minimal_resolution)
 from .qh import check_borel, check_cover, check_quasi_hereditary
 from .quiver import build_quiver, export_dot, order_data, vertex_name
 
@@ -218,6 +219,11 @@ def cmd_resolve(args) -> int:
               if vertex_name(v) == vtext), None)
     if x is None:
         raise UsageError(f"no vertex {vtext!r} in this algebra")
+    if kind in ("standard", "costandard"):
+        try:
+            algebra_order(inst)
+        except ValueError as e:  # only covers and Borels carry an order
+            raise UsageError(str(e)) from None
     res = minimal_resolution(canonical_module(inst, kind, x), max_steps=cap)
     steps = []
     for terms in res.terms:
@@ -265,7 +271,7 @@ def _check_one(name: str, n: int, s: int, basis, cap):
         return check_degree_law(table)
     built = build_dual_from_ext(cover, table)
     report = compare_dual(built, presentation_dual_conjectured(n, s), table)
-    report["simple_costandard"] = check_simple_costandard_dims(cover, built)
+    report["simple_costandard"] = check_simple_costandard_dims(cover)
     report["passed"] = (report["passed"]
                         and report["simple_costandard"]["passed"])
     return report

@@ -625,12 +625,11 @@ def compare_dual(built: Presentation, conjectured: Presentation,
 # companion checks
 
 
-def check_degree_law(table: ExtTable, n: int = None) -> dict:
+def check_degree_law(table: ExtTable) -> dict:
     """Every nonzero class satisfies i = d(x, y) - n*sharp, with d the
     order distance from source to target weight; in particular Ext
     vanishes entirely between incomparable weights."""
-    if n is None:
-        n = table.cover.presentation.params["n"]
+    n = table.cover.presentation.params["n"]
     checked, failures = 0, []
     for (x, y, i, jb, js), m in sorted(table.dims.items()):
         if not m:
@@ -667,16 +666,13 @@ def check_dual_koszul(n: int, s: int) -> KoszulReport:
     return rep
 
 
-def check_simple_costandard_dims(cover: AlgebraInstance,
-                                 built: Presentation = None) -> dict:
+def check_simple_costandard_dims(cover: AlgebraInstance) -> dict:
     """dim Hom(Delta_y, Nabla_x<j>) = delta_xy delta_j0, and all higher
     graded Ext(Delta_y, Nabla_x) vanish: the dimensions that force each
     costandard onto the simple top of the corresponding dual
-    projective.  The built dual enters only through its vertex set."""
+    projective."""
     order = algebra_order(cover)
     verts = list(cover.presentation.vertices)
-    if built is not None and set(built.vertices) != set(verts):
-        raise ValueError("built dual lives on a different vertex set")
     resolutions = {y: standard_resolution(cover, y, order)[1] for y in verts}
     failures, hom_dims = [], {}
     for x in verts:

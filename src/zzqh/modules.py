@@ -6,16 +6,17 @@ rows: ``action[arrow][i]`` maps j to the nonzero coefficient of basis
 vector j in basis vector i times the arrow.  ``RightModule.act(arrow,
 row)`` is the one product of a dense row with an arrow.  Canonical
 constructors build simples, projectives e_x A, injectives D(A e_x),
-and, over a quasi-hereditary cover, standard and costandard modules
-from the partial order on vertices.  On top of that live projective
+and, over a quasi-hereditary cover, standard modules from the partial
+order on vertices and costandard modules as duals of the opposite
+algebra's standard modules.  On top of that live projective
 covers, minimal bigraded resolutions, Hom spaces, cochain complexes
 computing Ext, filtration by standard modules, and the duality to the
 opposite algebra.
 
 Elimination is block-local: an arrow maps each (vertex, bidegree) block
 into one other block and a module map keeps blocks in place, so kernels,
-radicals and stable subspaces are reduced block by block, in the block's
-own coordinates, and an entry outside its block raises ``AssertionError``.
+radicals and socles are reduced block by block, in the block's own
+coordinates, and an entry outside its block raises ``AssertionError``.
 
 Conventions.  Module maps are matrices acting on row vectors: row i
 holds the image of source basis vector i.  Duality negates bidegrees:
@@ -355,56 +356,6 @@ def generated_submodule(m: RightModule, rows):
     return graded_rows(m, list(span.rows.values()))
 
 
-def largest_stable_subspace(m: RightModule, allowed):
-    """Row basis of the largest submodule supported on the coordinates
-    in ``allowed`` (a set of basis indices), one block at a time: a
-    vector of block B stays while each arrow a sends it into what is left
-    of block B+a.  Passes run, deepest block first, until none shrinks."""
-    blocks = m.blocks()
-    space = {key: [[ONE if j == k else ZERO for j in range(len(cols))]
-                   for k, i in enumerate(cols) if i in allowed]
-             for key, cols in blocks.items()}
-    shrunk = True
-    while shrunk:
-        shrunk = False
-        for key in sorted(filter(space.get, space), key=lambda k: -sum(k[1])):
-            cols, rows = blocks[key], space[key]
-            resid = [[] for _ in rows]
-            for a, tkey, tcols in _arrows_from(m, blocks, key):
-                span = Echelon(space.get(tkey, ()))
-                for r, rr in zip(rows, resid):
-                    rr.extend(span.reduce(_restrict(m.act(a, r, cols), tcols)))
-            _, kern = Matrix(resid).left_kernel()
-            if len(kern) < len(rows):
-                space[key] = (Matrix(kern, ncols=len(rows)) * Matrix(rows)).data
-                shrunk = True
-    return graded_rows(m, [_dense(zip(blocks[key], r), m.dim)
-                           for key, rows in space.items() for r in rows])
-
-
-def submodule(m: RightModule, rows, label=""):
-    """The submodule spanned by the rows, with its inclusion map.
-    Raises if the span is not action-stable."""
-    rows = graded_rows(m, rows)
-    base = Matrix([list(r) for r in rows], ncols=m.dim)
-    # the rows are reduced, so an image's coefficient on a row is its
-    # entry at that row's pivot
-    span = Echelon(rows)
-    pivots = list(span.rows)
-    action = {}
-    for a in m.algebra.presentation.arrows:
-        action[a] = []
-        for r in rows:
-            img = m.act(a, r)
-            if any(span.reduce(img)):
-                raise AssertionError("rows do not span a submodule")
-            action[a].append({k: img[p] for k, p in enumerate(pivots) if img[p]})
-    sub = RightModule(m.algebra, [m.vertices[p] for p in pivots],
-                      [m.bidegrees[p] for p in pivots], action, label=label)
-    incl = ModuleMap(sub, m, base)
-    return sub, incl
-
-
 def quotient_module(m: RightModule, rows, label=""):
     """The quotient by the submodule spanned by the rows, with the
     projection map.  Raises if the span is not action-stable."""
@@ -445,13 +396,12 @@ def standard_module(a: AlgebraInstance, x, order: OrderData = None) -> RightModu
 
 def costandard_module(a: AlgebraInstance, x, order: OrderData = None) -> RightModule:
     """Largest submodule of I_x whose composition factors have weight
-    at most x."""
+    at most x: the dual of the standard module of the opposite algebra
+    at x, under the same order (Dlab-Ringel)."""
     order = order or algebra_order(a)
-    inj = injective_module(a, x)
-    allowed = {i for i, v in enumerate(inj.vertices) if order.leq(v, x)}
-    rows = largest_stable_subspace(inj, allowed)
-    sub, _ = submodule(inj, rows, label=f"Nabla[{x}]")
-    return sub
+    mod = dualize(standard_module(a.opposite(), x, order))
+    mod.label = f"Nabla[{x}]"
+    return mod
 
 
 def canonical_module(a: AlgebraInstance, kind: str, x, shift=(0, 0)) -> RightModule:

@@ -167,6 +167,12 @@ def test_out_flag_writes_file(capsys, tmp_path):
      "check 'all' does not run on --algebra 'borel'"),
     (["check", "qh", "--algebra", "fixture:loop"], None,
      "check 'qh' does not run on --algebra 'fixture:loop'"),
+    (["resolve", "--algebra", "qdual", "--n", "1", "--s", "2",
+      "--module", "standard:0,2"], None,
+     "no partial order for a 'cover!' presentation"),
+    (["resolve", "--algebra", "fixture:counterexample",
+      "--module", "costandard:1"], None,
+     "no partial order for a 'counterexample' presentation"),
 ])
 def test_usage_errors_exit_two_with_one_line(capsys, monkeypatch, argv, env,
                                              message):

@@ -229,9 +229,9 @@ def test_dual_koszul_and_shift_law():
         assert shift["passed"] and shift["checked"] > 0
 
 
-def test_simple_costandard_dims(covers, built_duals):
+def test_simple_costandard_dims(covers):
     for key, cover in covers.items():
-        rep = check_simple_costandard_dims(cover, built_duals[key])
+        rep = check_simple_costandard_dims(cover)
         assert rep["passed"], (key, rep["failures"])
 
 
