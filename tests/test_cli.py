@@ -272,6 +272,16 @@ FROZEN_STDOUT = {
     ("resolve", "--n", "2", "--s", "4", "--module", "costandard:0,1,3",
      "--grading", "flat"):
         "e077f749b98a8109b8fcb2d0daa1357def4c7663bbe2431e689396ef8f1fdd46",
+    ("build", "--algebra", "zigzag", "--n", "2", "--s", "3"):
+        "23657451512df4964fbd9bec7fe03629939e7f238ea3944e098a498bd606bf9d",
+    ("build", "--algebra", "borel", "--n", "3", "--s", "3"):
+        "210716a83e686d16e363624362ca7b809a5b1fb5953a6276e588229f0d3f796e",
+    ("dims", "--algebra", "qdual", "--n", "3", "--s", "3"):
+        "785c969361918a4b9dd3010b27c5b436c0073fa415b236efa417bd1759f62692",
+    ("build", "--algebra", "fixture:brauer-line", "--s", "3"):
+        "bb929573bd7e5b0faf314cadf1e24510267ade59286316ba501f78b07210b3f7",
+    ("check", "socle-lemmas", "--n", "2", "--s", "4"):
+        "603135c0695e91a6e674890885127567a87aaf9408216a41fa325b57763afed7",
 }
 
 
