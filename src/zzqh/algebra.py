@@ -5,12 +5,12 @@ relation elements.  ``compute_basis`` builds the basis one path length
 at a time from the basis of the length before: the candidates of
 length d are the basis paths of length d-1, each extended by one arrow,
 and the relations, multiplied on the left by shorter basis paths and
-rewritten over the candidates, are eliminated among them.  The
-elimination order puts the lexicographically largest word on the
-pivot, so the surviving representative of each class is the
-lexicographically smallest path under the arrow order
-``a_1 < a_2 < ... < a_n < a_0`` (index-0 arrows sort last).
-Multiplication then reduces concatenations to this basis.
+rewritten over the candidates, are eliminated one (source, target,
+bidegree) block at a time.  The largest word is the pivot, so the
+surviving representative of each class is the lexicographically
+smallest path under the arrow order ``a_1 < a_2 < ... < a_n < a_0``
+(index-0 arrows sort last).  Multiplication then reduces
+concatenations to this basis.
 
 The zigzag family lives on the translation quivers of :mod:`.quiver`:
 
@@ -451,61 +451,6 @@ class NonTerminationError(Exception):
             f"basis not exhausted by length {max_len}; dims so far {dims}")
 
 
-class _Echelon:
-    """Fully reduced sparse row echelon keyed by pivot path.
-
-    Rows are dicts path -> coefficient with the pivot (the largest path
-    in the row) normalised to 1.  Rows are mutually reduced, so a
-    pivot's row directly gives its normal form in terms of basis paths.
-    """
-
-    def __init__(self):
-        self.rows = {}
-        self._occ = {}  # path -> set of pivot keys whose rows touch it
-
-    def insert(self, vec: dict):
-        for p in sorted(vec, key=Path.sort_key, reverse=True):
-            c = vec.get(p)
-            if not c:
-                continue
-            row = self.rows.get(p)
-            if row is not None:
-                for q, v in row.items():
-                    nv = vec.get(q, ZERO) - c * v
-                    if nv:
-                        vec[q] = nv
-                    else:
-                        vec.pop(q, None)
-        vec = {p: c for p, c in vec.items() if c}
-        if not vec:
-            return False
-        pivot = max(vec, key=Path.sort_key)
-        inv = ONE / vec[pivot]
-        vec = {p: c * inv for p, c in vec.items()}
-        for key in list(self._occ.get(pivot, ())):
-            row = self.rows[key]
-            f = row.get(pivot)
-            if not f:
-                continue
-            for q, v in vec.items():
-                nv = row.get(q, ZERO) - f * v
-                if nv:
-                    row[q] = nv
-                    if q != key:
-                        self._occ.setdefault(q, set()).add(key)
-                else:
-                    row.pop(q, None)
-                    if q != key:
-                        occ = self._occ.get(q)
-                        if occ:
-                            occ.discard(key)
-        self.rows[pivot] = vec
-        for q in vec:
-            if q != pivot:
-                self._occ.setdefault(q, set()).add(pivot)
-        return True
-
-
 class AlgebraInstance:
     """A finite dimensional bound quiver algebra with a computed basis.
 
@@ -594,23 +539,24 @@ def _combine(pairs) -> dict:
     return out
 
 
-def _normal_form(p: Path, basis, rows) -> dict:
+def _normal_form(p: Path, basis, forms) -> dict:
     """The normal form of ``p`` as a dict basis path -> coefficient.
 
-    ``rows`` holds the pivot rows of the candidates.  Any other path
-    not in ``basis`` reduces its prefix first; each term of that,
-    extended by the last arrow, is a candidate.  While ``compute_basis``
-    works on length d, ``basis`` holds all candidates of length d, so a
-    path of length d is written over them."""
+    ``forms`` maps each pivot candidate to its normal form, which is
+    returned as stored: callers only read it.  Any other path not in
+    ``basis`` reduces its prefix first; each term of that, extended by
+    the last arrow, is a candidate.  While ``compute_basis`` works on
+    length d, ``basis`` holds all candidates of length d, so a path of
+    length d is written over them."""
     if p in basis:
         return {p: ONE}
-    row = rows.get(p)
-    if row is not None:
-        return {q: -c for q, c in row.items() if q != p}
+    form = forms.get(p)
+    if form is not None:
+        return form
     last = p.arrows[-1]
-    return _combine((_normal_form(Path(b.source, b.arrows + (last,)), basis, rows), c)
+    return _combine((_normal_form(Path(b.source, b.arrows + (last,)), basis, forms), c)
                     for b, c in _normal_form(Path(p.source, p.arrows[:-1]),
-                                             basis, rows).items())
+                                             basis, forms).items())
 
 
 def compute_basis(pres: Presentation, max_len: int = DEFAULT_MAX_LEN) -> AlgebraInstance:
@@ -620,10 +566,13 @@ def compute_basis(pres: Presentation, max_len: int = DEFAULT_MAX_LEN) -> Algebra
     extended by one arrow, span A_{d-1} (x) A_1.  The kernel of its map
     onto A_d is spanned by the products b * r of a relation r of length
     k <= d with a basis path b of length d-k, the length-(d-1) prefix of
-    each term put in normal form; these are eliminated among the
-    candidates.  By a dimension count the candidates that are not
-    pivots are the normal words, the paths an elimination over all
-    paths would keep.  Pivot rows are kept for the candidates only.
+    each term put in normal form.  Each product lies in one (source,
+    target, bidegree) block; ``Matrix.rref`` eliminates each block with
+    its paths as columns in descending ``Path.sort_key`` order, so the
+    pivots and normal forms depend only on the span.  A pivot keeps its
+    row, without the pivot and negated, as its normal form.  By a
+    dimension count the candidates that are not pivots are the normal
+    words, the paths an elimination over all paths would keep.
 
     Stops at the first empty length and returns the finite instance (all
     longer components vanish since the algebra is generated in length
@@ -638,32 +587,42 @@ def compute_basis(pres: Presentation, max_len: int = DEFAULT_MAX_LEN) -> Algebra
 
     basis_by_length = [[Path(v) for v in pres.vertices]]
     basis = set(basis_by_length[0])
-    rows = {}
-    dims = [len(pres.vertices)]
+    forms = {}
 
     for d in range(1, max_len + 1):
         candidates = [Path(b.source, b.arrows + (a,))
                       for b in basis_by_length[-1]
                       for a in pres.arrows_from(b.target)]
         basis.update(candidates)  # until the pivots are known
-        ech = _Echelon()
+        blocks = {}  # (source, target, bidegree) -> products b * r
         for k, at in rels.items():
             for b in basis_by_length[d - k] if k <= d else ():
                 for r in at.get(b.target, ()):
-                    ech.insert(_combine(
+                    vec = _combine(
                         (_normal_form(Path(b.source, b.arrows + t.arrows),
-                                      basis, rows), c)
-                        for t, c in r.terms.items()))
-        basis.difference_update(ech.rows)
-        rows.update(ech.rows)
-        basis_d = sorted((p for p in candidates if p not in ech.rows),
+                                      basis, forms), c)
+                        for t, c in r.terms.items())
+                    if vec:
+                        p = next(iter(vec))
+                        blocks.setdefault((p.source, p.target, p.bidegree),
+                                          []).append(vec)
+        for vecs in blocks.values():
+            cols = sorted({p for vec in vecs for p in vec},
+                          key=Path.sort_key, reverse=True)
+            found, red = Matrix([[vec.get(p, ZERO) for p in cols]
+                                 for vec in vecs]).rref()
+            for c, row in zip(found, red.data):
+                forms[cols[c]] = {cols[j]: -v for j, v in enumerate(row)
+                                  if v and j != c}
+        basis_d = sorted((p for p in candidates if p not in forms),
                          key=Path.sort_key)
+        basis.difference_update(forms)
         basis_by_length.append(basis_d)
-        dims.append(len(basis_d))
         if not basis_d:
-            return AlgebraInstance(pres, basis_by_length, rows)
+            return AlgebraInstance(pres, basis_by_length, forms)
 
-    raise NonTerminationError(pres, max_len, dims)
+    raise NonTerminationError(pres, max_len,
+                              [len(level) for level in basis_by_length])
 
 
 def opposite_presentation(pres: Presentation) -> Presentation:

@@ -222,8 +222,9 @@ def cmd_resolve(args) -> int:
     if kind in ("standard", "costandard"):
         try:
             algebra_order(inst)
-        except ValueError as e:  # only covers and Borels carry an order
-            raise UsageError(str(e)) from None
+        except ValueError:  # only covers and Borels carry an order
+            raise UsageError(f"no partial order on --algebra {args.algebra!r}, "
+                             f"so no {kind} module") from None
     res = minimal_resolution(canonical_module(inst, kind, x), max_steps=cap)
     steps = []
     for terms in res.terms:

@@ -509,10 +509,13 @@ def hom_space(m: RightModule, n: RightModule, shift=None):
 def is_isomorphic(m: RightModule, n: RightModule, graded=True):
     """Certify an isomorphism or its impossibility.
 
-    Fast invariants (dim, graded block dims) decide the negative case;
-    otherwise a seeded search through the Hom space must produce an
-    invertible map.  Raises if the invariants match but no isomorphism
-    is found, rather than guessing."""
+    Fast invariants (dim, graded block dims) decide the negative case.
+    Otherwise up to 8 seeded trials each combine a Hom basis with
+    coefficients from [1, 2^20]; an invertible combination certifies
+    the isomorphism.  If one exists, the determinant is a nonzero
+    polynomial of degree at most dim in the coefficients, so a trial
+    fails with probability at most dim / 2^20 (Schwartz-Zippel).
+    Raises if every trial fails, rather than guessing."""
     def block_dims(mod):
         return {k: len(ix) for k, ix in mod.blocks(graded).items()}
     if m.dim != n.dim or block_dims(m) != block_dims(n):
@@ -526,23 +529,19 @@ def is_isomorphic(m: RightModule, n: RightModule, graded=True):
         if strip(ms) != strip(ns) or strip(mt) != strip(nt):
             return False
     maps = hom_space(m, n, shift=(0, 0) if graded else None)
-    for f in maps:
-        if f.matrix.rank() == m.dim:
-            return True
+    if not maps:
+        return m.dim == 0
     rng = random.Random(0)
-    for _ in range(500):
+    for _ in range(8):
         rows = [[ZERO] * n.dim for _ in range(m.dim)]
         for f in maps:
-            c = rng.randint(-3, 3)
-            if c:
-                for row, frow in zip(rows, f.matrix.data):
-                    for j, v in enumerate(frow):
-                        if v:
-                            row[j] += c * v
+            c = rng.randint(1, 1 << 20)
+            for row, frow in zip(rows, f.matrix.data):
+                for j, v in enumerate(frow):
+                    if v:
+                        row[j] += c * v
         if Matrix(rows, ncols=n.dim).rank() == m.dim:
             return True
-    if not maps:
-        return False
     raise RuntimeError("isomorphism search inconclusive")
 
 

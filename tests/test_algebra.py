@@ -130,6 +130,22 @@ def test_basis_matches_reference_on_the_fixtures(pres):
     _assert_engine_matches_reference(pres)
 
 
+def test_pivot_rows_are_reduced_at_later_pivots():
+    """x3y3 = x2y2 = x1y1 in one block: the row of the first pivot x3y3
+    meets the second pivot x2y2, so a forward echelon form without
+    back-substitution would leave x2y2, not a basis path, in the normal
+    form of x3y3."""
+    arrows = ([Arrow("u", f"v{i}", f"x{i}", (1, 0)) for i in (1, 2, 3)]
+              + [Arrow(f"v{i}", "w", f"y{i}", (1, 0)) for i in (1, 2, 3)])
+    free = Presentation(["u", "v1", "v2", "v3", "w"], arrows, ())
+    p = {i: free.path("u", (f"x{i}", f"y{i}")) for i in (1, 2, 3)}
+    pres = Presentation(free.vertices, arrows,
+                        [Element({p[3]: 1, p[2]: -1}),
+                         Element({p[2]: 1, p[1]: -1})])
+    _assert_engine_matches_reference(pres)
+    assert compute_basis(pres).reduce_path(p[3]).terms == {p[1]: 1}
+
+
 def test_basis_matches_reference_on_random_presentations():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

@@ -169,10 +169,11 @@ def test_out_flag_writes_file(capsys, tmp_path):
      "check 'qh' does not run on --algebra 'fixture:loop'"),
     (["resolve", "--algebra", "qdual", "--n", "1", "--s", "2",
       "--module", "standard:0,2"], None,
-     "no partial order for a 'cover!' presentation"),
+     "no partial order on --algebra 'qdual', so no standard module"),
     (["resolve", "--algebra", "fixture:counterexample",
       "--module", "costandard:1"], None,
-     "no partial order for a 'counterexample' presentation"),
+     "no partial order on --algebra 'fixture:counterexample', so no "
+     "costandard module"),
 ])
 def test_usage_errors_exit_two_with_one_line(capsys, monkeypatch, argv, env,
                                              message):
@@ -300,6 +301,14 @@ def test_check_all_matches_the_single_checks(capsys):
         _, single = _run(capsys, "check", result["check"],
                          "--n", "2", "--s", "2")
         assert json.loads(single)["results"] == [result]
+
+
+def test_delta_koszul_finds_the_isomorphism_past_the_grid(capsys):
+    """At (3,4) Hom(Gamma_0, Delta) has 35 basis maps; a search whose
+    coefficients can be zero found no isomorphism there and raised."""
+    code, out = _run(capsys, "check", "delta-koszul", "--n", "3", "--s", "4")
+    assert code == 0
+    assert json.loads(out)["results"][0]["report"]["extra"]["gamma0_iso_delta"]
 
 
 def test_resolve_caps_the_basis(capsys):
