@@ -461,10 +461,10 @@ class AlgebraInstance:
     generated in length 1 all longer components vanish as well.
     """
 
-    def __init__(self, presentation, basis_by_length, reduction):
+    def __init__(self, presentation, basis_by_length, forms):
         self.presentation = presentation
         self.basis_by_length = [tuple(b) for b in basis_by_length]
-        self._reduction = reduction
+        self._forms = forms
         self.top_length = len(self.basis_by_length) - 1
         self._basis_set = {p for level in self.basis_by_length for p in level}
         self._op = None
@@ -500,7 +500,7 @@ class AlgebraInstance:
     def reduce_path(self, p: Path) -> Element:
         if p.length > self.top_length:
             return Element()
-        return Element(_normal_form(p, self._basis_set, self._reduction))
+        return Element(_normal_form(p, self._basis_set, self._forms))
 
     def normal_form(self, elt: Element) -> Element:
         out = Element()
