@@ -36,6 +36,20 @@ def test_check_failure_reports_witness(capsys):
     assert inner["witnesses"]["projectives_delta_filtered"]
 
 
+def test_zigzag_delta_filtration_witnesses_are_frozen(capsys):
+    """The dimensions of the generated submodules at which the greedy
+    Delta-filtration of each zigzag projective stops."""
+    code, out = _run(capsys, "check", "qh", "--algebra", "zigzag",
+                     "--n", "2", "--s", "3")
+    assert code == 1
+    witnesses = json.loads(out)["results"][0]["report"]["witnesses"]
+    got = [(w["projective"], w["vertex"], w["copies"], w["submodule_dim"],
+            w["expected_dim"])
+           for w in witnesses["projectives_delta_filtered"]]
+    assert got == [("0,0,2", "0,0,2", 2, 4, 8), ("0,1,1", "0,0,2", 1, 3, 4),
+                   ("1,0,1", "0,0,2", 1, 2, 4), ("1,1,0", "0,1,1", 1, 2, 3)]
+
+
 def test_build_nontermination_signal(capsys):
     code, out = _run(capsys, "build", "--algebra", "zigzag",
                      "--n", "1", "--s", "2", "--max-steps", "10")
@@ -283,6 +297,8 @@ FROZEN_STDOUT = {
         "bb929573bd7e5b0faf314cadf1e24510267ade59286316ba501f78b07210b3f7",
     ("check", "socle-lemmas", "--n", "2", "--s", "4"):
         "603135c0695e91a6e674890885127567a87aaf9408216a41fa325b57763afed7",
+    ("check", "delta-koszul", "--n", "3", "--s", "3"):
+        "5d5c8881b01c9d45775f8ac186912e96ede5557358ec73cd01ad63c6dd83ec4e",
 }
 
 
