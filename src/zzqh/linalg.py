@@ -10,8 +10,9 @@ are not matrices: ``modules.RightModule`` stores them as sparse rows.
 ``Echelon`` is the one elimination in the package: ``Matrix.rref``
 and with it ranks, kernels and solving are built on it, the basis
 engine ``algebra.compute_basis`` reduces each relation block through
-``Matrix.rref``, and the module code uses it directly for spans, top
-generators and residues.  Callers rely on
+``Matrix.rref``, and the module code uses it directly for top
+generators and Ext residues; quotients of modules need no elimination,
+being restrictions to basis indices.  Callers rely on
 three of its conditions.  The pivot of a stored row is its leftmost
 nonzero entry, scaled to 1.  Stored rows are never rewritten, so a row
 handed out stays valid.  The residue of a vector modulo the span is

@@ -17,6 +17,10 @@ Elimination is block-local: an arrow maps each (vertex, bidegree) block
 into one other block and a module map keeps blocks in place, so kernels,
 radicals and socles are reduced block by block, in the block's own
 coordinates, and an entry outside its block raises ``AssertionError``.
+Quotients eliminate nothing: with monomial or binomial relations every
+submodule divided out is spanned by basis vectors, a set of indices
+closed along single-entry action rows, and a quotient keeps the other
+indices; both certify the span action-stable or raise ``AssertionError``.
 
 Conventions.  Module maps are matrices acting on row vectors: row i
 holds the image of source basis vector i.  Duality negates bidegrees:
@@ -198,24 +202,6 @@ def _block_kernel(f: ModuleMap):
     return rank, kernel
 
 
-def graded_rows(module: RightModule, rows):
-    """The rows grouped by block, each block reduced; raises unless each
-    row lies in one block, which certifies the span graded."""
-    blocks = module.blocks()
-    per_block = {}
-    for r in rows:
-        i = next((i for i, c in enumerate(r) if c), None)
-        if i is not None:
-            key = (module.vertices[i], module.bidegrees[i])
-            per_block.setdefault(key, []).append(_restrict(r, blocks[key]))
-    out = []
-    for key in sorted(per_block, key=_block_key):
-        pivots, red = Matrix(per_block[key]).rref()
-        out.extend(_dense(zip(blocks[key], row), module.dim)
-                   for row in red.data[:len(pivots)])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # canonical modules
 
@@ -341,45 +327,44 @@ def algebra_order(a: AlgebraInstance) -> OrderData:
     return order_data(build_quiver(n, s))
 
 
-def generated_submodule(m: RightModule, rows):
-    """Row basis of the submodule generated by the given rows."""
-    span = Echelon()
-    work = [list(r) for r in rows]
+def _assert_stable(m: RightModule, indices, message):
+    """Raises unless the basis vectors in the set ``indices`` span a
+    submodule."""
+    for rows in m.action.values():
+        for i in indices:
+            if not rows[i].keys() <= indices:
+                raise AssertionError(message)
+
+
+def generated_submodule(m: RightModule, seeds):
+    """Sorted basis indices of the submodule generated by the basis
+    vectors ``seeds``: an index joins when it is the single entry of an
+    action row of a member.  Raises unless the span of the closure is
+    action-stable, which certifies that it is the generated submodule."""
+    members, work = set(seeds), list(seeds)
     while work:
-        piv = span.insert(work.pop())
-        if piv is None:
-            continue
-        for a in m.algebra.presentation.arrows:
-            img = m.act(a, span.rows[piv])
-            if any(img):
-                work.append(img)
-    return graded_rows(m, list(span.rows.values()))
+        i = work.pop()
+        new = {j for rows in m.action.values() if len(rows[i]) == 1
+               for j in rows[i]} - members
+        members |= new
+        work.extend(new)
+    _assert_stable(m, members, "submodule not spanned by basis vectors")
+    return sorted(members)
 
 
-def quotient_module(m: RightModule, rows, label=""):
-    """The quotient by the submodule spanned by the rows, with the
-    projection map.  Raises if the span is not action-stable."""
-    span = Echelon(graded_rows(m, rows))
-    for r in span.rows.values():
-        for a in m.algebra.presentation.arrows:
-            if any(span.reduce(m.act(a, r))):
-                raise AssertionError("rows do not span a submodule")
-    keep = [i for i in range(m.dim) if i not in span.rows]
-    proj = Matrix.zero(m.dim, len(keep))
+def quotient_module(m: RightModule, indices, label=""):
+    """The quotient by the span of the basis vectors ``indices``: m
+    restricted to the other basis vectors, each action row cut to them.
+    Raises if the span is not action-stable."""
+    gone = set(indices)
+    _assert_stable(m, gone, "rows do not span a submodule")
+    keep = [i for i in range(m.dim) if i not in gone]
     pos = {i: k for k, i in enumerate(keep)}
-    for i in range(m.dim):
-        for j, c in enumerate(span.reduce(m.unit(i))):
-            if c:
-                proj.data[i][pos[j]] = c
-    action = {}
-    for a in m.algebra.presentation.arrows:
-        stored = m.action[a]
-        action[a] = [{pos[j]: c for j, c in enumerate(
-                          span.reduce(_dense(stored[i].items(), m.dim))) if c}
-                     if stored[i] else {} for i in keep]
-    quot = RightModule(m.algebra, [m.vertices[i] for i in keep],
+    action = {a: [{pos[j]: c for j, c in rows[i].items() if j in pos}
+                  for i in keep]
+              for a, rows in m.action.items()}
+    return RightModule(m.algebra, [m.vertices[i] for i in keep],
                        [m.bidegrees[i] for i in keep], action, label=label)
-    return quot, ModuleMap(m, quot, proj)
 
 
 def standard_module(a: AlgebraInstance, x, order: OrderData = None) -> RightModule:
@@ -388,10 +373,8 @@ def standard_module(a: AlgebraInstance, x, order: OrderData = None) -> RightModu
     order = order or algebra_order(a)
     proj = projective_module(a, x)
     bad = [i for i, v in enumerate(proj.vertices) if not order.leq(v, x)]
-    rows = [proj.unit(i) for i in bad]
-    gen = generated_submodule(proj, rows) if rows else []
-    quot, _ = quotient_module(proj, gen, label=f"Delta[{x}]")
-    return quot
+    return quotient_module(proj, generated_submodule(proj, bad),
+                           label=f"Delta[{x}]")
 
 
 def costandard_module(a: AlgebraInstance, x, order: OrderData = None) -> RightModule:
@@ -506,6 +489,10 @@ def hom_space(m: RightModule, n: RightModule, shift=None):
     return maps
 
 
+class InconclusiveSearch(RuntimeError):
+    """Every seeded trial of ``is_isomorphic`` failed."""
+
+
 def is_isomorphic(m: RightModule, n: RightModule, graded=True):
     """Certify an isomorphism or its impossibility.
 
@@ -542,7 +529,7 @@ def is_isomorphic(m: RightModule, n: RightModule, graded=True):
                         row[j] += c * v
         if Matrix(rows, ncols=n.dim).rank() == m.dim:
             return True
-    raise RuntimeError("isomorphism search inconclusive")
+    raise InconclusiveSearch("isomorphism search inconclusive")
 
 
 # ---------------------------------------------------------------------------
@@ -825,15 +812,14 @@ def delta_filtration(m: RightModule, order: OrderData = None):
         present = sorted({v for v in current.vertices}, key=_vkey)
         maximal = next(x for x in present
                        if not any(order.lt(x, y) for y in present if y != x))
-        gens = [(i, current.bidegrees[i]) for i, v in enumerate(current.vertices)
-                if v == maximal]
-        sub = generated_submodule(current, [current.unit(i) for i, _ in gens])
+        gens = [i for i, v in enumerate(current.vertices) if v == maximal]
+        sub = generated_submodule(current, gens)
         expected = len(gens) * cached_module(m.algebra, "standard", maximal,
                                              order).dim
         if len(sub) != expected:
             witness = {"vertex": maximal, "copies": len(gens),
                        "submodule_dim": len(sub), "expected_dim": expected}
             return None, witness
-        layers.extend((maximal, d) for _, d in gens)
-        current, _ = quotient_module(current, sub)
+        layers.extend((maximal, current.bidegrees[i]) for i in gens)
+        current = quotient_module(current, sub)
     return layers, None

@@ -2,11 +2,15 @@
 standard Koszulity, Koszulity of standard modules, plus the fixtures
 that separate the notions."""
 
+import pytest
+
+import zzqh.koszul
 from zzqh import compute_basis, presentation_borel, presentation_zigzag
 from zzqh.koszul import (check_delta_koszul, check_koszul,
                          check_shifted_dual_lemmas, check_standard_koszul,
                          fixture_brauer_line, fixture_counterexample,
-                         loop_presentation)
+                         gamma0_summand_iso, loop_presentation)
+from zzqh.modules import algebra_order, cached_module, projective_module
 
 GRID = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
 
@@ -33,6 +37,49 @@ def test_standards_are_koszul_in_flat_grading(covers):
         assert rep.offdiagonal == []
         assert rep.extra["gamma0_iso_delta"]
         assert rep.extra["line_algebra"]
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Counts the calls that reach ``is_isomorphic`` from the koszul
+    module."""
+    calls = []
+    search = zzqh.koszul.is_isomorphic
+
+    def counted(m, n, *args, **kwargs):
+        calls.append((m, n))
+        return search(m, n, *args, **kwargs)
+
+    monkeypatch.setattr(zzqh.koszul, "is_isomorphic", counted)
+    return calls
+
+
+@pytest.mark.parametrize("point", GRID)
+def test_gamma0_is_certified_by_the_identity(covers, point, search_calls):
+    """On the grid each e_x Gamma_0 is Delta_x as a based module, so the
+    Delta check never searches a Hom space."""
+    rep = check_delta_koszul(covers[point])
+    assert rep.extra["gamma0_iso_delta"]
+    assert search_calls == []
+
+
+@pytest.mark.parametrize("point", GRID)
+def test_gamma0_certificate_rejects_the_whole_projective(covers, point,
+                                                         search_calls):
+    """Handed all of P_x in place of Delta_x, the certificate fails at
+    every vertex where the order cut removes something and passes at
+    the others, where P_x is Delta_x."""
+    a = covers[point]
+    order = algebra_order(a)
+    cut = 0
+    for x in a.presentation.vertices:
+        proj = projective_module(a, x)
+        delta = cached_module(a, "standard", x, order)
+        assert gamma0_summand_iso(a, x, delta)
+        assert gamma0_summand_iso(a, x, proj) == (proj.dim == delta.dim), x
+        cut += proj.dim > delta.dim
+    assert 0 < cut < len(a.presentation.vertices)
+    assert len(search_calls) == cut
 
 
 def test_borels_are_koszul(borels):

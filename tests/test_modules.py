@@ -5,17 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from zzqh import compute_basis, presentation_cover
+import zzqh.modules
+from zzqh import compute_basis, presentation_cover, presentation_zigzag
+from zzqh.koszul import _flat_degree_zero_part
 from zzqh.linalg import Echelon, Matrix
 from zzqh.modules import (ModuleMap, RightModule, _block_kernel, _block_key,
                           _dense, algebra_order, canonical_module,
                           costandard_module, delta_filtration, direct_sum,
-                          dualize, ext_dims, gldim, graded_rows, hom_space,
+                          dualize, ext_dims, free_module,
+                          generated_submodule, gldim, hom_space,
                           injective_module, is_isomorphic, is_linear,
                           minimal_resolution, projective_module,
                           quotient_module, shift_module, simple_module,
                           socle_rows, socle_top, standard_module,
                           top_generators)
+from zzqh.quiver import build_quiver, order_data
 
 GRID = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
 VERTS = ((0, 2), (1, 1), (2, 0))
@@ -62,7 +66,7 @@ def test_unstable_rows_are_rejected(cover12):
     proj = projective_module(cover12, (1, 1))
     (_, _, top), = top_generators(proj)
     with pytest.raises(AssertionError, match="do not span a submodule"):
-        quotient_module(proj, [top])
+        quotient_module(proj, [top.index(1)])
 
 
 def _format_cases(a):
@@ -74,7 +78,8 @@ def _format_cases(a):
     proj, inj = projective_module(a, x), injective_module(a, x)
     return mods + [direct_sum(a, [proj, inj, simple_module(a, x, (0, 1))]),
                    shift_module(standard_module(a, x), (1, 2)),
-                   quotient_module(inj, socle_rows(inj))[0]]
+                   quotient_module(inj, [i for i, d in enumerate(inj.bidegrees)
+                                         if d == (0, 0)])]
 
 
 @pytest.mark.parametrize("point", GRID)
@@ -434,14 +439,6 @@ def test_a_map_entry_in_another_block_is_rejected(cover12):
         _block_kernel(ModuleMap(f.source, f.target, moved))
 
 
-def test_rows_across_blocks_are_rejected(cover12):
-    proj = projective_module(cover12, (1, 1))
-    mixed = [c + d for c, d in zip(proj.unit(0), proj.unit(proj.dim - 1))]
-    assert graded_rows(proj, [proj.unit(0)]) == [proj.unit(0)]
-    with pytest.raises(AssertionError, match="leaves its"):
-        graded_rows(proj, [mixed])
-
-
 def test_block_elimination_rejects_broken_actions(cover12):
     """An action entry that keeps the weight but breaks the bidegree, or
     breaks the weight, stops the resolution, the top and the socle."""
@@ -462,3 +459,133 @@ def test_block_elimination_rejects_broken_actions(cover12):
         for build in (top_generators, minimal_resolution, socle_rows):
             with pytest.raises(AssertionError, match=msg):
                 build(_with_action(m, edit))
+
+
+# ---------------------------------------------------------------------------
+# quotients by basis vectors against the echelon route they replaced
+
+
+def _generated_submodule_reference(m, rows):
+    """Row basis of the submodule the rows generate: a whole-width
+    echelon of the rows and of all their images, split by block."""
+    span = Echelon()
+    work = [list(r) for r in rows]
+    while work:
+        piv = span.insert(work.pop())
+        if piv is None:
+            continue
+        for a in m.algebra.presentation.arrows:
+            img = m.act(a, span.rows[piv])
+            if any(img):
+                work.append(img)
+    return _graded_rows_reference(m, list(span.rows.values()))
+
+
+def _quotient_module_reference(m, rows, label=""):
+    """m modulo the span of the rows, the quotient basis being the basis
+    vectors that are not pivots, each action row reduced modulo the
+    span."""
+    span = Echelon(_graded_rows_reference(m, rows))
+    for r in span.rows.values():
+        for a in m.algebra.presentation.arrows:
+            if any(span.reduce(m.act(a, r))):
+                raise AssertionError("rows do not span a submodule")
+    keep = [i for i in range(m.dim) if i not in span.rows]
+    pos = {i: k for k, i in enumerate(keep)}
+    action = {a: [{pos[j]: c for j, c in enumerate(span.reduce(
+                       _dense(m.action[a][i].items(), m.dim))) if c}
+                  for i in keep]
+              for a in m.algebra.presentation.arrows}
+    return RightModule(m.algebra, [m.vertices[i] for i in keep],
+                       [m.bidegrees[i] for i in keep], action, label=label)
+
+
+def _standard_reference(a, x, order):
+    proj = projective_module(a, x)
+    rows = [proj.unit(i) for i, v in enumerate(proj.vertices)
+            if not order.leq(v, x)]
+    gen = _generated_submodule_reference(proj, rows) if rows else []
+    return _quotient_module_reference(proj, gen, label=f"Delta[{x}]")
+
+
+def _based(m):
+    """What two based modules share when the identity is an
+    isomorphism between them."""
+    return m.label, m.vertices, m.bidegrees, m.action
+
+
+@pytest.mark.parametrize("point", GRID)
+def test_standards_match_the_echelon_route(covers, borels, point):
+    """Delta_x over the cover, the Borel and the opposite cover (the
+    route behind Nabla_x) is the same based module by both routes."""
+    cover = covers[point]
+    cases = [(cover, algebra_order(cover)),
+             (borels[point], algebra_order(borels[point])),
+             (cover.opposite(), algebra_order(cover))]
+    for a, order in cases:
+        for x in a.presentation.vertices:
+            assert _based(standard_module(a, x, order)) == \
+                _based(_standard_reference(a, x, order)), (a, x)
+
+
+@pytest.mark.parametrize("point", GRID)
+def test_flat_degree_zero_parts_match_the_echelon_route(covers, point):
+    """The regular module of the cover and of its opposite, and each
+    projective of the cover, modulo flat degree >= 1."""
+    cover = covers[point]
+    mods = [free_module(a, [(x, (0, 0)) for x in a.presentation.vertices])
+            for a in (cover, cover.opposite())]
+    mods += [projective_module(cover, x) for x in cover.presentation.vertices]
+    for m in mods:
+        rows = [m.unit(i) for i, d in enumerate(m.bidegrees) if d[0] >= 1]
+        assert _based(_flat_degree_zero_part(m)) == \
+            _based(_quotient_module_reference(m, rows)), m
+
+
+@pytest.mark.parametrize("point", GRID)
+def test_delta_filtrations_match_the_echelon_route(covers, point,
+                                                   monkeypatch):
+    """The layers of every projective of the cover and the witnesses of
+    every projective of the zigzag algebra, which is not
+    quasi-hereditary (and infinite dimensional for s = 2), are the same
+    when ``delta_filtration`` runs on the echelon route."""
+    n, s = point
+    cases = [(covers[point], algebra_order(covers[point]))]
+    if s > 2:
+        cases.append((compute_basis(presentation_zigzag(n, s)),
+                      order_data(build_quiver(n, s - 1))))
+    new = [[delta_filtration(projective_module(a, x), order)
+            for x in a.presentation.vertices] for a, order in cases]
+    monkeypatch.setattr(zzqh.modules, "generated_submodule",
+                        lambda m, seeds: _generated_submodule_reference(
+                            m, [m.unit(i) for i in seeds]))
+    monkeypatch.setattr(zzqh.modules, "quotient_module",
+                        _quotient_module_reference)
+    old = [[delta_filtration(projective_module(a, x), order)
+            for x in a.presentation.vertices] for a, order in cases]
+    assert new == old
+    assert all(layers for layers, _ in new[0])
+    assert all(any(witness for _, witness in runs) for runs in new[1:])
+
+
+def test_generated_submodule_is_the_closure_of_basis_vectors(cover12):
+    proj = projective_module(cover12, (1, 1))
+    assert generated_submodule(proj, [0]) == list(range(proj.dim))
+    assert generated_submodule(proj, []) == []
+    socle = [i for i, d in enumerate(proj.bidegrees) if sum(d) == 2]
+    assert generated_submodule(proj, socle) == socle
+
+
+def test_a_row_with_two_entries_stops_the_closure(cover12):
+    """Each entry of a row with two entries may lie outside the span, so
+    neither joins it, and the stability check rejects the closure."""
+    proj = projective_module(cover12, (1, 1))
+    a, i = next((a, i) for a, rows in proj.action.items()
+                for i, row in enumerate(rows) if row and i)
+
+    def second_entry(action):  # onto the top, outside the closure of i
+        action[a][i][0] = Fraction(1)
+
+    broken = _with_action(proj, second_entry)
+    with pytest.raises(AssertionError, match="not spanned by basis vectors"):
+        generated_submodule(broken, [i])
