@@ -26,6 +26,8 @@ def test_check_all_small_passes(capsys):
 
 
 def test_check_failure_reports_witness(capsys):
+    """The greedy Delta-filtration of each zigzag projective stops at a
+    generated submodule of the recorded dimension."""
     code, out = _run(capsys, "check", "qh", "--algebra", "zigzag",
                      "--n", "2", "--s", "3")
     assert code == 1
@@ -33,19 +35,9 @@ def test_check_failure_reports_witness(capsys):
     assert not report["passed"]
     inner = report["results"][0]["report"]
     assert inner["projectives_delta_filtered"] is False
-    assert inner["witnesses"]["projectives_delta_filtered"]
-
-
-def test_zigzag_delta_filtration_witnesses_are_frozen(capsys):
-    """The dimensions of the generated submodules at which the greedy
-    Delta-filtration of each zigzag projective stops."""
-    code, out = _run(capsys, "check", "qh", "--algebra", "zigzag",
-                     "--n", "2", "--s", "3")
-    assert code == 1
-    witnesses = json.loads(out)["results"][0]["report"]["witnesses"]
     got = [(w["projective"], w["vertex"], w["copies"], w["submodule_dim"],
             w["expected_dim"])
-           for w in witnesses["projectives_delta_filtered"]]
+           for w in inner["witnesses"]["projectives_delta_filtered"]]
     assert got == [("0,0,2", "0,0,2", 2, 4, 8), ("0,1,1", "0,0,2", 1, 3, 4),
                    ("1,0,1", "0,0,2", 1, 2, 4), ("1,1,0", "0,1,1", 1, 2, 3)]
 
