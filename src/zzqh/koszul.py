@@ -29,7 +29,7 @@ from .algebra import (AlgebraInstance, Arrow, Element, Path, Presentation,
                       presentation_shifted_dual, quadratic_blocks,
                       quadratic_dual, shifted_dual_membership)
 from .modules import (RightModule, algebra_order, dualize, ext_bigraded_reps,
-                      free_module, gldim, is_isomorphic, is_linear,
+                      free_module, gldim, is_linear,
                       left_mult_map, minimal_resolution, projective_module,
                       quotient_module, simple_module, socle_rows,
                       standard_resolution)
@@ -336,15 +336,15 @@ def _flat_degree_zero_part(m: RightModule, label=""):
 
 
 def gamma0_summand_iso(cover: AlgebraInstance, x, delta: RightModule):
-    """Whether e_x Gamma_0 (P_x modulo flat degree >= 1) is isomorphic
-    to ``delta``, standing for Delta_x: by the identity when the two are
-    the same based module, else by ``is_isomorphic``.  Both are local
-    with top S_x in bidegree (0, 0), so by Krull-Schmidt the checks at
-    all x decide Gamma_0 = sum_x Delta_x."""
+    """Whether e_x Gamma_0 (P_x modulo flat degree >= 1) and ``delta``
+    (Delta_x) are the same based module, which decides e_x Gamma_0 =
+    Delta_x: a graded isomorphism P_x/U -> P_x/V, with U and V spans of
+    basis vectors, lifts to a bidegree (0, 0) endomorphism of P_x, a
+    scalar, so U = V.  Both have top S_x, so by Krull-Schmidt the checks
+    at all x decide Gamma_0 = sum_x Delta_x."""
     part = _flat_degree_zero_part(projective_module(cover, x))
     return ((part.algebra, part.vertices, part.bidegrees, part.action)
-            == (delta.algebra, delta.vertices, delta.bidegrees, delta.action)
-            or is_isomorphic(part, delta))
+            == (delta.algebra, delta.vertices, delta.bidegrees, delta.action))
 
 
 def dual_degree_zero_module(inst: AlgebraInstance):

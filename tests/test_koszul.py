@@ -4,13 +4,13 @@ that separate the notions."""
 
 import pytest
 
-import zzqh.koszul
 from zzqh import compute_basis, presentation_borel, presentation_zigzag
 from zzqh.koszul import (check_delta_koszul, check_koszul,
                          check_shifted_dual_lemmas, check_standard_koszul,
                          fixture_brauer_line, fixture_counterexample,
                          gamma0_summand_iso, loop_presentation)
-from zzqh.modules import algebra_order, cached_module, projective_module
+from zzqh.modules import (RightModule, algebra_order, cached_module,
+                          projective_module, shift_module)
 
 GRID = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
 
@@ -30,50 +30,37 @@ def test_covers_are_standard_koszul(covers):
         assert rep.passed(), (key, rep.offdiagonal)
 
 
-@pytest.fixture
-def search_calls(monkeypatch):
-    """Counts the calls that reach ``is_isomorphic`` from the koszul
-    module."""
-    calls = []
-    search = zzqh.koszul.is_isomorphic
-
-    def counted(m, n, *args, **kwargs):
-        calls.append((m, n))
-        return search(m, n, *args, **kwargs)
-
-    monkeypatch.setattr(zzqh.koszul, "is_isomorphic", counted)
-    return calls
-
-
-def test_standards_are_koszul_in_flat_grading(covers, search_calls):
-    """On the grid each e_x Gamma_0 is Delta_x as a based module, so the
-    Delta check never searches a Hom space."""
+def test_standards_are_koszul_in_flat_grading(covers):
     for key, cover in covers.items():
         rep = check_delta_koszul(cover)
         assert rep.passed(), (key, rep.offdiagonal)
         assert rep.offdiagonal == []
         assert rep.extra["gamma0_iso_delta"]
         assert rep.extra["line_algebra"]
-    assert search_calls == []
 
 
 @pytest.mark.parametrize("point", GRID)
-def test_gamma0_certificate_rejects_the_whole_projective(covers, point,
-                                                         search_calls):
-    """Handed all of P_x in place of Delta_x, the certificate fails at
-    every vertex where the order cut removes something and passes at
-    the others, where P_x is Delta_x."""
+def test_gamma0_certificate_rejects_other_modules(covers, point):
+    """The certificate accepts Delta_x at every vertex.  Handed all of
+    P_x in place of Delta_x, it fails exactly at the vertices where the
+    order cut removes something; handed Delta_x shifted, or Delta_x with
+    every action row cleared (same dimension and grading), it fails
+    wherever these differ from Delta_x."""
     a = covers[point]
     order = algebra_order(a)
     cut = 0
     for x in a.presentation.vertices:
         proj = projective_module(a, x)
         delta = cached_module(a, "standard", x, order)
+        split = RightModule(a, delta.vertices, delta.bidegrees,
+                            {b: [{} for _ in rows]
+                             for b, rows in delta.action.items()})
         assert gamma0_summand_iso(a, x, delta)
         assert gamma0_summand_iso(a, x, proj) == (proj.dim == delta.dim), x
+        assert not gamma0_summand_iso(a, x, shift_module(delta, (0, 1))), x
+        assert gamma0_summand_iso(a, x, split) == (delta.dim == 1), x
         cut += proj.dim > delta.dim
     assert 0 < cut < len(a.presentation.vertices)
-    assert len(search_calls) == cut
 
 
 def test_borels_are_koszul(borels):
