@@ -291,6 +291,12 @@ FROZEN_STDOUT = {
         "603135c0695e91a6e674890885127567a87aaf9408216a41fa325b57763afed7",
     ("check", "delta-koszul", "--n", "3", "--s", "3"):
         "5d5c8881b01c9d45775f8ac186912e96ede5557358ec73cd01ad63c6dd83ec4e",
+    ("check", "delta-koszul", "--n", "3", "--s", "4"):
+        "ad22c7e2c43fd13b3089efb50cf9a9f02dd14b13c0ac681a07a5176f72bc9eea",
+    ("check", "qh", "--n", "3", "--s", "4"):
+        "5a0ed3afc93571c7c1edf25b8a5f27d9f75eb258f55a5bdefbb5729eacc26aa7",
+    ("check", "standard-koszul", "--n", "3", "--s", "4"):
+        "88460c68a94507e8106beef4207daf8ba0402f0c839f2d9f6947860167ed1250",
 }
 
 
