@@ -2,9 +2,11 @@
 
 A ``RightModule`` is a based bigraded module: each basis vector carries
 a vertex (its weight) and a bidegree, and every arrow acts by sparse
-rows: ``action[arrow][i]`` maps j to the nonzero coefficient of basis
-vector j in basis vector i times the arrow.  ``RightModule.act(arrow,
-row)`` is the one product of a dense row with an arrow.  Canonical
+rows: ``action[arrow]`` is a dict ``{i: {j: c}}``, c the nonzero
+coefficient of basis vector j in basis vector i times the arrow, with
+a row only for each i the arrow moves, certified once to sit at its
+source.  ``RightModule.act(arrow, row)`` is the one product of a dense
+row with an arrow.  Canonical
 constructors build simples, projectives e_x A, injectives D(A e_x),
 and, over a quasi-hereditary cover, standard modules from the partial
 order on vertices and costandard modules as duals of the opposite
@@ -45,10 +47,10 @@ ONE = Fraction(1)
 
 class RightModule:
     """A based right module.  ``vertices[i]`` and ``bidegrees[i]``
-    describe basis vector i; ``action[arrow]`` is a list of ``dim``
-    sparse rows, row i a dict {j: c} of the nonzero coefficients of
-    basis vector i times the arrow.  ``act`` is the one product of a
-    dense row with an arrow."""
+    describe basis vector i; ``action[arrow]`` maps each i the arrow
+    moves, and no other, to the row {j: c} of nonzero coefficients of
+    basis vector i times the arrow.  Building the module certifies each
+    row nonempty and keyed at a basis vector of the arrow's source."""
 
     def __init__(self, algebra, vertices, bidegrees, action, label=""):
         self.algebra = algebra
@@ -58,6 +60,12 @@ class RightModule:
             raise ValueError("vertex and bidegree lists differ in length")
         self.action = dict(action)
         self.label = label
+        for a, rows in self.action.items():
+            for i, row in rows.items():
+                if not (row and 0 <= i < len(self.vertices)):
+                    raise AssertionError(f"bad action shape for {a}")
+                if self.vertices[i] != a.source:
+                    raise AssertionError(f"action of {a} breaks weights")
 
     @property
     def dim(self):
@@ -66,15 +74,13 @@ class RightModule:
     def act(self, arrow, row, support=None):
         """``row`` times ``arrow``, as a new dense row; with ``support``,
         ``row`` holds just the coefficients of the basis vectors listed."""
-        rows = self.action.get(arrow)
-        if rows is None:
-            raise KeyError(f"no action stored for arrow {arrow}")
-        if support is not None:
-            rows = [rows[i] for i in support]
+        rows = self.action[arrow]
         out = [ZERO] * self.dim
-        for a, srow in zip(row, rows, strict=True):
-            if srow and a:
-                for j, c in srow.items():
+        if support is None:
+            support = range(self.dim)
+        for i, a in zip(support, row, strict=True):
+            if a and i in rows:
+                for j, c in rows[i].items():
                     out[j] += a * c
         return out
 
@@ -107,11 +113,11 @@ class RightModule:
         pres = self.algebra.presentation
         for a in pres.arrows:
             rows = self.action.get(a)
-            if rows is None or len(rows) != self.dim:
+            if rows is None:
                 raise AssertionError(f"bad action shape for {a}")
-            for i, srow in enumerate(rows):
+            for i, srow in rows.items():
                 for j in srow:
-                    if self.vertices[i] != a.source or self.vertices[j] != a.target:
+                    if self.vertices[j] != a.target:
                         raise AssertionError(f"action of {a} breaks weights")
                     db = tuple(x + y for x, y in zip(self.bidegrees[i], a.bidegree))
                     if self.bidegrees[j] != db:
@@ -174,15 +180,12 @@ def _dense(entries, dim):
 
 def _arrows_from(m: RightModule, blocks, key):
     """(arrow, target block, its indices) for each arrow that starts at
-    the vertex of block ``key``; raises if another arrow acts on it."""
+    the vertex of block ``key``, the only arrows the module lets act."""
     v, d = key
     out = []
-    for a in m.algebra.presentation.arrows:
-        if a.source == v:
-            tkey = (a.target, tuple(x + y for x, y in zip(d, a.bidegree)))
-            out.append((a, tkey, blocks.get(tkey, ())))
-        elif any(map(m.action[a].__getitem__, blocks[key])):
-            raise AssertionError(f"action of {a} breaks weights")
+    for a in m.algebra.presentation.arrows_from(v):
+        tkey = (a.target, tuple(x + y for x, y in zip(d, a.bidegree)))
+        out.append((a, tkey, blocks.get(tkey, ())))
     return out
 
 
@@ -220,13 +223,12 @@ def projective_module(a: AlgebraInstance, x, shift=(0, 0)) -> RightModule:
     if not paths:
         raise ValueError(f"no such vertex: {x}")
     index = {p: i for i, p in enumerate(paths)}
-    action = {}
-    for arr in a.presentation.arrows:
-        rows = action[arr] = [{} for _ in paths]
-        for p, i in index.items():
-            if p.target == arr.source:
-                img = a.reduce_path(Path(p.source, p.arrows + (arr,)))
-                rows[i] = {index[q]: c for q, c in img.terms.items()}
+    action = {arr: {} for arr in a.presentation.arrows}
+    for p, i in index.items():
+        for arr in a.presentation.arrows_from(p.target):
+            img = a.reduce_path(Path(p.source, p.arrows + (arr,)))
+            if img.terms:
+                action[arr][i] = {index[q]: c for q, c in img.terms.items()}
     mod = RightModule(a, [p.target for p in paths],
                       [p.bidegree for p in paths], action, label=f"P[{x}]")
     mod.basis_paths = tuple(paths)
@@ -237,7 +239,7 @@ def projective_module(a: AlgebraInstance, x, shift=(0, 0)) -> RightModule:
 def simple_module(a: AlgebraInstance, x, shift=(0, 0)) -> RightModule:
     if x not in a.presentation.vertices:
         raise ValueError(f"no such vertex: {x}")
-    action = {arr: [{}] for arr in a.presentation.arrows}
+    action = {arr: {} for arr in a.presentation.arrows}
     return RightModule(a, [x], [shift], action, label=f"S[{x}]")
 
 
@@ -246,26 +248,24 @@ def free_module(a: AlgebraInstance, gens) -> RightModule:
     Records ``summands`` as (vertex, shift, start, stop) slices."""
     parts = [projective_module(a, v, shift) for v, shift in gens]
     mod = direct_sum(a, parts)
-    summands = []
-    at = 0
+    mod.summands, at = [], 0
     for (v, shift), part in zip(gens, parts):
-        summands.append((v, tuple(shift), at, at + part.dim))
+        mod.summands.append((v, tuple(shift), at, at + part.dim))
         at += part.dim
-    mod.summands = summands
-    mod.label = "F[" + ", ".join(f"{v}<{s}>" for v, s, _, _ in summands) + "]"
+    mod.label = "F[" + ", ".join(f"{v}<{s}>" for v, s, _, _ in mod.summands) + "]"
     return mod
 
 
 def direct_sum(a: AlgebraInstance, parts) -> RightModule:
     vertices = [v for m in parts for v in m.vertices]
     bidegrees = [d for m in parts for d in m.bidegrees]
-    action = {}
-    for arr in a.presentation.arrows:
-        rows = action[arr] = []
-        for part in parts:
-            at = len(rows)
-            rows.extend({at + j: c for j, c in srow.items()}
-                        for srow in part.action[arr])
+    action = {arr: {} for arr in a.presentation.arrows}
+    at = 0
+    for part in parts:
+        for arr, rows in action.items():
+            for i, srow in part.action[arr].items():
+                rows[at + i] = {at + j: c for j, c in srow.items()}
+        at += part.dim
     return RightModule(a, vertices, bidegrees, action, label="sum")
 
 
@@ -275,11 +275,10 @@ def dualize(m: RightModule) -> RightModule:
     op = m.algebra.opposite()
     action = {}
     for a in m.algebra.presentation.arrows:
-        rows = action[op.presentation.arrow(a.target, a.label)] = [
-            {} for _ in range(m.dim)]
-        for i, srow in enumerate(m.action[a]):
+        rows = action[op.presentation.arrow(a.target, a.label)] = {}
+        for i, srow in m.action[a].items():
             for j, c in srow.items():
-                rows[j][i] = c
+                rows.setdefault(j, {})[i] = c
     bidegrees = [tuple(-c for c in d) for d in m.bidegrees]
     return RightModule(op, m.vertices, bidegrees, action,
                        label=f"D({m.label})" if m.label else "D")
@@ -331,7 +330,7 @@ def _assert_stable(m: RightModule, indices, message):
     """Raises unless the basis vectors in the set ``indices`` span a
     submodule."""
     for rows in m.action.values():
-        for i in indices:
+        for i in indices & rows.keys():
             if not rows[i].keys() <= indices:
                 raise AssertionError(message)
 
@@ -344,7 +343,7 @@ def generated_submodule(m: RightModule, seeds):
     members, work = set(seeds), list(seeds)
     while work:
         i = work.pop()
-        new = {j for rows in m.action.values() if len(rows[i]) == 1
+        new = {j for rows in m.action.values() if len(rows.get(i, ())) == 1
                for j in rows[i]} - members
         members |= new
         work.extend(new)
@@ -352,19 +351,23 @@ def generated_submodule(m: RightModule, seeds):
     return sorted(members)
 
 
-def quotient_module(m: RightModule, indices, label=""):
-    """The quotient by the span of the basis vectors ``indices``: m
-    restricted to the other basis vectors, each action row cut to them.
-    Raises if the span is not action-stable."""
-    gone = set(indices)
-    _assert_stable(m, gone, "rows do not span a submodule")
-    keep = [i for i in range(m.dim) if i not in gone]
+def restrict_to(m: RightModule, keep, label=""):
+    """m on the basis vectors listed in ``keep`` alone: each action row
+    cut to them, and dropped if that leaves it empty."""
     pos = {i: k for k, i in enumerate(keep)}
-    action = {a: [{pos[j]: c for j, c in rows[i].items() if j in pos}
-                  for i in keep]
+    action = {a: {pos[i]: cut for i, row in rows.items() if i in pos
+                  if (cut := {pos[j]: c for j, c in row.items() if j in pos})}
               for a, rows in m.action.items()}
     return RightModule(m.algebra, [m.vertices[i] for i in keep],
                        [m.bidegrees[i] for i in keep], action, label=label)
+
+
+def quotient_module(m: RightModule, indices, label=""):
+    """m modulo the span of the basis vectors ``indices``: m restricted
+    to the others.  Raises if the span is not action-stable."""
+    gone = set(indices)
+    _assert_stable(m, gone, "rows do not span a submodule")
+    return restrict_to(m, [i for i in range(m.dim) if i not in gone], label)
 
 
 def standard_module(a: AlgebraInstance, x, order: OrderData = None) -> RightModule:
@@ -414,8 +417,8 @@ def socle_rows(m: RightModule):
     out = []
     for key in sorted(blocks, key=_block_key):
         cols, arrows = blocks[key], _arrows_from(m, blocks, key)
-        images = [[c for a, _, tcols in arrows for c in _restrict(
-            _dense(m.action[a][i].items(), m.dim), tcols)] for i in cols]
+        images = [[c for a, _, tcols in arrows for c in _restrict(_dense(
+            m.action[a].get(i, {}).items(), m.dim), tcols)] for i in cols]
         _, kern = Matrix(images).left_kernel()
         out.extend(_dense(zip(cols, r), m.dim) for r in kern)
     return out
@@ -430,9 +433,8 @@ def top_generators(m: RightModule):
     for key, cols in blocks.items():
         for a, tkey, tcols in _arrows_from(m, blocks, key):
             for i in cols:
-                if m.action[a][i]:
-                    img = _dense(m.action[a][i].items(), m.dim)
-                    rad[tkey].insert(_restrict(img, tcols))
+                img = _dense(m.action[a].get(i, {}).items(), m.dim)
+                rad[tkey].insert(_restrict(img, tcols))
     pivots = {blocks[key][p] for key, span in rad.items() for p in span.rows}
     return [(m.vertices[i], m.bidegrees[i], m.unit(i))
             for i in range(m.dim) if i not in pivots]
@@ -454,9 +456,7 @@ def hom_space(m: RightModule, n: RightModule, shift=None):
     pair basis vectors of equal weight; arrow a gives the equation
     (a_m f - f a_n)[i][j] = 0 for each (i, j) a nonzero action entry
     reaches."""
-    targets = {}
-    for j, v in enumerate(n.vertices):
-        targets.setdefault(v, []).append(j)
+    targets = n.blocks(graded=False)
     pos = {}
     for i, v in enumerate(m.vertices):
         for j in targets.get(v, ()):
@@ -471,11 +471,11 @@ def hom_space(m: RightModule, n: RightModule, shift=None):
         by_col.setdefault(j, []).append((i, col))
     equations = defaultdict(lambda: [ZERO] * len(pos))
     for a in m.algebra.presentation.arrows:
-        for i, row in enumerate(m.action[a]):
+        for i, row in m.action[a].items():
             for k, c in row.items():
                 for j, col in by_row.get(k, ()):
                     equations[(a, i, j)][col] += c
-        for l, row in enumerate(n.action[a]):
+        for l, row in n.action[a].items():
             for j, c in row.items():
                 for i, col in by_col.get(l, ()):
                     equations[(a, i, j)][col] -= c
@@ -614,7 +614,7 @@ def cached_module(a: AlgebraInstance, kind: str, x, order: OrderData = None):
     order = order or algebra_order(a)
     build = {"standard": standard_module,
              "costandard": costandard_module}[kind]
-    key = (kind, x, frozenset(order.dist.items()))
+    key = (kind, x, order.key)
     return _on_instance(a, key, lambda: build(a, x, order))
 
 
@@ -626,7 +626,7 @@ def standard_resolution(a: AlgebraInstance, x, order: OrderData = None,
     another."""
     order = order or algebra_order(a)
     delta = cached_module(a, "standard", x, order)
-    key = ("resolution", x, frozenset(order.dist.items()), max_steps)
+    key = ("resolution", x, order.key, max_steps)
     return delta, _on_instance(a, key,
                                lambda: minimal_resolution(delta, max_steps))
 

@@ -27,7 +27,7 @@ from .algebra import (AlgebraInstance, Element, Path, presentation_zigzag,
 from .modules import (algebra_order, cached_module, costandard_module,
                       delta_filtration, ext_dims, hom_space, injective_module,
                       is_isomorphic, left_mult_map, projective_module,
-                      RightModule, standard_resolution)
+                      restrict_to, RightModule, standard_resolution)
 
 ZERO = Fraction(0)
 
@@ -273,13 +273,7 @@ def _fully_faithful_failures(cover, jset):
     for x in verts:
         proj = projective_module(cover, x)
         ix = keep[x] = [i for i, v in enumerate(proj.vertices) if v in jset]
-        new = {i: k for k, i in enumerate(ix)}
-        fproj[x] = RightModule(
-            cover, [proj.vertices[i] for i in ix],
-            [proj.bidegrees[i] for i in ix],
-            {ar: [{new[j]: c for j, c in rows[i].items() if j in new}
-                  for i in ix]
-             for ar, rows in proj.action.items()})
+        fproj[x] = restrict_to(proj, ix)
     by_pair = {}
     for p in cover.basis():
         by_pair.setdefault((p.source, p.target), []).append(p)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 Vertex = tuple[int, ...]
@@ -113,6 +114,11 @@ class OrderData:
 
     def distance(self, x: Vertex, y: Vertex):
         return self.dist.get((x, y), math.inf)
+
+    @cached_property
+    def key(self):
+        """The order as a hashable value, made once per object."""
+        return frozenset(self.dist.items())
 
     def hasse_edges(self):
         """Covering pairs of the order, sorted."""

@@ -85,18 +85,23 @@ def _format_cases(a):
 @pytest.mark.parametrize("point", GRID)
 def test_sparse_actions_are_valid_and_dualize_back(covers, point):
     """Stored actions satisfy the weights, the grading and the
-    relations, hold no zero coefficient, and transpose back under
-    double duality."""
+    relations, store a row only where it is nonempty and keyed at a
+    basis vector of the arrow's source, hold no zero coefficient, and
+    transpose back under double duality."""
     for m in _format_cases(covers[point]):
         assert m.check(), m
-        assert all(c for rows in m.action.values() for row in rows
+        assert all(row and 0 <= i < m.dim and m.vertices[i] == a.source
+                   for a, rows in m.action.items()
+                   for i, row in rows.items()), m
+        assert all(c for rows in m.action.values() for row in rows.values()
                    for c in row.values()), m
         assert dualize(dualize(m)).action == m.action, m
 
 
 def _with_action(m, edit):
-    """A copy of m whose action dict of row lists ``edit`` changes."""
-    action = {a: [dict(row) for row in rows] for a, rows in m.action.items()}
+    """A copy of m whose action dict of row dicts ``edit`` changes."""
+    action = {a: {i: dict(row) for i, row in rows.items()}
+              for a, rows in m.action.items()}
     edit(action)
     return RightModule(m.algebra, m.vertices, m.bidegrees, action)
 
@@ -105,7 +110,7 @@ def test_check_rejects_broken_actions(cover12):
     proj = projective_module(cover12, (1, 1))
     m = direct_sum(cover12, [proj, shift_module(proj, (1, 0))])
     a, i, j = next((a, i, j) for a, rows in proj.action.items()
-                   for i, row in enumerate(rows) for j in row)
+                   for i, row in rows.items() for j in row)
     off = next(k for k, v in enumerate(m.vertices) if v != a.target)
 
     def weights(action):
@@ -114,8 +119,8 @@ def test_check_rejects_broken_actions(cover12):
     def grading(action):  # from the first copy into the shifted one
         action[a][i][proj.dim + j] = Fraction(1)
 
-    def length(action):
-        action[a].pop()
+    def length(action):  # a row keyed past the last basis vector
+        action[a][m.dim] = {0: Fraction(1)}
 
     assert _with_action(m, lambda action: None).check()
     for edit, msg in ((weights, "breaks weights"),
@@ -327,11 +332,13 @@ def _submodule_reference(m, rows):
     pivots = list(span.rows)
     action = {}
     for a in m.algebra.presentation.arrows:
-        action[a] = []
-        for r in rows:
+        action[a] = {}
+        for k, r in enumerate(rows):
             img = m.act(a, r)
             assert not any(span.reduce(img)), "rows do not span a submodule"
-            action[a].append({k: img[p] for k, p in enumerate(pivots) if img[p]})
+            row = {l: img[p] for l, p in enumerate(pivots) if img[p]}
+            if row:
+                action[a][k] = row
     return RightModule(m.algebra, [m.vertices[p] for p in pivots],
                        [m.bidegrees[p] for p in pivots], action)
 
@@ -359,7 +366,8 @@ def _socle_rows_reference(m):
     """The whole-module route: the left kernel of every basis vector's
     images under all the arrows side by side, split by block."""
     arrows = m.algebra.presentation.arrows
-    stacked = [[c for a in arrows for c in _dense(m.action[a][i].items(), m.dim)]
+    stacked = [[c for a in arrows
+                for c in _dense(m.action[a].get(i, {}).items(), m.dim)]
                for i in range(m.dim)]
     return _graded_rows_reference(
         m, _left_kernel_reference(stacked, m.dim * len(arrows)))
@@ -440,12 +448,13 @@ def test_a_map_entry_in_another_block_is_rejected(cover12):
 
 
 def test_block_elimination_rejects_broken_actions(cover12):
-    """An action entry that keeps the weight but breaks the bidegree, or
-    breaks the weight, stops the resolution, the top and the socle."""
+    """An action entry that keeps the weight but breaks the bidegree
+    stops the resolution, the top and the socle; a row at a basis
+    vector off the arrow's source stops building the module."""
     proj = projective_module(cover12, (1, 1))
     m = direct_sum(cover12, [proj, shift_module(proj, (1, 0))])
     a, i, j = next((a, i, j) for a, rows in proj.action.items()
-                   for i, row in enumerate(rows) for j in row)
+                   for i, row in rows.items() for j in row)
     off = next(k for k, v in enumerate(m.vertices) if v != a.target)
 
     def grading(action):  # from the first copy into the shifted one
@@ -453,12 +462,13 @@ def test_block_elimination_rejects_broken_actions(cover12):
 
     def weights(action):
         b = next(b for b in action if b.source != m.vertices[off])
-        action[b][off][off] = Fraction(1)
+        action[b][off] = {off: Fraction(1)}
 
-    for edit, msg in ((grading, "leaves its"), (weights, "breaks weights")):
-        for build in (top_generators, minimal_resolution, socle_rows):
-            with pytest.raises(AssertionError, match=msg):
-                build(_with_action(m, edit))
+    for build in (top_generators, minimal_resolution, socle_rows):
+        with pytest.raises(AssertionError, match="leaves its"):
+            build(_with_action(m, grading))
+    with pytest.raises(AssertionError, match="breaks weights"):
+        _with_action(m, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +502,10 @@ def _quotient_module_reference(m, rows, label=""):
                 raise AssertionError("rows do not span a submodule")
     keep = [i for i in range(m.dim) if i not in span.rows]
     pos = {i: k for k, i in enumerate(keep)}
-    action = {a: [{pos[j]: c for j, c in enumerate(span.reduce(
-                       _dense(m.action[a][i].items(), m.dim))) if c}
-                  for i in keep]
+    action = {a: {k: row for k, row in enumerate(
+                      {pos[j]: c for j, c in enumerate(span.reduce(
+                          _dense(m.action[a].get(i, {}).items(), m.dim))) if c}
+                      for i in keep) if row}
               for a in m.algebra.presentation.arrows}
     return RightModule(m.algebra, [m.vertices[i] for i in keep],
                        [m.bidegrees[i] for i in keep], action, label=label)
@@ -590,7 +601,7 @@ def test_a_row_with_two_entries_stops_the_closure(cover12):
     neither joins it, and the stability check rejects the closure."""
     proj = projective_module(cover12, (1, 1))
     a, i = next((a, i) for a, rows in proj.action.items()
-                for i, row in enumerate(rows) if row and i)
+                for i in rows if i)
 
     def second_entry(action):  # onto the top, outside the closure of i
         action[a][i][0] = Fraction(1)
