@@ -262,9 +262,9 @@ def direct_sum(a: AlgebraInstance, parts) -> RightModule:
     action = {arr: {} for arr in a.presentation.arrows}
     at = 0
     for part in parts:
-        for arr, rows in action.items():
-            for i, srow in part.action[arr].items():
-                rows[at + i] = {at + j: c for j, c in srow.items()}
+        for arr, rows in part.action.items():
+            for i, srow in rows.items():
+                action[arr][at + i] = {at + j: c for j, c in srow.items()}
         at += part.dim
     return RightModule(a, vertices, bidegrees, action, label="sum")
 

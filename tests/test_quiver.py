@@ -58,6 +58,13 @@ def test_order_distance_and_incomparability():
     assert not order.lt((2, 0), (2, 0))
 
 
+def test_order_key_is_made_once_and_compares_by_value():
+    order, again = order_data(build_quiver(2, 2)), order_data(build_quiver(2, 2))
+    assert order.key is order.key
+    assert order.key == again.key == frozenset(order.dist.items())
+    assert order.key != order_data(build_quiver(1, 2)).key
+
+
 def test_order_edges_use_only_nonzero_indices():
     q = build_quiver(2, 3)
     order = order_data(q)
