@@ -28,13 +28,9 @@ Everything is immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .linalg import Matrix
+from .linalg import ONE, ZERO, Matrix, _coerce
 from .quiver import Quiver, build_quiver, classify_vertices, displacement
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 DEFAULT_MAX_LEN = 32
 
@@ -128,7 +124,7 @@ class Element:
         self.terms = {}
         if terms:
             for p, c in terms.items():
-                c = c if isinstance(c, Fraction) else Fraction(c)
+                c = _coerce(c)
                 if c:
                     self.terms[p] = c
 
@@ -150,10 +146,10 @@ class Element:
         return Element(out)
 
     def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, c):
-        c = c if isinstance(c, Fraction) else Fraction(c)
+        c = _coerce(c)
         if not c:
             return Element()
         return Element({p: c * v for p, v in self.terms.items()})

@@ -34,14 +34,11 @@ from .algebra import (AlgebraInstance, Arrow, Element, Path, Presentation,
                       compute_basis, presentation_cover,
                       presentation_dual_conjectured, quadratic_blocks)
 from .koszul import KoszulReport, check_koszul
-from .linalg import Echelon, Matrix
+from .linalg import ONE, ZERO, Echelon, Matrix, exact_div
 from .modules import (algebra_order, cached_module, ext_bigraded_reps,
                       hom_row_to_map, map_from_generators,
                       standard_resolution)
 from .quiver import build_quiver, order_data, vertex_name
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass
@@ -384,7 +381,7 @@ def _preferred_gauge(rels):
             continue
         (p, cp), (q, cq) = sorted(r.terms.items(),
                                   key=lambda t: t[0].sort_key())
-        constraints.append((_path_exponents(q, p), -cq / cp))
+        constraints.append((_path_exponents(q, p), exact_div(-cq, cp)))
     return _solve_multiplicative(constraints) or {}
 
 
@@ -396,10 +393,9 @@ def _apply_gauge(rel: Element, eps: dict) -> Element:
         scale = ONE
         for a in p.arrows:
             scale *= eps.get((a.source, a.label), ONE)
-        terms[p] = c / scale
-    lead = min(terms, key=lambda p: p.sort_key())
-    inv = ONE / terms[lead]
-    return Element({p: c * inv for p, c in terms.items()})
+        terms[p] = exact_div(c, scale)
+    lead = terms[min(terms, key=lambda p: p.sort_key())]
+    return Element({p: exact_div(c, lead) for p, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +429,7 @@ def _solve_multiplicative(constraints):
             if not unknown:
                 val = ONE
                 for k, e in exps.items():
-                    val *= eps[k] ** e
+                    val *= Fraction(eps[k]) ** e
                 if val != ratio:
                     return None
                 progressed = True
@@ -442,8 +438,9 @@ def _solve_multiplicative(constraints):
                 rest = ONE
                 for kk, ee in exps.items():
                     if kk != k:
-                        rest *= eps[kk] ** ee
-                eps[k] = ratio / rest if e == 1 else rest / ratio
+                        rest *= Fraction(eps[kk]) ** ee
+                eps[k] = (exact_div(ratio, rest) if e == 1
+                          else exact_div(rest, ratio))
                 progressed = True
             else:
                 nxt.append((exps, ratio))
@@ -482,7 +479,7 @@ def _arrow_rescaling(conjectured, blocks):
                 return None
             q = supb[1]
             constraints.append((_path_exponents(paths[q], paths[piv]),
-                                rowb[q] / rowc[q]))
+                                exact_div(rowb[q], rowc[q])))
     eps = _solve_multiplicative(constraints)
     if eps is None:
         return None

@@ -1,7 +1,10 @@
 """Exact dense linear algebra over the rationals.
 
-Everything here works with ``fractions.Fraction`` entries, so ranks,
-kernels and solutions are exact.  The matrices that show up in this
+Entries are exact rationals, held as ``int`` while integral and as
+``fractions.Fraction`` otherwise, so ranks, kernels and solutions are
+exact; a float never becomes an entry.  ``_coerce`` makes a value an
+entry and ``exact_div`` divides one entry by another, both keeping an
+integral result an ``int``.  The matrices that show up in this
 package (module maps, Hom-space constraint systems, Hom-complex
 differentials, relation spans) are small, and a dense representation
 keeps the code simple and the pivoting deterministic.  Arrow actions
@@ -28,18 +31,31 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _coerce(value):
+    """``value`` as an exact rational: an int as it is, anything else
+    as a Fraction, or its numerator when that is integral."""
+    if type(value) is int:
         return value
-    return Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def exact_div(c, p):
+    """``c / p`` exactly: ``c // p`` when the int ``p`` divides the int
+    ``c``, and otherwise a Fraction, or its numerator when integral."""
+    if type(c) is int and type(p) is int and not c % p:
+        return c // p
+    return _coerce(Fraction(c, p))
 
 
 class Matrix:
-    """A dense matrix with Fraction entries.
+    """A dense matrix of exact rationals, held as ``int`` while
+    integral and as ``Fraction`` otherwise.
 
     Rows are lists; the data is owned by the instance.  All reductions
     use the leftmost nonzero column as pivot, so results are
@@ -91,7 +107,7 @@ class Matrix:
         return out
 
     def mul_row(self, vec):
-        """vec (length nrows) times this matrix; returns list of Fractions."""
+        """vec (length nrows) times this matrix, as a new list."""
         if len(vec) != self.nrows:
             raise ValueError("shape mismatch")
         out = [ZERO] * self.ncols
@@ -191,6 +207,7 @@ class Echelon:
         out = self.reduce(vec)
         piv = next((j for j, c in enumerate(out) if c), None)
         if piv is not None:
-            inv = ONE / out[piv]
-            self.rows[piv] = out if inv == 1 else [c * inv for c in out]
+            p = out[piv]
+            self.rows[piv] = out if p == 1 else [exact_div(c, p) if c else c
+                                                 for c in out]
         return piv

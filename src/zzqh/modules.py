@@ -35,14 +35,10 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import Echelon, Matrix
+from .linalg import ONE, ZERO, Echelon, Matrix
 from .quiver import OrderData, build_quiver, order_data
 from .algebra import AlgebraInstance, Element, Path, _vkey
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class RightModule:
@@ -73,13 +69,21 @@ class RightModule:
 
     def act(self, arrow, row, support=None):
         """``row`` times ``arrow``, as a new dense row; with ``support``,
-        ``row`` holds just the coefficients of the basis vectors listed."""
+        ``row`` holds just the coefficients of the basis vectors listed.
+        Raises ValueError unless ``row`` has one entry per basis vector,
+        or per index of ``support``."""
         rows = self.action[arrow]
+        if support is not None:
+            pairs = [(i, a) for i, a in zip(support, row, strict=True)
+                     if i in rows]
+        elif len(row) == self.dim:
+            pairs = [(i, row[i]) for i in rows]
+        else:
+            raise ValueError(f"a row of length {len(row)} in a module of "
+                             f"dimension {self.dim}")
         out = [ZERO] * self.dim
-        if support is None:
-            support = range(self.dim)
-        for i, a in zip(support, row, strict=True):
-            if a and i in rows:
+        for i, a in pairs:
+            if a:
                 for j, c in rows[i].items():
                     out[j] += a * c
         return out

@@ -18,9 +18,8 @@ block dimensions are verified against the subset-word oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .linalg import Echelon, Matrix
+from .linalg import ZERO, Echelon, Matrix
 from .quiver import build_quiver, vertex_name
 from .algebra import (AlgebraInstance, Element, Path, presentation_zigzag,
                       zigzag_hom_oracle)
@@ -28,8 +27,6 @@ from .modules import (algebra_order, cached_module, costandard_module,
                       delta_filtration, ext_dims, hom_space, injective_module,
                       is_isomorphic, left_mult_map, projective_module,
                       restrict_to, RightModule, standard_resolution)
-
-ZERO = Fraction(0)
 
 REPORT_FIELDS = (
     "endo_standard_trivial",
@@ -334,14 +331,16 @@ def check_borel(cover: AlgebraInstance, borel: AlgebraInstance) -> QhReport:
             vertex_name(v) for v, c in pending.items() if c > 0)
 
     iso_bad = []
+    cover_order = algebra_order(cover)  # the borel's too: same (n, s)
     for x in cover.presentation.vertices:
-        nab = cached_module(cover, "costandard", x)
+        nab = cached_module(cover, "costandard", x, cover_order)
         restricted = RightModule(
             borel, nab.vertices, nab.bidegrees,
             {ar: nab.action[ar] for ar in borel.presentation.arrows},
             label=f"Nabla[{x}]|B")
         restricted.check()
-        if not is_isomorphic(restricted, costandard_module(borel, x)):
+        if not is_isomorphic(restricted,
+                             costandard_module(borel, x, cover_order)):
             iso_bad.append(vertex_name(x))
     rep.borel_costandard_iso = not iso_bad
     if iso_bad:

@@ -105,8 +105,9 @@ def test_exactness_no_float_drift():
 
 def _gauss_jordan(m):
     """Reference reduced row echelon form of a Matrix by plain
-    Gauss-Jordan elimination, column by column: (pivots, rows)."""
-    rows = [row[:] for row in m.data]
+    Gauss-Jordan elimination, column by column: (pivots, rows).  The
+    entries are copied as Fractions, so its divisions stay exact."""
+    rows = [[F(x) for x in row] for row in m.data]
     pivots = []
     r = 0
     for c in range(m.ncols):

@@ -609,3 +609,12 @@ def test_a_row_with_two_entries_stops_the_closure(cover12):
     broken = _with_action(proj, second_entry)
     with pytest.raises(AssertionError, match="not spanned by basis vectors"):
         generated_submodule(broken, [i])
+
+
+def test_act_rejects_a_row_of_the_wrong_length():
+    m = projective_module(compute_basis(presentation_cover(1, 2)), (0, 2))
+    a = next(a for a, rows in m.action.items() if rows)
+    assert m.act(a, m.unit(0)) is not None
+    for row in (m.unit(0)[:-1], m.unit(0) + [0]):
+        with pytest.raises(ValueError):
+            m.act(a, row)

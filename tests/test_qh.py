@@ -3,7 +3,10 @@ the zigzag algebras, and the Borel subalgebra checks."""
 
 import pytest
 
-from zzqh import compute_basis, presentation_cover, presentation_zigzag
+import zzqh.modules
+import zzqh.qh
+from zzqh import (compute_basis, presentation_borel, presentation_cover,
+                  presentation_zigzag)
 from zzqh.extdual import ext_table
 from zzqh.qh import (QhReport, _fully_faithful_failures, check_borel,
                      check_cover, check_projective_injective,
@@ -99,3 +102,20 @@ def test_report_merge_and_pass_semantics():
     assert not merged.passed()
     assert merged.witnesses == {"borel_directed": ["x"]}
     assert merged.as_dict()["passed"] is False
+
+
+def test_check_borel_builds_the_order_once(monkeypatch):
+    """The cover and its Borel subalgebra share (n, s), so one order
+    serves both; each module builder would otherwise derive it again."""
+    calls = []
+    build = zzqh.modules.algebra_order
+
+    def counted(a):
+        calls.append(a.presentation.kind)
+        return build(a)
+    monkeypatch.setattr(zzqh.modules, "algebra_order", counted)
+    monkeypatch.setattr(zzqh.qh, "algebra_order", counted)
+    cover = compute_basis(presentation_cover(2, 2))
+    borel = compute_basis(presentation_borel(2, 2))
+    assert check_borel(cover, borel).passed()
+    assert calls == ["cover"]
