@@ -297,6 +297,10 @@ FROZEN_STDOUT = {
         "5a0ed3afc93571c7c1edf25b8a5f27d9f75eb258f55a5bdefbb5729eacc26aa7",
     ("check", "standard-koszul", "--n", "3", "--s", "4"):
         "88460c68a94507e8106beef4207daf8ba0402f0c839f2d9f6947860167ed1250",
+    ("check", "dual", "--n", "2", "--s", "5"):
+        "55b36498331eb5a609c0913f81c37aeee71320e5e0e31d9d3ab2b27e16e11c71",
+    ("check", "socle-lemmas", "--n", "3", "--s", "3"):
+        "30be589c499e98dcd4099188140072acfde909f209c1607ae8df1f3cb9b8adb3",
 }
 
 
