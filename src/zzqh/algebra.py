@@ -39,12 +39,23 @@ DEFAULT_MAX_LEN = 32
 class Arrow:
     """A quiver arrow.  ``label`` is the family index (int) for
     translation quivers, or a name (str) for explicit presentations.
-    ``bidegree`` is the (flat, sharp) degree of the arrow."""
+    ``bidegree`` is the (flat, sharp) degree of the arrow.  Its hash and
+    ``label_key(label)`` are computed once, as arrows key every lookup."""
 
     source: object
     target: object
     label: object
     bidegree: tuple[int, int]
+    label_key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "label_key", label_key(self.label))
+        object.__setattr__(self, "_hash", hash(
+            (self.source, self.target, self.label, self.bidegree)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def label_key(label):
@@ -61,7 +72,7 @@ class Path:
     traversed first.  The empty path at a vertex is the idempotent.
     """
 
-    __slots__ = ("source", "arrows", "_hash")
+    __slots__ = ("source", "arrows", "_hash", "_bidegree")
 
     def __init__(self, source, arrows=()):
         self.source = source
@@ -72,6 +83,7 @@ class Path:
                 raise ValueError(f"non-composable arrows at {at}: {a}")
             at = a.target
         self._hash = hash((source, self.arrows))
+        self._bidegree = None
 
     @property
     def target(self):
@@ -83,12 +95,13 @@ class Path:
 
     @property
     def bidegree(self):
-        fb = sum(a.bidegree[0] for a in self.arrows)
-        fs = sum(a.bidegree[1] for a in self.arrows)
-        return (fb, fs)
+        if self._bidegree is None:
+            self._bidegree = (sum(a.bidegree[0] for a in self.arrows),
+                              sum(a.bidegree[1] for a in self.arrows))
+        return self._bidegree
 
     def sort_key(self):
-        return (len(self.arrows), tuple(label_key(a.label) for a in self.arrows),
+        return (len(self.arrows), tuple(a.label_key for a in self.arrows),
                 _vkey(self.source))
 
     def concat(self, other: "Path") -> "Path":
@@ -202,15 +215,15 @@ class Presentation:
         if len(vset) != len(self.vertices):
             raise ValueError("duplicate vertices")
         self.arrows = tuple(sorted(arrows,
-                                   key=lambda a: (_vkey(a.source), label_key(a.label))))
-        seen = set()
+                                   key=lambda a: (_vkey(a.source), a.label_key)))
+        self._by_key = {}
         for a in self.arrows:
             if a.source not in vset or a.target not in vset:
                 raise ValueError(f"arrow endpoint missing from vertex set: {a}")
             key = (a.source, a.label)
-            if key in seen:
+            if key in self._by_key:
                 raise ValueError(f"duplicate arrow (source, label): {key}")
-            seen.add(key)
+            self._by_key[key] = a
         self.relations = tuple(relations)
         for r in self.relations:
             if r.is_zero():
@@ -225,7 +238,6 @@ class Presentation:
         self._from = {}
         for a in self.arrows:
             self._from.setdefault(a.source, []).append(a)
-        self._by_key = {(a.source, a.label): a for a in self.arrows}
 
     def arrows_from(self, v):
         return self._from.get(v, [])

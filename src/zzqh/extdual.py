@@ -105,6 +105,14 @@ class ExtTable:
         degree; empty exactly when the standards are self-orthogonal."""
         return [k for k, m in sorted(self.dims.items()) if m and k[2] != k[3]]
 
+    def dims_by_pair(self):
+        """The nonzero ``dims`` as {(x, y): {(i, flat, sharp): dim}}."""
+        out = {}
+        for (x, y, i, jb, js), m in self.dims.items():
+            if m:
+                out.setdefault((x, y), {})[(i, jb, js)] = m
+        return out
+
 
 def ext_table(cover: AlgebraInstance) -> ExtTable:
     """Tabulate bigraded Ext between the standard modules of a cover.
@@ -319,6 +327,7 @@ def build_dual_from_ext(cover: AlgebraInstance,
     pres0 = Presentation(cover.presentation.vertices, arrows, [],
                          kind="dual-built", params={"n": n, "s": s})
     blocks = quadratic_blocks(pres0)
+    by_pair = table.dims_by_pair()
     rels, detail = [], {}
     for (src, tgt) in sorted(blocks,
                              key=lambda k: (vertex_name(k[0]),
@@ -337,8 +346,8 @@ def build_dual_from_ext(cover: AlgebraInstance,
                  for c in (prod.row if ck == (prod.i, prod.bidegree)
                            else (ZERO,) * comps[ck])] for prod in prods]
         rank, ker = Matrix(rows, ncols=sum(comps.values())).left_kernel()
-        ext2 = sum(m for (xx, yy, i, _, js), m in table.dims.items()
-                   if (xx, yy) == (tgt, src) and i + js == 2)
+        ext2 = sum(m for (i, _, js), m in by_pair.get((tgt, src), {}).items()
+                   if i + js == 2)
         detail[f"{vertex_name(src)}|{vertex_name(tgt)}"] = {
             "paths": len(paths), "relations": len(ker),
             "image_rank": rank, "ext2_dim": ext2}
@@ -576,12 +585,12 @@ def compare_dual(built: Presentation, conjectured: Presentation,
     if offdiag:
         ext_mism.append({"off_diagonal_classes": [list(map(str, k))
                                                   for k in offdiag]})
+    by_pair = table.dims_by_pair()
     for x in verts:
         for y in verts:
             want = {}
-            for (xx, yy, i, _, js), m in table.dims.items():
-                if (xx, yy) == (x, y) and m:
-                    want[(i, js)] = want.get((i, js), 0) + m
+            for (i, _, js), m in by_pair.get((x, y), {}).items():
+                want[(i, js)] = want.get((i, js), 0) + m
             got = inst_b.block_bidegrees(y, x)
             if got != want:
                 ext_mism.append({
@@ -598,8 +607,8 @@ def compare_dual(built: Presentation, conjectured: Presentation,
         for v in table.deltas[x].vertices:
             weights[v] = weights.get(v, 0) + 1
         for y in verts:
-            have = sum(m for (xx, yy, i, jb, _), m in table.dims.items()
-                       if (xx, yy, i, jb) == (y, x, 0, 0))
+            have = sum(m for (i, jb, _), m in by_pair.get((y, x), {}).items()
+                       if (i, jb) == (0, 0))
             if have != weights.get(y, 0):
                 hom_mism.append({"standard": vertex_name(x),
                                  "weight": vertex_name(y),

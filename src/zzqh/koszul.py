@@ -77,9 +77,9 @@ def hilbert_koszul_identity(a: AlgebraInstance, resolutions) -> dict:
     range when every resolution is complete, otherwise only up to the
     shallowest truncation."""
     hmax = a.top_length
-    H = [Counter() for _ in range(hmax + 1)]
+    H = [{} for _ in range(hmax + 1)]
     for p in a.basis():
-        H[p.bidegree[0] + p.bidegree[1]][(p.source, p.target)] += 1
+        H[sum(p.bidegree)].setdefault(p.source, Counter())[p.target] += 1
 
     E = []
     cut = None
@@ -98,9 +98,8 @@ def hilbert_koszul_identity(a: AlgebraInstance, resolutions) -> dict:
         tot = Counter()
         for e in range(max(0, d - hmax), min(d + 1, len(E))):
             for (x, v), c in E[e].items():
-                for (u, w), h in H[d - e].items():
-                    if u == v:
-                        tot[(x, w)] += (-1) ** e * c * h
+                for w, h in H[d - e].get(v, {}).items():
+                    tot[(x, w)] += (-1) ** e * c * h
         want = {(x, x): 1 for x in a.presentation.vertices} if d == 0 else {}
         if {k: c for k, c in tot.items() if c} != want:
             failures.append(d)

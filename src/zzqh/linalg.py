@@ -4,11 +4,14 @@ Entries are exact rationals, held as ``int`` while integral and as
 ``fractions.Fraction`` otherwise, so ranks, kernels and solutions are
 exact; a float never becomes an entry.  ``_coerce`` makes a value an
 entry and ``exact_div`` divides one entry by another, both keeping an
-integral result an ``int``.  The matrices that show up in this
-package (module maps, Hom-space constraint systems, Hom-complex
-differentials, relation spans) are small, and a dense representation
-keeps the code simple and the pivoting deterministic.  Arrow actions
-are not matrices: ``modules.RightModule`` stores them as sparse rows.
+integral result an ``int``.  Entries are coerced once, at the
+boundary: ``Matrix(rows)`` and ``Element`` coerce what they are given;
+zeros, ``rref`` results and the augmented matrix of ``left_kernel``,
+already exact, are not coerced again.  The matrices in this package
+(module maps, Hom-space constraint systems, Hom-complex differentials,
+relation spans) are small, and a dense representation keeps the code
+simple and the pivoting deterministic.  Arrow actions are not
+matrices: ``modules.RightModule`` stores them as sparse rows.
 
 ``Echelon`` is the one elimination in the package: ``Matrix.rref``
 and with it ranks, kernels and solving are built on it, the basis
@@ -37,9 +40,12 @@ ONE = 1
 
 def _coerce(value):
     """``value`` as an exact rational: an int as it is, anything else
-    as a Fraction, or its numerator when that is integral."""
+    as a Fraction, or its numerator when that is integral.  Raises
+    TypeError on a float, whose binary value is no exact entry."""
     if type(value) is int:
         return value
+    if isinstance(value, float):
+        raise TypeError(f"a float is not an exact entry: {value!r}")
     if not isinstance(value, Fraction):
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
@@ -65,19 +71,24 @@ class Matrix:
     __slots__ = ("nrows", "ncols", "data")
 
     def __init__(self, data, ncols=None):
-        self.data = [[_coerce(x) for x in row] for row in data]
+        self.data = [[x if type(x) is int else _coerce(x) for x in row]
+                     for row in data]
         self.nrows = len(self.data)
-        if self.nrows:
-            self.ncols = len(self.data[0])
-        else:
-            self.ncols = 0 if ncols is None else ncols
-        for row in self.data:
-            if len(row) != self.ncols:
-                raise ValueError("ragged rows")
+        self.ncols = len(self.data[0]) if self.data else ncols or 0
+        if any(len(row) != self.ncols for row in self.data):
+            raise ValueError("ragged rows")
+
+    @classmethod
+    def _exact(cls, data, ncols):
+        """A Matrix owning ``data``, rows of ``ncols`` entries that are
+        already exact: nothing is copied or coerced."""
+        m = cls.__new__(cls)
+        m.data, m.nrows, m.ncols = data, len(data), ncols
+        return m
 
     @classmethod
     def zero(cls, nrows, ncols):
-        return cls([[ZERO] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._exact([[ZERO] * ncols for _ in range(nrows)], ncols)
 
     @property
     def shape(self):
@@ -125,10 +136,9 @@ class Matrix:
         # back-substitution: each row is reduced against the rows with
         # pivots to its right, which are already fully reduced
         full = Echelon(ech.rows[c] for c in reversed(pivots))
-        zero = [ZERO] * self.ncols
         red = [full.rows[c] for c in pivots]
-        red += [zero[:] for _ in range(self.nrows - len(pivots))]
-        return pivots, Matrix(red, ncols=self.ncols)
+        red += [[ZERO] * self.ncols for _ in range(self.nrows - len(pivots))]
+        return pivots, Matrix._exact(red, self.ncols)
 
     def rank(self):
         return len(self.rref()[0])
@@ -145,7 +155,7 @@ class Matrix:
             for r, c in enumerate(pivots):
                 v[c] = -red.data[r][f]
             rows.append(v)
-        return Matrix(rows, ncols=self.ncols)
+        return Matrix._exact(rows, self.ncols)
 
     def left_kernel(self):
         """(rank, kernel): the kernel is the reduced echelon basis of
@@ -153,7 +163,7 @@ class Matrix:
         n = self.nrows
         aug = [row + [ONE if k == i else ZERO for k in range(n)]
                for i, row in enumerate(self.data)]
-        pivots, red = Matrix(aug, ncols=self.ncols + n).rref()
+        pivots, red = Matrix._exact(aug, self.ncols + n).rref()
         rank = sum(p < self.ncols for p in pivots)
         return rank, [row[self.ncols:] for row in red.data[rank:]]
 
@@ -205,9 +215,9 @@ class Echelon:
         """Add ``vec`` to the span; returns the pivot of its stored
         residue, or None if ``vec`` already lies in the span."""
         out = self.reduce(vec)
-        piv = next((j for j, c in enumerate(out) if c), None)
-        if piv is not None:
-            p = out[piv]
-            self.rows[piv] = out if p == 1 else [exact_div(c, p) if c else c
-                                                 for c in out]
-        return piv
+        for piv, p in enumerate(out):
+            if p:
+                self.rows[piv] = out if p == 1 else [
+                    exact_div(c, p) if c else c for c in out]
+                return piv
+        return None

@@ -46,26 +46,24 @@ class RightModule:
     describe basis vector i; ``action[arrow]`` maps each i the arrow
     moves, and no other, to the row {j: c} of nonzero coefficients of
     basis vector i times the arrow.  Building the module certifies each
-    row nonempty and keyed at a basis vector of the arrow's source."""
+    row nonempty and keyed at a basis vector of the arrow's source, and
+    sets ``dim``, the number of basis vectors, which never changes."""
 
     def __init__(self, algebra, vertices, bidegrees, action, label=""):
         self.algebra = algebra
         self.vertices = tuple(vertices)
         self.bidegrees = tuple(tuple(d) for d in bidegrees)
-        if len(self.vertices) != len(self.bidegrees):
+        self.dim = len(self.vertices)
+        if self.dim != len(self.bidegrees):
             raise ValueError("vertex and bidegree lists differ in length")
         self.action = dict(action)
         self.label = label
         for a, rows in self.action.items():
             for i, row in rows.items():
-                if not (row and 0 <= i < len(self.vertices)):
+                if not (row and 0 <= i < self.dim):
                     raise AssertionError(f"bad action shape for {a}")
                 if self.vertices[i] != a.source:
                     raise AssertionError(f"action of {a} breaks weights")
-
-    @property
-    def dim(self):
-        return len(self.vertices)
 
     def act(self, arrow, row, support=None):
         """``row`` times ``arrow``, as a new dense row; with ``support``,

@@ -12,7 +12,7 @@ from zzqh import (NonTerminationError, closed_form_cover_basis,
                   presentation_dual_conjectured, presentation_shifted_dual,
                   presentation_zigzag, quadratic_dual,
                   shifted_dual_membership, zigzag_hom_oracle)
-from zzqh.algebra import (Arrow, Element, Path, Presentation,
+from zzqh.algebra import (Arrow, Element, Path, Presentation, label_key,
                           quadratic_blocks)
 from zzqh.koszul import (brauer_line_presentation,
                          counterexample_presentation, loop_presentation)
@@ -401,3 +401,47 @@ def test_reduce_path_fixes_basis_paths():
         red = inst.reduce_path(p)
         assert red.terms == {p: 1}
         assert inst.is_basis_path(p)
+
+
+@pytest.mark.parametrize("point", GRID)
+def test_cached_path_keys_match_a_recomputation(covers, point):
+    """Every basis path of the cover, of its opposite and of its
+    quadratic dual has the bidegree and sort key that the arrows give
+    afresh, on the first read and on the memoized second one; so does
+    each path one arrow longer, concatenated after those reads."""
+    cover = covers[point]
+    for inst in (cover, cover.opposite(),
+                 compute_basis(quadratic_dual(cover.presentation))):
+        for p in inst.basis():
+            bidegree = (sum(a.bidegree[0] for a in p.arrows),
+                        sum(a.bidegree[1] for a in p.arrows))
+            source = p.source if isinstance(p.source, tuple) else (p.source,)
+            key = (len(p.arrows), tuple(label_key(a.label) for a in p.arrows),
+                   source)
+            assert p.bidegree == bidegree and p.bidegree == bidegree, p
+            assert p.sort_key() == key, p
+            for arr in inst.presentation.arrows_from(p.target):
+                longer = p.concat(Path(arr.source, (arr,)))
+                assert longer.bidegree == (bidegree[0] + arr.bidegree[0],
+                                           bidegree[1] + arr.bidegree[1])
+                assert longer.sort_key() == (key[0] + 1,
+                                             key[1] + (label_key(arr.label),),
+                                             source)
+
+
+def test_an_arrow_hashes_and_compares_like_a_fresh_copy(covers):
+    """An arrow's stored hash and label key are those of a copy built
+    afresh, and of its four fields; a change of any field is another
+    arrow, and the repr shows the four fields alone."""
+    cover = covers[(2, 3)]
+    for a in cover.presentation.arrows + cover.opposite().presentation.arrows:
+        b = Arrow(source=a.source, target=a.target, label=a.label,
+                  bidegree=a.bidegree)
+        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1, a
+        assert hash(a) == hash((a.source, a.target, a.label, a.bidegree))
+        assert a.label_key == b.label_key == label_key(a.label)
+        assert repr(a) == (f"Arrow(source={a.source!r}, target={a.target!r}, "
+                           f"label={a.label!r}, bidegree={a.bidegree!r})")
+        other = Arrow(source=a.source, target=a.target, label=a.label,
+                      bidegree=(a.bidegree[1] + 1, a.bidegree[0]))
+        assert other != a and other not in {a}

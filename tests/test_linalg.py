@@ -238,3 +238,23 @@ def test_echelon_insert_keeps_stored_rows():
     assert ech.rows[1] is first and first == [F(0), F(1), F(2)]
     assert ech.rows[0] == [F(1), F(0), F(-2, 3)]
     assert ech.reduce([F(1), F(1), F(1)]) == [F(0), F(0), F(-1, 3)]
+
+
+def test_results_own_their_rows():
+    """The matrices that ``rref``, ``kernel_basis``, ``left_kernel`` and
+    ``zero`` build without copying share no row with their input or
+    with each other: editing one leaves the input and a recomputation
+    as they were."""
+    m = Matrix([[2, 4, -2, 1], [1, 2, 0, 1], [3, 6, -2, 2]])
+    before = [row[:] for row in m.data]
+    first = (m.rref()[1], m.kernel_basis(), m.left_kernel()[1])
+    for rows in (first[0].data, first[1].data, first[2]):
+        for row in rows:
+            row[0] = F(7, 3)
+    assert m.data == before
+    again = (m.rref()[1], m.kernel_basis(), m.left_kernel()[1])
+    assert again[0].data[0][0] == 1 and again[1].data[0][0] != F(7, 3)
+    assert again[2] and again[2][0][0] != F(7, 3)
+    z = Matrix.zero(2, 3)
+    z.data[0][0] = 1
+    assert z.data[1] == [0, 0, 0] and Matrix.zero(2, 3).data[0] == [0, 0, 0]

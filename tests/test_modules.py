@@ -16,7 +16,8 @@ from zzqh.modules import (ModuleMap, RightModule, _block_kernel, _block_key,
                           generated_submodule, gldim, hom_space,
                           injective_module, is_isomorphic, is_linear,
                           minimal_resolution, projective_module,
-                          quotient_module, shift_module, simple_module,
+                          quotient_module, restrict_to, shift_module,
+                          simple_module,
                           socle_rows, socle_top, standard_module,
                           top_generators)
 from zzqh.quiver import build_quiver, order_data
@@ -618,3 +619,20 @@ def test_act_rejects_a_row_of_the_wrong_length():
     for row in (m.unit(0)[:-1], m.unit(0) + [0]):
         with pytest.raises(ValueError):
             m.act(a, row)
+
+
+@pytest.mark.parametrize("point", GRID)
+def test_dim_is_the_number_of_basis_vectors(covers, point):
+    """``dim``, set when a module is built, counts its basis vectors for
+    the modules that ``direct_sum``, ``shift_module``, ``restrict_to``
+    and ``dualize`` build from others."""
+    a = covers[point]
+    parts = [projective_module(a, v) for v in a.presentation.vertices[:3]]
+    total = direct_sum(a, parts)
+    built = [total, shift_module(total, (1, -1)),
+             restrict_to(total, list(range(0, total.dim, 2))),
+             restrict_to(total, []), dualize(total),
+             dualize(restrict_to(parts[0], [0]))]
+    assert total.dim == sum(m.dim for m in parts)
+    for m in built:
+        assert m.dim == len(m.vertices) == len(m.bidegrees), m
