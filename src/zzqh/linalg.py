@@ -6,12 +6,12 @@ exact; a float never becomes an entry.  ``_coerce`` makes a value an
 entry and ``exact_div`` divides one entry by another, both keeping an
 integral result an ``int``.  Entries are coerced once, at the
 boundary: ``Matrix(rows)`` and ``Element`` coerce what they are given;
-zeros, ``rref`` results and the augmented matrix of ``left_kernel``,
-already exact, are not coerced again.  The matrices in this package
-(module maps, Hom-space constraint systems, Hom-complex differentials,
-relation spans) are small, and a dense representation keeps the code
-simple and the pivoting deterministic.  Arrow actions are not
-matrices: ``modules.RightModule`` stores them as sparse rows.
+zeros, ``rref`` results, kernel bases and ``left_kernel``'s augmented
+matrix are built from exact entries and not coerced again.  The
+matrices here (module maps, Hom-space constraint systems, Hom-complex
+differentials, relation spans) are small, and a dense representation
+keeps the code simple and the pivoting deterministic.  Arrow actions
+are not matrices: ``modules.RightModule`` stores them as sparse rows.
 
 ``Echelon`` is the one elimination in the package: ``Matrix.rref``
 and with it ranks, kernels and solving are built on it, the basis
