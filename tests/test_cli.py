@@ -301,6 +301,16 @@ FROZEN_STDOUT = {
         "55b36498331eb5a609c0913f81c37aeee71320e5e0e31d9d3ab2b27e16e11c71",
     ("check", "socle-lemmas", "--n", "3", "--s", "3"):
         "30be589c499e98dcd4099188140072acfde909f209c1607ae8df1f3cb9b8adb3",
+    ("check", "dual", "--n", "3", "--s", "4"):
+        "d4c1bd5f0a988f38b524d12b3c21738fd71e71591e65b343ea4cac95940ea75f",
+    ("check", "all", "--n", "3", "--s", "4"):
+        "d394376dc52ca143dec395183bcc7f517db17c260f9eb5b9b1338bbd54b2dab4",
+    ("dual", "--n", "3", "--s", "3", "--emit", "json"):
+        "646e5417c84854dabf12adf61691349e872ef963aebe2565d98ca937c208935a",
+    ("check", "qh", "--n", "4", "--s", "3"):
+        "812ec43b090f901648041681767770e6910471e8d0a0283fd04264b51a5319f3",
+    ("check", "borel", "--n", "3", "--s", "4"):
+        "1cd5bd0323adf233ec0a87a16a461ec1da10881b136eb3989d30e02de010de77",
 }
 
 
