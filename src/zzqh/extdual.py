@@ -35,9 +35,8 @@ from .algebra import (AlgebraInstance, Arrow, Element, Path, Presentation,
                       presentation_dual_conjectured, quadratic_blocks)
 from .koszul import KoszulReport, check_koszul
 from .linalg import ONE, ZERO, Echelon, Matrix, exact_div
-from .modules import (algebra_order, cached_module, ext_bigraded_reps,
-                      hom_row_to_map, map_from_generators,
-                      standard_resolution)
+from .modules import (_dense, algebra_order, cached_module, ext_bigraded_reps,
+                      free_row_image, standard_resolution)
 from .quiver import build_quiver, order_data, vertex_name
 
 
@@ -153,14 +152,13 @@ def ext_table(cover: AlgebraInstance) -> ExtTable:
 # Yoneda products
 
 
-def _lift_generators(src, tgt, dmat, rhs) -> Matrix:
-    """One step of a chain lift: a module map src -> tgt (free modules)
-    whose composite with dmat equals rhs.  Matching the generator rows
-    suffices, and exactness of the resolved complex guarantees a
-    solution; rref pivots make the choice reproducible."""
+def _lift_generators(src, tgt, dmat, rhs):
+    """One step of a chain lift: generator rows of a map src -> tgt (free
+    modules) whose composite with dmat sends generator k to ``rhs[k]``.
+    Matching the generator rows suffices, and exactness of the resolved
+    complex guarantees a solution; rref pivots make the choice reproducible."""
     gen_rows = []
-    for (v, _, start, _) in src.summands:
-        want = rhs.data[start]
+    for (v, _, _, _), want in zip(src.summands, rhs, strict=True):
         cols = [j for j, w in enumerate(tgt.vertices) if w == v]
         if not cols:
             if any(want):
@@ -172,11 +170,16 @@ def _lift_generators(src, tgt, dmat, rhs) -> Matrix:
         sol = sub.solve(list(want))
         if sol is None:
             raise ArithmeticError("chain lift failed: complex not exact?")
-        grow = [ZERO] * tgt.dim
-        for j, val in zip(cols, sol):
-            grow[j] = val
-        gen_rows.append(grow)
-    return map_from_generators(src, tgt, gen_rows).matrix
+        gen_rows.append(_dense(zip(cols, sol), tgt.dim))
+    return gen_rows
+
+
+def _generator_rows(free, n, basis, row):
+    """The generator images in n of the cochain ``row`` of Hom(free, n)."""
+    gens = [[ZERO] * n.dim for _ in free.summands]
+    for c, (t, j, _) in enumerate(basis):
+        gens[t][j] = row[c]
+    return gens
 
 
 def _zero_class(table, a, c, i, bidegree) -> ExtClass:
@@ -215,29 +218,28 @@ def yoneda_product(f: ExtClass, g: ExtClass) -> ExtClass:
         table._products[key] = out
         return out
 
-    bases_ab, _, _ = table.hom_data(a, g.target)
-    bases_bc, _, _ = table.hom_data(g.target, c)
     bases_ac, diffs_ac, ech_ac = table.hom_data(a, c)
     delta_c = table.deltas[c]
-    g_map = hom_row_to_map(res_a, table.deltas[g.target], g.i,
-                           bases_ab[g.i], list(g.row))
-    lift = None
+    # lift_k: F^a_(q+k) -> F^b_k, as generator rows, with d^b_k lift_k
+    # = lift_(k-1) d^a_(q+k), and d^b_0 lift_0 = g
+    rhs = _generator_rows(res_a.frees[g.i], table.deltas[g.target],
+                          table.hom_data(a, g.target)[0][g.i], g.row)
     for k in range(f.i + 1):
-        src, tgt = res_a.frees[g.i + k], res_b.frees[k]
-        if k == 0:
-            dmat, rhs = res_b.maps[0].matrix, g_map.matrix
-        else:
-            dmat, rhs = res_b.maps[k].matrix, res_a.maps[g.i + k].matrix * lift
-        lift = _lift_generators(src, tgt, dmat, rhs)
+        src = res_a.frees[g.i + k]
+        if k:
+            rhs = [free_row_image(res_a.frees[g.i + k - 1], res_b.frees[k - 1],
+                                  lift, res_a.maps[g.i + k].matrix.data[start])
+                   for _, _, start, _ in src.summands]
+        lift = _lift_generators(src, res_b.frees[k], res_b.maps[k].matrix, rhs)
 
-    f_map = hom_row_to_map(res_b, delta_c, f.i, bases_bc[f.i], list(f.row))
-    prod = lift * f_map.matrix
+    f_gens = _generator_rows(res_b.frees[f.i], delta_c,
+                             table.hom_data(g.target, c)[0][f.i], f.row)
     basis = bases_ac[i_total]
     pos = {(t, j): col for col, (t, j, _) in enumerate(basis)}
     row = [ZERO] * len(basis)
-    for t, (v, _, start, _) in enumerate(res_a.frees[i_total].summands):
-        for j in range(delta_c.dim):
-            val = prod.data[start][j]
+    for t, grow in enumerate(lift):
+        img = free_row_image(res_b.frees[f.i], delta_c, f_gens, grow)
+        for j, val in enumerate(img):
             if val:
                 col = pos.get((t, j))
                 if col is None:

@@ -27,7 +27,9 @@ span, so it is the same whatever order the rows came in.
 
 ``Matrix.left_kernel`` is the one left kernel, for module maps, socles,
 cocycles and the extracted dual's relations; relation spans come from
-``algebra.quadratic_blocks``.
+``algebra.quadratic_blocks``.  Two shortcuts give the full routine's rows:
+a left kernel with no columns is the identity at rank 0, and ``rref``
+skips back-substitution when there is at most one pivot.
 """
 
 from __future__ import annotations
@@ -133,10 +135,11 @@ class Matrix:
         """Reduced row echelon form; returns (pivot columns, new Matrix)."""
         ech = Echelon(self.data)
         pivots = sorted(ech.rows)
-        # back-substitution: each row is reduced against the rows with
-        # pivots to its right, which are already fully reduced
-        full = Echelon(ech.rows[c] for c in reversed(pivots))
-        red = [full.rows[c] for c in pivots]
+        # back-substitution, from two pivots on: each row is reduced
+        # against the rows with pivots to its right, already reduced
+        if len(pivots) > 1:
+            ech = Echelon(ech.rows[c] for c in reversed(pivots))
+        red = [ech.rows[c] for c in pivots]
         red += [[ZERO] * self.ncols for _ in range(self.nrows - len(pivots))]
         return pivots, Matrix._exact(red, self.ncols)
 
@@ -161,8 +164,10 @@ class Matrix:
         """(rank, kernel): the kernel is the reduced echelon basis of
         {v : v * self = 0}, as lists, from the rref of [self | identity]."""
         n = self.nrows
-        aug = [row + [ONE if k == i else ZERO for k in range(n)]
-               for i, row in enumerate(self.data)]
+        eye = [[ONE if k == i else ZERO for k in range(n)] for i in range(n)]
+        if not self.ncols:
+            return 0, eye
+        aug = [row + e for row, e in zip(self.data, eye)]
         pivots, red = Matrix._exact(aug, self.ncols + n).rref()
         rank = sum(p < self.ncols for p in pivots)
         return rank, [row[self.ncols:] for row in red.data[rank:]]

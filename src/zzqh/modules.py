@@ -25,8 +25,10 @@ closed along single-entry action rows, and a quotient keeps the other
 indices; both certify the span action-stable or raise ``AssertionError``.
 
 Conventions.  Module maps are matrices acting on row vectors: row i
-holds the image of source basis vector i.  Duality negates bidegrees:
-the socle of an injective sits in bidegree (0, 0) and everything else
+holds the image of source basis vector i.  Maps out of free modules
+are read through their generator images, each basis path's image its
+prefix's image times its last arrow.  Duality negates bidegrees: the
+socle of an injective sits in bidegree (0, 0) and everything else
 below.
 """
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import ONE, ZERO, Echelon, Matrix
 from .quiver import OrderData, build_quiver, order_data
@@ -92,15 +95,6 @@ class RightModule:
         row[i] = ONE
         return row
 
-    def act_path(self, row, path: Path):
-        if path.length == 0:
-            return [c if self.vertices[i] == path.source else ZERO
-                    for i, c in enumerate(row)]
-        out = list(row)
-        for a in path.arrows:
-            out = self.act(a, out)
-        return out
-
     def blocks(self, graded=True):
         """Indices of basis vectors grouped by (vertex, bidegree), or by
         vertex alone."""
@@ -124,13 +118,22 @@ class RightModule:
                     db = tuple(x + y for x, y in zip(self.bidegrees[i], a.bidegree))
                     if self.bidegrees[j] != db:
                         raise AssertionError(f"action of {a} breaks the grading")
+        # a path out of u moves only the basis vectors at u, as sparse rows
+        at = self.blocks(graded=False)
         for r in pres.relations:
-            for i in range(self.dim):
-                img = [ZERO] * self.dim
+            for i in [v for u in {p.source for p in r.terms} for v in at.get(u, ())]:
+                img = defaultdict(int)
                 for p, c in r.terms.items():
-                    for j, v in enumerate(self.act_path(self.unit(i), p)):
-                        img[j] += c * v
-                if any(img):
+                    row = {i: c} if p.source == self.vertices[i] else {}
+                    for a in p.arrows:
+                        nxt = defaultdict(int)
+                        for j, x in row.items():
+                            for k, y in self.action[a].get(j, {}).items():
+                                nxt[k] += x * y
+                        row = nxt
+                    for j, x in row.items():
+                        img[j] += x
+                if any(img.values()):
                     raise AssertionError(f"relation {r!r} not satisfied")
         return True
 
@@ -234,6 +237,10 @@ def projective_module(a: AlgebraInstance, x, shift=(0, 0)) -> RightModule:
     mod = RightModule(a, [p.target for p in paths],
                       [p.bidegree for p in paths], action, label=f"P[{x}]")
     mod.basis_paths = tuple(paths)
+    # (prefix index, last arrow) per path, None for e_x; compute_basis
+    # builds each length from the one before, so a prefix is a basis path
+    mod.prefixes = tuple((index[Path(x, p.arrows[:-1])], p.arrows[-1])
+                         if p.arrows else None for p in paths)
     cache[x] = mod
     return mod
 
@@ -247,11 +254,13 @@ def simple_module(a: AlgebraInstance, x, shift=(0, 0)) -> RightModule:
 
 def free_module(a: AlgebraInstance, gens) -> RightModule:
     """Direct sum of shifted projectives, one per (vertex, shift) pair.
-    Records ``summands`` as (vertex, shift, start, stop) slices."""
+    Records ``summands`` as (vertex, shift, start, stop) slices, and
+    ``parts``, the cached unshifted projective of each."""
     parts = [projective_module(a, v, shift) for v, shift in gens]
     mod = direct_sum(a, parts)
-    mod.summands, at = [], 0
+    mod.summands, mod.parts, at = [], [], 0
     for (v, shift), part in zip(gens, parts):
+        mod.parts.append(projective_module(a, v))
         mod.summands.append((v, tuple(shift), at, at + part.dim))
         at += part.dim
     mod.label = "F[" + ", ".join(f"{v}<{s}>" for v, s, _, _ in mod.summands) + "]"
@@ -291,7 +300,7 @@ def shift_module(m: RightModule, shift) -> RightModule:
     out = RightModule(m.algebra, m.vertices, bidegrees, m.action,
                       label=f"{m.label}<{shift}>" if m.label else "")
     if hasattr(m, "basis_paths"):
-        out.basis_paths = m.basis_paths
+        out.basis_paths, out.prefixes = m.basis_paths, m.prefixes
     return out
 
 
@@ -538,16 +547,41 @@ def is_isomorphic(m: RightModule, n: RightModule, graded=True):
 # projective covers and minimal resolutions
 
 
+def _path_images(target: RightModule, proj: RightModule, grow, wanted):
+    """``grow`` times basis path l of ``proj`` for each l in ``wanted``: e_x
+    keeps the entries at x, a longer path its prefix's image times its last arrow."""
+    memo = {}
+    def image(l):
+        if l not in memo:
+            step, x = proj.prefixes[l], proj.basis_paths[l].source
+            memo[l] = ([c if w == x else ZERO for w, c in zip(target.vertices, grow)]
+                       if step is None else target.act(step[1], image(step[0])))
+        return memo[l]
+    return [image(l) for l in wanted]
+
+
 def map_from_generators(free: RightModule, target: RightModule,
                         gen_rows) -> ModuleMap:
     """The module map free -> target sending the generator of the k-th
     summand of ``free`` to ``gen_rows[k]``, a row of target."""
-    mat = Matrix.zero(free.dim, target.dim)
-    for grow, (v, _, start, _) in zip(gen_rows, free.summands):
-        paths = projective_module(free.algebra, v).basis_paths
-        for local, p in enumerate(paths):
-            mat.data[start + local] = target.act_path(grow, p)
-    return ModuleMap(free, target, mat)
+    rows = []
+    for grow, proj in zip(gen_rows, free.parts):
+        rows += _path_images(target, proj, grow, range(proj.dim))
+    return ModuleMap(free, target, Matrix._exact(rows, target.dim))
+
+
+def free_row_image(free: RightModule, target: RightModule, gen_rows, row):
+    """``row`` times the map that ``map_from_generators(free, target,
+    gen_rows)`` builds, as a new row, read from the generator images."""
+    out = [ZERO] * target.dim
+    for grow, proj, (_, _, start, _) in zip(gen_rows, free.parts, free.summands):
+        wanted = [l for l in range(proj.dim) if row[start + l]]
+        if wanted and any(grow):
+            for l, img in zip(wanted, _path_images(target, proj, grow, wanted)):
+                for j, x in enumerate(img):
+                    if x:
+                        out[j] += row[start + l] * x
+    return out
 
 
 @dataclass
@@ -565,6 +599,20 @@ class Resolution:
     @property
     def length(self):
         return len(self.frees) - 1
+
+    @cached_property
+    def coefficients(self):
+        """``coefficients[i][t]`` lists (l, pairs) for each basis path l of
+        summand t of frees[i] in a generator image, pairs the nonzero (t1, c)
+        with c its coefficient in the image of generator t1 of frees[i+1]."""
+        out = []
+        for free, step in zip(self.frees, self.maps[1:]):
+            gens = [step.matrix.data[at] for _, _, at, _ in step.source.summands]
+            out.append([[(k - start, pairs) for k in range(start, stop)
+                         if (pairs := [(t1, g[k]) for t1, g in enumerate(gens)
+                                       if g[k]])]
+                        for _, _, start, stop in free.summands])
+        return out
 
     def __repr__(self):
         shape = " <- ".join(str(len(t)) for t in self.terms)
@@ -694,41 +742,33 @@ def hom_complex(res: Resolution, n: RightModule):
     Returns (bases, diffs): bases[i] lists the Hom basis of step i as
     (summand index, n basis index, bidegree) triples, the bidegree
     being that of the n basis vector minus the generator's shift;
-    diffs[i] maps step i to step i+1 (rows act on the left).
+    diffs[i] maps step i to step i+1 (rows act on the left).  An entry
+    is stored only between cochains of one bidegree, or raises.
     """
     if not res.complete:
         raise ValueError("resolution is truncated; Ext would be unreliable")
-    bases = []
-    for free in res.frees:
-        basis = []
-        for t, (v, shift, start, stop) in enumerate(free.summands):
-            for j in range(n.dim):
-                if n.vertices[j] == v:
-                    d = tuple(b - s for b, s in zip(n.bidegrees[j], shift))
-                    basis.append((t, j, d))
-        bases.append(basis)
+    at = n.blocks(graded=False)
+    bases = [[(t, j, tuple(b - s for b, s in zip(n.bidegrees[j], shift)))
+              for t, (v, shift, _, _) in enumerate(free.summands)
+              for j in at.get(v, ())] for free in res.frees]
     diffs = []
-    for i in range(len(res.frees) - 1):
+    for i, coeffs in enumerate(res.coefficients):
         src, tgt = bases[i], bases[i + 1]
-        pos = {(t, j): c for c, (t, j, _) in enumerate(tgt)}
-        gens = [res.maps[i + 1].matrix.data[start]
-                for _, _, start, _ in res.frees[i + 1].summands]
+        pos = {entry: c for c, entry in enumerate(tgt)}
         mat = Matrix.zero(len(src), len(tgt))
-        for c0, (t, j, _) in enumerate(src):
-            v, _, start, _ = res.frees[i].summands[t]
-            paths = projective_module(res.module.algebra, v).basis_paths
-            row = n.unit(j)
-            # the cochain sending generator t to e_j sends generator t1
-            # of F_{i+1} to e_j times its image's component in summand
-            # t, a combination of the basis paths of that summand
-            for l, p in enumerate(paths):
-                coeffs = [(t1, g[start + l]) for t1, g in enumerate(gens)
-                          if g[start + l]]
-                img = n.act_path(row, p) if coeffs else ()
-                for t1, c in coeffs:
-                    for jj, x in enumerate(img):
-                        if x:
-                            mat.data[c0][pos[(t1, jj)]] += c * x
+        # cochain (t, j) sends generator t1 of F_{i+1} to e_j times the
+        # summand-t part of t1's image, a combination of its basis paths
+        for c0, (t, j, d) in enumerate(src):
+            images = _path_images(n, res.frees[i].parts[t], n.unit(j),
+                                  [l for l, _ in coeffs[t]])
+            for (_, pairs), img in zip(coeffs[t], images):
+                for jj, x in enumerate(img):
+                    if x:
+                        for t1, c in pairs:
+                            col = pos.get((t1, jj, d))
+                            if col is None:
+                                raise AssertionError("hom differential mixes bidegrees")
+                            mat.data[c0][col] += c * x
         diffs.append(mat)
     return bases, diffs
 
@@ -744,55 +784,37 @@ def ext_bigraded_reps(res: Resolution, n: RightModule):
     """Ext split by cocycle bidegree.
 
     Returns (bases, diffs, levels) with bases and diffs from
-    hom_complex and levels[i] a dict bidegree -> list of representative
-    cocycle rows (full width, supported on that bidegree, reduced
-    against the coboundary echelon, leading coefficient one).  The Hom-complex differentials
-    are verified to preserve bidegree before splitting.
+    hom_complex, whose differentials preserve bidegree, and levels[i] a
+    dict bidegree -> list of representative cocycle rows (full width,
+    supported on that bidegree, reduced against the coboundary echelon,
+    leading coefficient one).
     """
     bases, diffs = hom_complex(res, n)
-    for i, mat in enumerate(diffs):
-        for r, (_, _, dr) in enumerate(bases[i]):
-            for c, (_, _, dc) in enumerate(bases[i + 1]):
-                if mat.data[r][c] and dr != dc:
-                    raise AssertionError("hom differential mixes bidegrees")
+    groups = [{} for _ in bases]
+    for group, basis in zip(groups, bases):
+        for c, (_, _, d) in enumerate(basis):
+            group.setdefault(d, []).append(c)
     levels = []
-    for i in range(len(bases)):
+    for i, basis in enumerate(bases):
         level = {}
-        for d in sorted({dd for _, _, dd in bases[i]}):
-            cols = [c for c, (_, _, dd) in enumerate(bases[i]) if dd == d]
+        for d in sorted(groups[i]):
+            cols = groups[i][d]
             # at the last step there is no differential: every cochain
             # is a cocycle, the kernel of a matrix with no columns
-            tcols = [c for c, (_, _, dd) in enumerate(bases[i + 1])
-                     if dd == d] if i < len(diffs) else []
+            tcols = groups[i + 1].get(d, []) if i < len(diffs) else []
             _, cycles = Matrix([[diffs[i].data[r][c] for c in tcols]
                                 for r in cols], ncols=len(tcols)).left_kernel()
-            span = Echelon()
-            if i >= 1:
-                for r, (_, _, dd) in enumerate(bases[i - 1]):
-                    if dd == d:
-                        span.insert([diffs[i - 1].data[r][c] for c in cols])
+            span = Echelon([diffs[i - 1].data[r][c] for c in cols]
+                           for r in (groups[i - 1].get(d, ()) if i else ()))
             reps = []
             for row in cycles:
                 piv = span.insert(row)
-                if piv is None:
-                    continue
-                full = [ZERO] * len(bases[i])
-                for c, v in zip(cols, span.rows[piv]):
-                    full[c] = v
-                reps.append(full)
+                if piv is not None:
+                    reps.append(_dense(zip(cols, span.rows[piv]), len(basis)))
             if reps:
                 level[d] = reps
         levels.append(level)
     return bases, diffs, levels
-
-
-def hom_row_to_map(res: Resolution, n: RightModule, i, basis, row) -> ModuleMap:
-    """Turn a Hom-basis row at step i into the module map F_i -> n."""
-    free = res.frees[i]
-    gens = [[ZERO] * n.dim for _ in free.summands]
-    for c, (t, j, _) in enumerate(basis):
-        gens[t][j] = row[c]
-    return map_from_generators(free, n, gens)
 
 
 # ---------------------------------------------------------------------------

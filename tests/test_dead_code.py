@@ -44,3 +44,17 @@ def test_every_definition_is_used():
                     if name not in used
                     and not (name.startswith("__") and name.endswith("__")))
     assert not unused, unused
+
+
+def test_the_tracer_patches_methods_that_exist():
+    """``bench/tracing.py`` patches the ``Matrix`` methods named by the
+    keys of its ``MATRIX_METHODS``; each must still be defined, whether
+    or not the package itself calls it."""
+    from zzqh.linalg import Matrix
+
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    names = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "MATRIX_METHODS"
+                         for t in node.targets))
+    assert names and all(callable(vars(Matrix).get(name)) for name in names)

@@ -8,6 +8,8 @@ import pytest
 
 from zzqh import (Element, Presentation, compute_basis, extdual, modules,
                   presentation_cover, presentation_dual_conjectured)
+from zzqh.linalg import Matrix
+from zzqh.modules import projective_module
 from zzqh.extdual import (build_dual_from_ext, check_degree_law,
                           check_dual_koszul, check_simple_costandard_dims,
                           check_yoneda_associative, compare_dual,
@@ -125,6 +127,100 @@ def test_each_hom_complex_is_built_once(monkeypatch):
     build_dual_from_ext(cover, ext_table(cover))
     labels = [f"Delta[{x}]" for x in cover.presentation.vertices]
     assert built == {(x, y): 1 for x in labels for y in labels}
+
+
+def _dense_map(free, target, gen_rows):
+    """The full matrix of the map free -> target sending generator k to
+    ``gen_rows[k]``: each basis path applied arrow by arrow."""
+    rows = []
+    for grow, (v, _, _, _) in zip(gen_rows, free.summands):
+        for p in projective_module(free.algebra, v).basis_paths:
+            row = [c if target.vertices[j] == v else 0
+                   for j, c in enumerate(grow)]
+            for arrow in p.arrows:
+                row = target.act(arrow, row)
+            rows.append(row)
+    return Matrix(rows, ncols=target.dim)
+
+
+def _cochain_map(res, n, i, basis, row):
+    gens = [[0] * n.dim for _ in res.frees[i].summands]
+    for c, (t, j, _) in enumerate(basis):
+        gens[t][j] = row[c]
+    return _dense_map(res.frees[i], n, gens)
+
+
+def _yoneda_reference(f, g):
+    """f.g on full matrices: the cocycle of g as a map, lifted step by
+    step through dense lift matrices and matrix products, composed with
+    the map of f, read off at the generators and reduced."""
+    table = f.table
+    a, b, c = g.source, g.target, f.target
+    res_a, res_b = table.resolutions[a], table.resolutions[b]
+    i_total = f.i + g.i
+    if i_total > res_a.length or not (any(f.row) and any(g.row)):
+        bases = table.hom_data(a, c)[0]
+        return [0] * (len(bases[i_total]) if i_total < len(bases) else 0)
+    rhs = _cochain_map(res_a, table.deltas[b], g.i,
+                       table.hom_data(a, b)[0][g.i], g.row)
+    for k in range(f.i + 1):
+        src, tgt = res_a.frees[g.i + k], res_b.frees[k]
+        if k:
+            rhs = res_a.maps[g.i + k].matrix * lift
+        dmat, gens = res_b.maps[k].matrix, []
+        for (v, _, start, _) in src.summands:
+            cols = [j for j, w in enumerate(tgt.vertices) if w == v]
+            sol = Matrix([[dmat.data[j][col] for j in cols]
+                          for col in range(dmat.ncols)],
+                         ncols=len(cols)).solve(rhs.data[start]) if cols else []
+            grow = [0] * tgt.dim
+            for j, val in zip(cols, sol):
+                grow[j] = val
+            gens.append(grow)
+        lift = _dense_map(src, tgt, gens)
+    prod = lift * _cochain_map(res_b, table.deltas[c], f.i,
+                               table.hom_data(b, c)[0][f.i], f.row)
+    bases, _, echelons = table.hom_data(a, c)
+    pos = {(t, j): col for col, (t, j, _) in enumerate(bases[i_total])}
+    row = [0] * len(bases[i_total])
+    for t, (_, _, start, _) in enumerate(res_a.frees[i_total].summands):
+        for j, val in enumerate(prod.data[start]):
+            if val:
+                row[pos[(t, j)]] = val
+    return echelons[i_total].reduce(row)
+
+
+@pytest.mark.parametrize("n,s", [(2, 3), (3, 3), (2, 4)])
+def test_products_match_the_dense_route(monkeypatch, n, s):
+    """Every degree-two product that ``build_dual_from_ext`` forms
+    equals the product on full matrices, and after the whole table
+    each resolution holds the coefficient table its maps give."""
+    formed = []
+    original = extdual.yoneda_product
+
+    def recording(f, g):
+        out = original(f, g)
+        formed.append((f, g, out))
+        return out
+
+    monkeypatch.setattr(extdual, "yoneda_product", recording)
+    cover = compute_basis(presentation_cover(n, s))
+    table = ext_table(cover)
+    build_dual_from_ext(cover, table)
+    assert formed and any(any(out.row) for _, _, out in formed)
+    for f, g, out in formed:
+        assert list(out.row) == _yoneda_reference(f, g), (f, g)
+    for res in table.resolutions.values():
+        want = []
+        for i in range(len(res.frees) - 1):
+            gens = [res.maps[i + 1].matrix.data[start]
+                    for _, _, start, _ in res.frees[i + 1].summands]
+            want.append([[(l, pairs) for l in range(stop - start)
+                          if (pairs := [(t1, g[start + l])
+                                        for t1, g in enumerate(gens)
+                                        if g[start + l]])]
+                         for _, _, start, stop in res.frees[i].summands])
+        assert vars(res)["coefficients"] == want  # cached, not rebuilt
 
 
 # ---------------------------------------------------------------------------

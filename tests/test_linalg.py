@@ -258,3 +258,17 @@ def test_results_own_their_rows():
     z = Matrix.zero(2, 3)
     z.data[0][0] = 1
     assert z.data[1] == [0, 0, 0] and Matrix.zero(2, 3).data[0] == [0, 0, 0]
+    # the shortcuts: a left kernel with no columns is the identity at
+    # rank 0, and one pivot needs no back-substitution
+    empty = Matrix([[], [], []], ncols=0)
+    rank, kern = empty.left_kernel()
+    assert rank == 0 and kern == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    kern[0][1] = F(7, 3)
+    assert empty.left_kernel()[1][0] == [1, 0, 0]
+    single = Matrix([[0, 2, 4], [0, 1, 2]])
+    before = [row[:] for row in single.data]
+    pivots, red = single.rref()
+    assert (pivots, red.data) == ([1], [[0, 1, 2], [0, 0, 0]])
+    assert (pivots, red.data) == _gauss_jordan(single)
+    red.data[0][2] = F(7, 3)
+    assert single.data == before and single.rref()[1].data[0] == [0, 1, 2]

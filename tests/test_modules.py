@@ -12,10 +12,11 @@ from zzqh.linalg import Echelon, Matrix
 from zzqh.modules import (ModuleMap, RightModule, _block_kernel, _block_key,
                           _dense, algebra_order, canonical_module,
                           costandard_module, delta_filtration, direct_sum,
-                          dualize, ext_dims, free_module,
-                          generated_submodule, gldim, hom_space,
+                          dualize, ext_dims, free_module, free_row_image,
+                          generated_submodule, gldim, hom_complex, hom_space,
                           injective_module, is_isomorphic, is_linear,
-                          minimal_resolution, projective_module,
+                          map_from_generators, minimal_resolution,
+                          projective_module,
                           quotient_module, restrict_to, shift_module,
                           simple_module,
                           socle_rows, socle_top, standard_module,
@@ -636,3 +637,94 @@ def test_dim_is_the_number_of_basis_vectors(covers, point):
     assert total.dim == sum(m.dim for m in parts)
     for m in built:
         assert m.dim == len(m.vertices) == len(m.bidegrees), m
+
+
+def _act_path(m, row, path):
+    """``row`` times ``path``, one arrow at a time; the trivial path
+    keeps the entries at its vertex."""
+    if not path.arrows:
+        return [c if m.vertices[i] == path.source else 0
+                for i, c in enumerate(row)]
+    for a in path.arrows:
+        row = m.act(a, row)
+    return row
+
+
+def _relations_hold_reference(m):
+    """Every relation applied to every basis vector, on dense rows."""
+    for r in m.algebra.presentation.relations:
+        for i in range(m.dim):
+            img = [0] * m.dim
+            for p, c in r.terms.items():
+                for j, v in enumerate(_act_path(m, m.unit(i), p)):
+                    img[j] += c * v
+            if any(img):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("point", [(1, 2), (2, 2), (2, 3)])
+def test_maps_from_generators_match_the_path_by_path_route(covers, point):
+    """Each row of ``map_from_generators`` is its generator's image
+    times the basis path, and ``free_row_image`` is a row times that
+    map, on the maps and rows of the resolutions of the standards."""
+    a = covers[point]
+    for x in a.presentation.vertices:
+        res = minimal_resolution(standard_module(a, x))
+        for k, step in enumerate(res.maps):
+            free, target = step.source, step.target
+            gens = [step.matrix.data[start] for _, _, start, _ in free.summands]
+            ones = [[1] * target.dim for _ in gens]
+            for rows in (gens, ones):
+                got = map_from_generators(free, target, rows).matrix.data
+                want = [_act_path(target, grow, p)
+                        for grow, (v, _, _, _) in zip(rows, free.summands)
+                        for p in projective_module(a, v).basis_paths]
+                assert got == want
+            full = map_from_generators(free, target, gens).matrix
+            assert full == step.matrix
+            if k + 1 < len(res.maps):
+                for row in res.maps[k + 1].matrix.data + [[1] * free.dim]:
+                    assert (free_row_image(free, target, gens, row)
+                            == full.mul_row(row))
+
+
+def test_check_agrees_with_the_dense_route_on_each_broken_entry(covers):
+    """Doubling one action entry of a projective breaks a relation
+    exactly when the dense route over every basis vector says so, and
+    some entry does: the sparse check is not blind."""
+    a = covers[(2, 2)]
+    raised = 0
+    for x in a.presentation.vertices:
+        proj = projective_module(a, x)
+        for arrow, rows in proj.action.items():
+            for i, row in rows.items():
+                for j in row:
+                    def double(action):
+                        action[arrow][i][j] *= 2
+                    m = _with_action(proj, double)
+                    if _relations_hold_reference(m):
+                        assert m.check()
+                        continue
+                    raised += 1
+                    with pytest.raises(AssertionError, match="not satisfied"):
+                        m.check()
+    assert raised
+
+
+def test_a_hom_complex_against_a_shifted_vector_is_rejected(cover12):
+    """Shift the bidegree of one basis vector of the target that a
+    nonzero differential entry starts from: the complex stops at that
+    entry instead of mixing bidegrees."""
+    res = minimal_resolution(simple_module(cover12, (0, 2)))
+    target = projective_module(cover12, (1, 1))
+    bases, diffs = hom_complex(res, target)
+    j = next(bases[i][r][1] for i, mat in enumerate(diffs)
+             for r, row in enumerate(mat.data) for c, v in enumerate(row)
+             if v and bases[i + 1][c][1] != bases[i][r][1])
+    bidegrees = list(target.bidegrees)
+    bidegrees[j] = (bidegrees[j][0] + 1, bidegrees[j][1])
+    shifted = RightModule(cover12, target.vertices, bidegrees, target.action)
+    with pytest.raises(AssertionError,
+                       match="hom differential mixes bidegrees"):
+        hom_complex(res, shifted)
