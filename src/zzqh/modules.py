@@ -99,8 +99,8 @@ class RightModule:
         """Indices of basis vectors grouped by (vertex, bidegree), or by
         vertex alone."""
         out = {}
-        for i, (v, d) in enumerate(zip(self.vertices, self.bidegrees)):
-            key = (v, d) if graded else v
+        keys = zip(self.vertices, self.bidegrees) if graded else self.vertices
+        for i, key in enumerate(keys):
             out.setdefault(key, []).append(i)
         return out
 
@@ -748,8 +748,8 @@ def hom_complex(res: Resolution, n: RightModule):
     if not res.complete:
         raise ValueError("resolution is truncated; Ext would be unreliable")
     at = n.blocks(graded=False)
-    bases = [[(t, j, tuple(b - s for b, s in zip(n.bidegrees[j], shift)))
-              for t, (v, shift, _, _) in enumerate(free.summands)
+    bases = [[(t, j, (n.bidegrees[j][0] - sh[0], n.bidegrees[j][1] - sh[1]))
+              for t, (v, sh, _, _) in enumerate(free.summands)
               for j in at.get(v, ())] for free in res.frees]
     diffs = []
     for i, coeffs in enumerate(res.coefficients):
