@@ -311,6 +311,8 @@ FROZEN_STDOUT = {
         "812ec43b090f901648041681767770e6910471e8d0a0283fd04264b51a5319f3",
     ("check", "borel", "--n", "3", "--s", "4"):
         "1cd5bd0323adf233ec0a87a16a461ec1da10881b136eb3989d30e02de010de77",
+    ("check", "borel", "--n", "4", "--s", "3"):
+        "fb916df9a591f20e9b43e304723c3ecb8c5ee3da55695189dceb3ff88181663c",
 }
 
 
