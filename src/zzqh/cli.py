@@ -32,8 +32,8 @@ from .koszul import (brauer_line_presentation, check_delta_koszul,
                      check_standard_koszul, counterexample_presentation,
                      fixture_brauer_line, fixture_counterexample,
                      loop_presentation)
-from .modules import (InconclusiveSearch, algebra_order, canonical_module,
-                      is_linear, minimal_resolution)
+from .modules import (algebra_order, canonical_module, is_linear,
+                      minimal_resolution)
 from .qh import check_borel, check_cover, check_quasi_hereditary
 from .quiver import build_quiver, export_dot, order_data, vertex_name
 
@@ -400,9 +400,6 @@ def run_cli(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except InconclusiveSearch as e:  # neither a failed check nor a crash
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NONTERM
     except NonTerminationError as e:
         _emit_json({"nonterminating": True, "max_length": e.max_len,
                     "dims_so_far": e.dims}, getattr(args, "out", None))

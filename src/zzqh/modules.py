@@ -34,7 +34,6 @@ below.
 
 from __future__ import annotations
 
-import random
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -329,12 +328,12 @@ def left_mult_map(a: AlgebraInstance, g: Element) -> ModuleMap:
 
 def algebra_order(a: AlgebraInstance) -> OrderData:
     """The cover's partial order on vertices, derived from the
-    presentation parameters."""
+    presentation parameters, made once per instance."""
     if a.presentation.kind not in ("cover", "borel"):
         raise ValueError(
             f"no partial order for a {a.presentation.kind!r} presentation")
     n, s = a.presentation.params["n"], a.presentation.params["s"]
-    return order_data(build_quiver(n, s))
+    return _on_instance(a, "order", lambda: order_data(build_quiver(n, s)))
 
 
 def _assert_stable(m: RightModule, indices, message):
@@ -349,13 +348,17 @@ def _assert_stable(m: RightModule, indices, message):
 def generated_submodule(m: RightModule, seeds):
     """Sorted basis indices of the submodule generated by the basis
     vectors ``seeds``: an index joins when it is the single entry of an
-    action row of a member.  Raises unless the span of the closure is
-    action-stable, which certifies that it is the generated submodule."""
+    action row of a member, read from the arrows out of the member's
+    vertex, the only ones with a row for it.  Raises unless the span of
+    the closure is action-stable, which certifies that it is the
+    generated submodule."""
+    arrows_from = m.algebra.presentation.arrows_from
     members, work = set(seeds), list(seeds)
     while work:
         i = work.pop()
-        new = {j for rows in m.action.values() if len(rows.get(i, ())) == 1
-               for j in rows[i]} - members
+        new = {j for a in arrows_from(m.vertices[i])
+               if len(row := m.action[a].get(i, ())) == 1
+               for j in row} - members
         members |= new
         work.extend(new)
     _assert_stable(m, members, "submodule not spanned by basis vectors")
@@ -451,16 +454,6 @@ def top_generators(m: RightModule):
             for i in range(m.dim) if i not in pivots]
 
 
-def socle_top(m: RightModule):
-    """(socle, top) as sorted multisets of (vertex, bidegree)."""
-    soc = []
-    for r in socle_rows(m):
-        i = next(j for j, c in enumerate(r) if c)
-        soc.append((m.vertices[i], m.bidegrees[i]))
-    top = [(v, d) for v, d, _ in top_generators(m)]
-    return sorted(soc, key=_block_key), sorted(top, key=_block_key)
-
-
 def hom_space(m: RightModule, n: RightModule, shift=None):
     """A basis of module maps m -> n; with ``shift`` only the maps
     homogeneous of that (flat, sharp) bidegree.  The unknowns f[i][j]
@@ -500,47 +493,20 @@ def hom_space(m: RightModule, n: RightModule, shift=None):
     return maps
 
 
-class InconclusiveSearch(RuntimeError):
-    """Every seeded trial of ``is_isomorphic`` failed."""
-
-
-def is_isomorphic(m: RightModule, n: RightModule, graded=True):
-    """Certify an isomorphism or its impossibility.
-
-    Fast invariants (dim, graded block dims) decide the negative case.
-    Otherwise up to 8 seeded trials each combine a Hom basis with
-    coefficients from [1, 2^20]; an invertible combination certifies
-    the isomorphism.  If one exists, the determinant is a nonzero
-    polynomial of degree at most dim in the coefficients, so a trial
-    fails with probability at most dim / 2^20 (Schwartz-Zippel).
-    Raises if every trial fails, rather than guessing."""
-    def block_dims(mod):
-        return {k: len(ix) for k, ix in mod.blocks(graded).items()}
-    if m.dim != n.dim or block_dims(m) != block_dims(n):
+def socle_isomorphic(m: RightModule, n: RightModule, graded=True):
+    """Whether m is isomorphic to n, by a map homogeneous of bidegree
+    (0, 0) when ``graded``, for m whose socle is simple, spanned by s.
+    A map out of m is then injective exactly when it is nonzero on s,
+    so for dim m = dim n some basis map of Hom(m, n) is nonzero on s
+    exactly when m and n are isomorphic.  Raises unless the socle of m
+    is simple."""
+    soc = socle_rows(m)
+    if len(soc) != 1:
+        raise AssertionError(f"socle of {m.label or 'module'} is not simple")
+    if m.dim != n.dim:
         return False
-    ms, mt = socle_top(m)
-    ns, nt = socle_top(n)
-    if graded and (ms, mt) != (ns, nt):
-        return False
-    if not graded:
-        strip = lambda pairs: sorted(_vkey(v) for v, _ in pairs)
-        if strip(ms) != strip(ns) or strip(mt) != strip(nt):
-            return False
-    maps = hom_space(m, n, shift=(0, 0) if graded else None)
-    if not maps:
-        return m.dim == 0
-    rng = random.Random(0)
-    for _ in range(8):
-        rows = [[ZERO] * n.dim for _ in range(m.dim)]
-        for f in maps:
-            c = rng.randint(1, 1 << 20)
-            for row, frow in zip(rows, f.matrix.data):
-                for j, v in enumerate(frow):
-                    if v:
-                        row[j] += c * v
-        if Matrix(rows, ncols=n.dim).rank() == m.dim:
-            return True
-    raise InconclusiveSearch("isomorphism search inconclusive")
+    return any(any(f.matrix.mul_row(soc[0]))
+               for f in hom_space(m, n, shift=(0, 0) if graded else None))
 
 
 # ---------------------------------------------------------------------------

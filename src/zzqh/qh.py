@@ -25,8 +25,8 @@ from .algebra import (AlgebraInstance, Element, Path, presentation_zigzag,
                       zigzag_hom_oracle)
 from .modules import (algebra_order, cached_module, costandard_module,
                       delta_filtration, ext_dims, hom_space, injective_module,
-                      is_isomorphic, left_mult_map, projective_module,
-                      restrict_to, RightModule, standard_resolution)
+                      left_mult_map, projective_module, restrict_to,
+                      RightModule, socle_isomorphic, standard_resolution)
 
 REPORT_FIELDS = (
     "endo_standard_trivial",
@@ -339,8 +339,8 @@ def check_borel(cover: AlgebraInstance, borel: AlgebraInstance) -> QhReport:
             {ar: nab.action[ar] for ar in borel.presentation.arrows},
             label=f"Nabla[{x}]|B")
         restricted.check()
-        if not is_isomorphic(restricted,
-                             costandard_module(borel, x, cover_order)):
+        if not socle_isomorphic(costandard_module(borel, x, cover_order),
+                                restricted):
             iso_bad.append(vertex_name(x))
     rep.borel_costandard_iso = not iso_bad
     if iso_bad:
@@ -355,8 +355,8 @@ def check_projective_injective(cover: AlgebraInstance) -> QhReport:
     rep = QhReport()
     jbad, at_k = [], []
     for x in cover.presentation.vertices:
-        iso = is_isomorphic(projective_module(cover, x),
-                            injective_module(cover, x), graded=False)
+        iso = socle_isomorphic(injective_module(cover, x),
+                               projective_module(cover, x), graded=False)
         if x[0] > 0:
             if not iso:
                 jbad.append(vertex_name(x))

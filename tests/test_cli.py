@@ -341,18 +341,6 @@ def test_delta_koszul_finds_the_isomorphism_past_the_grid(capsys):
     assert json.loads(out)["results"][0]["report"]["extra"]["gamma0_iso_delta"]
 
 
-def test_an_inconclusive_search_is_one_stderr_line(capsys, monkeypatch):
-    def inconclusive(*args, **kwargs):
-        raise zzqh.modules.InconclusiveSearch(
-            "isomorphism search inconclusive")
-
-    monkeypatch.setattr(zzqh.qh, "is_isomorphic", inconclusive)
-    code = run_cli(["check", "borel", "--n", "1", "--s", "2"])
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (
-        3, "", "error: isomorphism search inconclusive\n")
-
-
 def test_resolve_caps_the_basis(capsys):
     code, out = _run(capsys, "resolve", "--n", "1", "--s", "2",
                      "--module", "simple:0,2", "--max-steps", "2")

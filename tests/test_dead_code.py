@@ -46,6 +46,23 @@ def test_every_definition_is_used():
     assert not unused, unused
 
 
+def test_the_engine_draws_no_random_numbers():
+    """Every answer is certified, never searched for: no module of the
+    package imports ``random``."""
+    found = []
+    for path, tree in _trees(sorted(PACKAGE.glob("*.py"))):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "random"]
+    assert not found, found
+
+
 def test_the_tracer_patches_methods_that_exist():
     """``bench/tracing.py`` patches the ``Matrix`` methods named by the
     keys of its ``MATRIX_METHODS``; each must still be defined, whether

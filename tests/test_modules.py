@@ -1,12 +1,14 @@
 """Graded right modules over the computed algebras: canonical modules,
 socles, Hom spaces, minimal resolutions and Ext."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 import zzqh.modules
-from zzqh import compute_basis, presentation_cover, presentation_zigzag
+from zzqh import (compute_basis, presentation_borel, presentation_cover,
+                  presentation_zigzag)
 from zzqh.koszul import _flat_degree_zero_part
 from zzqh.linalg import Echelon, Matrix
 from zzqh.modules import (ModuleMap, RightModule, _block_kernel, _block_key,
@@ -14,12 +16,12 @@ from zzqh.modules import (ModuleMap, RightModule, _block_kernel, _block_key,
                           costandard_module, delta_filtration, direct_sum,
                           dualize, ext_dims, free_module, free_row_image,
                           generated_submodule, gldim, hom_complex, hom_space,
-                          injective_module, is_isomorphic, is_linear,
+                          injective_module, is_linear,
                           map_from_generators, minimal_resolution,
                           projective_module,
                           quotient_module, restrict_to, shift_module,
                           simple_module,
-                          socle_rows, socle_top, standard_module,
+                          socle_isomorphic, socle_rows, standard_module,
                           top_generators)
 from zzqh.quiver import build_quiver, order_data
 
@@ -45,9 +47,9 @@ def test_canonical_module_dims(cover12):
 def test_simple_socle_and_top(cover12):
     for x in VERTS:
         proj = projective_module(cover12, x)
-        soc, top = socle_top(proj)
-        assert top == [(x, (0, 0))]
-        assert len(soc) == 1
+        (v, d, _), = top_generators(proj)
+        assert (v, d) == (x, (0, 0))
+        assert len(socle_rows(proj)) == 1
 
 
 def test_standard_is_quotient_costandard_is_sub(cover12):
@@ -56,10 +58,10 @@ def test_standard_is_quotient_costandard_is_sub(cover12):
         nabla = costandard_module(cover12, x)
         assert delta.dim <= projective_module(cover12, x).dim
         assert nabla.dim <= injective_module(cover12, x).dim
-        _, dtop = socle_top(delta)
-        assert dtop == [(x, (0, 0))]
-        nsoc, _ = socle_top(nabla)
-        assert [(v, (0, 0)) for v, _ in nsoc] == [(x, (0, 0))]
+        (v, d, _), = top_generators(delta)
+        assert (v, d) == (x, (0, 0))
+        row, = socle_rows(nabla)
+        assert {nabla.vertices[i] for i, c in enumerate(row) if c} == {x}
 
 
 def test_unstable_rows_are_rejected(cover12):
@@ -260,12 +262,152 @@ def test_truncated_resolution_is_flagged(cover12):
     assert res.length == 1
 
 
-def test_is_isomorphic_detects_shifts(cover12):
+def test_socle_isomorphic_detects_shifts(cover12):
     p = projective_module(cover12, (1, 1))
-    assert is_isomorphic(p, p)
+    assert socle_isomorphic(p, p)
     shifted = shift_module(p, (1, 0))
-    assert not is_isomorphic(p, shifted)
-    assert is_isomorphic(p, shifted, graded=False)
+    assert not socle_isomorphic(p, shifted)
+    assert socle_isomorphic(p, shifted, graded=False)
+
+
+# ---------------------------------------------------------------------------
+# the socle certificate against a seeded search
+
+
+def _search_isomorphic(m, n, graded=True):
+    """The second route: block dimensions and the (vertex, bidegree)
+    multisets of socle and top decide the negative cases; otherwise up
+    to 8 seeded combinations of a Hom basis, coefficients from
+    [1, 2^20], look for an invertible one.  If an isomorphism exists, a
+    trial misses it with probability at most dim / 2^20
+    (Schwartz-Zippel).  Raises if every trial misses."""
+    def invariants(mod):
+        soc = [next(i for i, c in enumerate(r) if c) for r in socle_rows(mod)]
+        soc = [(mod.vertices[i], mod.bidegrees[i]) for i in soc]
+        top = [(v, d) for v, d, _ in top_generators(mod)]
+        if not graded:
+            soc, top = ([(v, (0, 0)) for v, _ in vds] for vds in (soc, top))
+        return ({k: len(ix) for k, ix in mod.blocks(graded).items()},
+                sorted(soc, key=_block_key), sorted(top, key=_block_key))
+    if m.dim != n.dim or invariants(m) != invariants(n):
+        return False
+    maps = hom_space(m, n, shift=(0, 0) if graded else None)
+    if not maps:
+        return m.dim == 0
+    rng = random.Random(0)
+    for _ in range(8):
+        rows = [[0] * n.dim for _ in range(m.dim)]
+        for f in maps:
+            c = rng.randint(1, 1 << 20)
+            for row, frow in zip(rows, f.matrix.data):
+                for j, v in enumerate(frow):
+                    row[j] += c * v
+        if Matrix(rows, ncols=n.dim).rank() == m.dim:
+            return True
+    raise AssertionError("isomorphism search inconclusive")
+
+
+def _restricted_costandard(cover, borel, x, order):
+    """The cover's Nabla_x on the Borel's arrows alone, as
+    ``check_borel`` builds it."""
+    nab = costandard_module(cover, x, order)
+    return RightModule(borel, nab.vertices, nab.bidegrees,
+                       {ar: dict(nab.action[ar])
+                        for ar in borel.presentation.arrows})
+
+
+@pytest.mark.parametrize("point", GRID + ((2, 4), (3, 3)))
+def test_the_socle_certificate_agrees_with_the_search(covers, borels, point):
+    """At both call sites and every vertex, the certificate and the
+    search give one answer: the Borel's Nabla_x against the restricted
+    cover Nabla_x (graded, either way round), and I_x against P_x
+    (ungraded), which holds exactly at the J vertices."""
+    if point in covers:
+        cover, borel = covers[point], borels[point]
+    else:
+        cover = compute_basis(presentation_cover(*point))
+        borel = compute_basis(presentation_borel(*point))
+    order = algebra_order(cover)
+    for x in cover.presentation.vertices:
+        own = costandard_module(borel, x, order)
+        restricted = _restricted_costandard(cover, borel, x, order)
+        assert socle_isomorphic(own, restricted) is True
+        assert _search_isomorphic(own, restricted) is True
+        assert socle_isomorphic(restricted, own) is True
+        inj, proj = injective_module(cover, x), projective_module(cover, x)
+        iso = socle_isomorphic(inj, proj, graded=False)
+        assert iso == _search_isomorphic(inj, proj, graded=False) == (x[0] > 0)
+
+
+@pytest.mark.parametrize("point", GRID)
+def test_a_restricted_costandard_with_a_row_cleared_fails(covers, borels,
+                                                         point):
+    """Negative control for ``check_borel``: one action row taken out of
+    the restricted Nabla_x makes it no longer the Borel's Nabla_x."""
+    cover, borel = covers[point], borels[point]
+    order = algebra_order(cover)
+    broken = 0
+    for x in cover.presentation.vertices:
+        restricted = _restricted_costandard(cover, borel, x, order)
+        ar = next((ar for ar, rows in restricted.action.items() if rows), None)
+        if ar is None:
+            continue
+        del restricted.action[ar][min(restricted.action[ar])]
+        own = costandard_module(borel, x, order)
+        assert not socle_isomorphic(own, restricted), x
+        assert not _search_isomorphic(own, restricted), x
+        broken += 1
+    assert broken
+
+
+def test_an_injective_is_not_another_vertex_projective(covers):
+    """Negative control for ``check_projective_injective``: I_x against
+    P_y with y != x fails, including where the dimensions agree."""
+    cover = covers[(2, 2)]
+    verts = cover.presentation.vertices
+    same_dim = 0
+    for x in verts:
+        inj = injective_module(cover, x)
+        for y in verts:
+            if y != x:
+                proj = projective_module(cover, y)
+                same_dim += inj.dim == proj.dim
+                assert not socle_isomorphic(inj, proj, graded=False), (x, y)
+    assert same_dim
+
+
+def test_a_proper_submodule_is_not_isomorphic(cover12):
+    """Nabla_x embeds in I_x, so the certificate's map is injective;
+    only the dimension tells them apart where Nabla_x is smaller."""
+    smaller = 0
+    for x in VERTS:
+        nabla, inj = costandard_module(cover12, x), injective_module(cover12, x)
+        smaller += nabla.dim < inj.dim
+        assert socle_isomorphic(nabla, inj) == (nabla.dim == inj.dim), x
+    assert smaller
+
+
+def test_a_map_nonzero_on_the_top_alone_is_not_an_isomorphism(cover12):
+    """P_x against (P_x / soc P_x) + S_x, at the J vertices: the same
+    blocks, and maps onto the top S_x, but none nonzero on the socle
+    of P_x."""
+    for x in ((1, 1), (2, 0)):
+        proj = projective_module(cover12, x)
+        row, = socle_rows(proj)
+        i, = (i for i, c in enumerate(row) if c)
+        other = direct_sum(cover12, [
+            quotient_module(proj, [i]),
+            simple_module(cover12, proj.vertices[i], proj.bidegrees[i])])
+        assert any(f.matrix.data[0] != [0] * other.dim
+                   for f in hom_space(proj, other, shift=(0, 0)))
+        assert not socle_isomorphic(proj, other), x
+        assert not socle_isomorphic(proj, other, graded=False), x
+
+
+def test_a_socle_that_is_not_simple_raises(cover12):
+    pair = direct_sum(cover12, [simple_module(cover12, x) for x in VERTS[:2]])
+    with pytest.raises(AssertionError, match="not simple"):
+        socle_isomorphic(pair, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +503,7 @@ def _same_module(m, n):
     """Equal counts per (vertex, bidegree) block and a graded
     isomorphism."""
     counts = lambda mod: {k: len(ix) for k, ix in mod.blocks().items()}
-    return counts(m) == counts(n) and is_isomorphic(m, n)
+    return counts(m) == counts(n) and _search_isomorphic(m, n)
 
 
 def _socle_rows_reference(m):

@@ -119,3 +119,4 @@ def test_check_borel_builds_the_order_once(monkeypatch):
     borel = compute_basis(presentation_borel(2, 2))
     assert check_borel(cover, borel).passed()
     assert calls == ["cover"]
+    assert build(cover) is build(cover)
