@@ -313,6 +313,12 @@ FROZEN_STDOUT = {
         "1cd5bd0323adf233ec0a87a16a461ec1da10881b136eb3989d30e02de010de77",
     ("check", "borel", "--n", "4", "--s", "3"):
         "fb916df9a591f20e9b43e304723c3ecb8c5ee3da55695189dceb3ff88181663c",
+    ("check", "koszul", "--n", "2", "--s", "8"):
+        "ef9f4b3081fce6b1837906deb82530ab0330b7a617b795396b45bee0100a1ada",
+    ("check", "all", "--n", "4", "--s", "3"):
+        "36167e7b98bedec695003f5a42d481242c549e65c0d3fb24e9ca02cf151eb5a1",
+    ("resolve", "--n", "3", "--s", "4", "--module", "standard:0,1,1,2"):
+        "89b79c17b6f466f614a17f21495fca285ea840d83a4d98b2ca05788026de90dd",
 }
 
 
