@@ -36,7 +36,7 @@ from .algebra import (AlgebraInstance, Arrow, Element, Path, Presentation,
 from .koszul import KoszulReport, check_koszul
 from .linalg import ONE, ZERO, Echelon, Matrix, exact_div
 from .modules import (_dense, algebra_order, cached_module, ext_bigraded_reps,
-                      free_row_image, standard_resolution)
+                      free_images, free_row_image, standard_resolution)
 from .quiver import build_quiver, order_data, vertex_name
 
 
@@ -152,12 +152,15 @@ def ext_table(cover: AlgebraInstance) -> ExtTable:
 # Yoneda products
 
 
-def _lift_generators(src, tgt, dmat, rhs):
-    """One step of a chain lift: generator rows of a map src -> tgt (free
-    modules) whose composite with dmat sends generator k to ``rhs[k]``.
-    Matching the generator rows suffices, and exactness of the resolved
-    complex guarantees a solution; rref pivots make the choice reproducible."""
-    gen_rows = []
+def _lift_generators(res, k, rhs, src):
+    """One step of a chain lift: generator rows of a map src -> frees[k]
+    of ``res`` whose composite with d_k, read from ``res.gens[k]``, sends
+    generator t to ``rhs[t]``.  Matching the generator rows suffices, and
+    exactness of the resolved complex guarantees a solution; rref pivots
+    make the choice reproducible."""
+    tgt = res.frees[k]
+    below = res.frees[k - 1] if k else res.module
+    gen_rows, subs = [], {}
     for (v, _, _, _), want in zip(src.summands, rhs, strict=True):
         cols = [j for j, w in enumerate(tgt.vertices) if w == v]
         if not cols:
@@ -165,9 +168,10 @@ def _lift_generators(src, tgt, dmat, rhs):
                 raise ArithmeticError(f"chain lift failed: no room at {v}")
             gen_rows.append([ZERO] * tgt.dim)
             continue
-        sub = Matrix([[dmat.data[j][k] for j in cols]
-                      for k in range(dmat.ncols)], ncols=len(cols))
-        sol = sub.solve(list(want))
+        if v not in subs:
+            rows = free_images(tgt, below, res.gens[k], cols)
+            subs[v] = Matrix(zip(*rows), ncols=len(cols))
+        sol = subs[v].solve(list(want))
         if sol is None:
             raise ArithmeticError("chain lift failed: complex not exact?")
         gen_rows.append(_dense(zip(cols, sol), tgt.dim))
@@ -228,9 +232,8 @@ def yoneda_product(f: ExtClass, g: ExtClass) -> ExtClass:
         src = res_a.frees[g.i + k]
         if k:
             rhs = [free_row_image(res_a.frees[g.i + k - 1], res_b.frees[k - 1],
-                                  lift, res_a.maps[g.i + k].matrix.data[start])
-                   for _, _, start, _ in src.summands]
-        lift = _lift_generators(src, res_b.frees[k], res_b.maps[k].matrix, rhs)
+                                  lift, grow) for grow in res_a.gens[g.i + k]]
+        lift = _lift_generators(res_b, k, rhs, src)
 
     f_gens = _generator_rows(res_b.frees[f.i], delta_c,
                              table.hom_data(g.target, c)[0][f.i], f.row)

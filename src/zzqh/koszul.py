@@ -235,7 +235,7 @@ def check_shifted_dual_lemmas(n: int, s: int) -> dict:
         if ar.label != 0:
             continue
         f = left_mult_map(b, Element.of_path(Path(ar.source, (ar,))))
-        if f.matrix.rank() != f.source.dim:
+        if f.rank() != f.nrows:
             inj_bad.append([vertex_name(ar.source), vertex_name(ar.target)])
 
     # realizable multidegrees by walking the quiver freely

@@ -8,10 +8,12 @@ integral result an ``int``.  Entries are coerced once, at the
 boundary: ``Matrix(rows)`` and ``Element`` coerce what they are given;
 zeros, ``rref`` results, kernel bases and ``left_kernel``'s augmented
 matrix are built from exact entries and not coerced again.  The
-matrices here (module maps, Hom-space constraint systems, Hom-complex
-differentials, relation spans) are small, and a dense representation
-keeps the code simple and the pivoting deterministic.  Arrow actions
-are not matrices: ``modules.RightModule`` stores them as sparse rows.
+matrices here (Hom-space bases and constraint systems, one resolution
+block at a time, Hom-complex differentials, relation spans) are small,
+and a dense representation keeps the code simple and the pivoting
+deterministic.  Arrow actions and resolution maps are not matrices:
+``modules.RightModule`` stores actions as sparse rows, and a
+``modules.Resolution`` each differential as its generator images.
 
 ``Echelon`` is the one elimination in the package: ``Matrix.rref``
 and with it ranks, kernels and solving are built on it, the basis
@@ -25,7 +27,7 @@ handed out stays valid.  The residue of a vector modulo the span is
 unique: it is zero at every pivot, and the pivots depend only on the
 span, so it is the same whatever order the rows came in.
 
-``Matrix.left_kernel`` is the one left kernel, for module maps, socles,
+``Matrix.left_kernel`` is the one left kernel, for resolution blocks, socles,
 cocycles and the extracted dual's relations; relation spans come from
 ``algebra.quadratic_blocks``.  Two shortcuts give the full routine's rows:
 a left kernel with no columns is the identity at rank 0, and ``rref``

@@ -24,16 +24,17 @@ submodule divided out is spanned by basis vectors, a set of indices
 closed along single-entry action rows, and a quotient keeps the other
 indices; both certify the span action-stable or raise ``AssertionError``.
 
-Conventions.  Module maps are matrices acting on row vectors: row i
-holds the image of source basis vector i.  Maps out of free modules
-are read through their generator images, each basis path's image its
-prefix's image times its last arrow.  Duality negates bidegrees: the
-socle of an injective sits in bidegree (0, 0) and everything else
-below.
+Conventions.  A module map is a ``Matrix`` acting on row vectors: row
+i holds the image of source basis vector i.  A map out of a free module
+is stored as its generator images alone, and ``free_images`` reads any
+of its rows: each basis path's image is its prefix's image times its
+last arrow.  Duality negates bidegrees: the socle of an injective sits
+in bidegree (0, 0) and everything else below.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -146,22 +147,6 @@ def _block_key(key):
     return _vkey(v), d
 
 
-@dataclass
-class ModuleMap:
-    """A module map; ``matrix`` row i is the image of source basis i."""
-
-    source: RightModule
-    target: RightModule
-    matrix: Matrix
-
-    def __post_init__(self):
-        if (self.matrix.nrows, self.matrix.ncols) != (self.source.dim, self.target.dim):
-            raise ValueError("map shape does not match modules")
-
-    def __repr__(self):
-        return f"ModuleMap({self.source.dim} -> {self.target.dim})"
-
-
 # ---------------------------------------------------------------------------
 # block-local row reduction
 
@@ -193,16 +178,19 @@ def _arrows_from(m: RightModule, blocks, key):
     return out
 
 
-def _block_kernel(f: ModuleMap):
-    """(rank, kernel) of a module map by source block: ``kernel`` maps a
-    block to (its indices, the reduced echelon basis of its nonzero
-    kernel in its own coordinates).  Raises if an entry leaves its block."""
-    targets = f.target.blocks()
+def _block_kernel(free: RightModule, target: RightModule, gen_rows):
+    """(rank, kernel) by source block of the map free -> target with
+    generator images ``gen_rows``: ``kernel`` maps a block to (its
+    indices, the reduced echelon basis of its nonzero kernel in its own
+    coordinates).  Each row is cut to its block as it is read, or raises."""
+    targets = target.blocks()
+    cut = [_restrict(row, targets.get(key, ())) for key, row in zip(
+        zip(free.vertices, free.bidegrees),
+        free_images(free, target, gen_rows, range(free.dim)))]
     rank, kernel = 0, {}
-    for key, cols in f.source.blocks().items():
-        tcols = targets.get(key, ())
-        r, kern = Matrix([_restrict(f.matrix.data[i], tcols) for i in cols],
-                         ncols=len(tcols)).left_kernel()
+    for key, cols in free.blocks().items():
+        r, kern = Matrix([cut[i] for i in cols],
+                         ncols=len(targets.get(key, ()))).left_kernel()
         rank += r
         if kern:
             kernel[key] = (cols, kern)
@@ -252,14 +240,16 @@ def simple_module(a: AlgebraInstance, x, shift=(0, 0)) -> RightModule:
 
 
 def free_module(a: AlgebraInstance, gens) -> RightModule:
-    """Direct sum of shifted projectives, one per (vertex, shift) pair.
-    Records ``summands`` as (vertex, shift, start, stop) slices, and
-    ``parts``, the cached unshifted projective of each."""
-    parts = [projective_module(a, v, shift) for v, shift in gens]
-    mod = direct_sum(a, parts)
-    mod.summands, mod.parts, at = [], [], 0
+    """Direct sum of shifted projectives, one per (vertex, shift) pair:
+    the sum of the cached unshifted projectives, recorded as ``parts``,
+    with the shifted bidegrees written once.  Records ``summands`` as
+    (vertex, shift, start, stop) slices."""
+    mod = direct_sum(a, parts := [projective_module(a, v) for v, _ in gens])
+    mod.bidegrees = tuple(tuple(c + s for c, s in zip(d, shift))
+                          for (_, shift), part in zip(gens, parts)
+                          for d in part.bidegrees)
+    mod.summands, mod.parts, at = [], parts, 0
     for (v, shift), part in zip(gens, parts):
-        mod.parts.append(projective_module(a, v))
         mod.summands.append((v, tuple(shift), at, at + part.dim))
         at += part.dim
     mod.label = "F[" + ", ".join(f"{v}<{s}>" for v, s, _, _ in mod.summands) + "]"
@@ -309,7 +299,7 @@ def injective_module(a: AlgebraInstance, x, shift=(0, 0)) -> RightModule:
     return shift_module(mod, shift) if shift != (0, 0) else mod
 
 
-def left_mult_map(a: AlgebraInstance, g: Element) -> ModuleMap:
+def left_mult_map(a: AlgebraInstance, g: Element) -> Matrix:
     """Left multiplication by g in e_u A e_v, as a map P_v -> P_u."""
     sig = {(p.source, p.target) for p in g.terms}
     if len(sig) != 1:
@@ -323,7 +313,7 @@ def left_mult_map(a: AlgebraInstance, g: Element) -> ModuleMap:
         img = a.normal_form(g.free_mul(Element.of_path(p)))
         for q, c in img.terms.items():
             m.data[i][tindex[q]] = c
-    return ModuleMap(src, tgt, m)
+    return m
 
 
 def algebra_order(a: AlgebraInstance) -> OrderData:
@@ -455,8 +445,8 @@ def top_generators(m: RightModule):
 
 
 def hom_space(m: RightModule, n: RightModule, shift=None):
-    """A basis of module maps m -> n; with ``shift`` only the maps
-    homogeneous of that (flat, sharp) bidegree.  The unknowns f[i][j]
+    """A basis of module maps m -> n, as matrices; with ``shift`` only
+    the maps homogeneous of that (flat, sharp) bidegree.  The unknowns f[i][j]
     pair basis vectors of equal weight; arrow a gives the equation
     (a_m f - f a_n)[i][j] = 0 for each (i, j) a nonzero action entry
     reaches."""
@@ -489,7 +479,7 @@ def hom_space(m: RightModule, n: RightModule, shift=None):
         mat = Matrix.zero(m.dim, n.dim)
         for (i, j), col in pos.items():
             mat.data[i][j] = srow[col]
-        maps.append(ModuleMap(m, n, mat))
+        maps.append(mat)
     return maps
 
 
@@ -505,7 +495,7 @@ def socle_isomorphic(m: RightModule, n: RightModule, graded=True):
         raise AssertionError(f"socle of {m.label or 'module'} is not simple")
     if m.dim != n.dim:
         return False
-    return any(any(f.matrix.mul_row(soc[0]))
+    return any(any(f.mul_row(soc[0]))
                for f in hom_space(m, n, shift=(0, 0) if graded else None))
 
 
@@ -526,40 +516,43 @@ def _path_images(target: RightModule, proj: RightModule, grow, wanted):
     return [image(l) for l in wanted]
 
 
-def map_from_generators(free: RightModule, target: RightModule,
-                        gen_rows) -> ModuleMap:
-    """The module map free -> target sending the generator of the k-th
-    summand of ``free`` to ``gen_rows[k]``, a row of target."""
-    rows = []
-    for grow, proj in zip(gen_rows, free.parts):
-        rows += _path_images(target, proj, grow, range(proj.dim))
-    return ModuleMap(free, target, Matrix._exact(rows, target.dim))
+def free_images(free: RightModule, target: RightModule, gen_rows, indices):
+    """Rows of the map free -> target sending the generator of summand t
+    of ``free`` to ``gen_rows[t]``, a row of target: the image of basis
+    vector k for each k of the ascending ``indices``, one summand at a
+    time, a zero generator's rows without acting."""
+    for grow, proj, (_, _, start, stop) in zip(gen_rows, free.parts, free.summands):
+        wanted = [k - start for k in indices[bisect_left(indices, start):
+                                             bisect_left(indices, stop)]]
+        if wanted and any(grow):
+            yield from _path_images(target, proj, grow, wanted)
+        else:
+            yield from ([ZERO] * target.dim for _ in wanted)
 
 
 def free_row_image(free: RightModule, target: RightModule, gen_rows, row):
-    """``row`` times the map that ``map_from_generators(free, target,
-    gen_rows)`` builds, as a new row, read from the generator images."""
+    """``row`` times the map free -> target with generator images
+    ``gen_rows``, as a new row."""
+    wanted = [k for k, c in enumerate(row) if c]
     out = [ZERO] * target.dim
-    for grow, proj, (_, _, start, _) in zip(gen_rows, free.parts, free.summands):
-        wanted = [l for l in range(proj.dim) if row[start + l]]
-        if wanted and any(grow):
-            for l, img in zip(wanted, _path_images(target, proj, grow, wanted)):
-                for j, x in enumerate(img):
-                    if x:
-                        out[j] += row[start + l] * x
+    for k, img in zip(wanted, free_images(free, target, gen_rows, wanted)):
+        for j, x in enumerate(img):
+            if x:
+                out[j] += row[k] * x
     return out
 
 
 @dataclass
 class Resolution:
-    """A projective resolution: ``maps[0]: frees[0] -> module`` and
-    ``maps[i]: frees[i] -> frees[i-1]``; ``terms[i]`` lists the
-    (vertex, shift) summands of step i."""
+    """A projective resolution by its generator images: ``gens[i][t]`` is
+    the image of generator t of ``frees[i]``, a row of ``frees[i-1]``
+    (of ``module`` for i = 0); ``terms[i]`` lists the (vertex, shift)
+    summands of step i."""
 
     module: RightModule
     frees: list
     terms: list
-    maps: list
+    gens: list
     complete: bool
 
     @property
@@ -572,8 +565,7 @@ class Resolution:
         summand t of frees[i] in a generator image, pairs the nonzero (t1, c)
         with c its coefficient in the image of generator t1 of frees[i+1]."""
         out = []
-        for free, step in zip(self.frees, self.maps[1:]):
-            gens = [step.matrix.data[at] for _, _, at, _ in step.source.summands]
+        for free, gens in zip(self.frees, self.gens[1:]):
             out.append([[(k - start, pairs) for k in range(start, stop)
                          if (pairs := [(t1, g[k]) for t1, g in enumerate(gens)
                                        if g[k]])]
@@ -594,22 +586,22 @@ def minimal_resolution(m: RightModule, max_steps=None) -> Resolution:
     nonzero."""
     if max_steps is None:
         max_steps = m.algebra.dim() + 1
-    frees, maps, terms = [], [], []
-    target, gens, want = m, top_generators(m), m.dim
+    frees, gens, terms = [], [], []
+    target, tops, want = m, top_generators(m), m.dim
     while True:
-        free = free_module(m.algebra, [(v, d) for v, d, _ in gens])
-        step = map_from_generators(free, target, [r for _, _, r in gens])
-        rank, kernel = _block_kernel(step)
+        free = free_module(m.algebra, [(v, d) for v, d, _ in tops])
+        rows = [r for _, _, r in tops]
+        rank, kernel = _block_kernel(free, target, rows)
         if rank != want:
             raise AssertionError("projective cover is not surjective")
         frees.append(free)
-        maps.append(step)
+        gens.append(rows)
         terms.append([(v, d) for v, d, _, _ in free.summands])
         if not kernel:
-            return Resolution(m, frees, terms, maps, complete=True)
+            return Resolution(m, frees, terms, gens, complete=True)
         if len(frees) >= max_steps:
-            return Resolution(m, frees, terms, maps, complete=False)
-        target, gens = free, _submodule_top(free, kernel)
+            return Resolution(m, frees, terms, gens, complete=False)
+        target, tops = free, _submodule_top(free, kernel)
         want = sum(len(rows) for _, rows in kernel.values())
 
 

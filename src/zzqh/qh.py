@@ -282,7 +282,7 @@ def _fully_faithful_failures(cover, jset):
             end_dim = len(hom_space(fproj[a], fproj[b]))
             images = []
             for g in by_pair.get((b, a), ()):
-                m = left_mult_map(cover, Element.of_path(g)).matrix
+                m = left_mult_map(cover, Element.of_path(g))
                 images.append([m.data[i][j] for i in keep[a] for j in keep[b]])
             frank = Matrix(images, ncols=len(keep[a]) * len(keep[b])).rank()
             if end_dim != hom_dim or frank != hom_dim:

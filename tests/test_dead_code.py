@@ -75,3 +75,14 @@ def test_the_tracer_patches_methods_that_exist():
                  and any(isinstance(t, ast.Name) and t.id == "MATRIX_METHODS"
                          for t in node.targets))
     assert names and all(callable(vars(Matrix).get(name)) for name in names)
+
+
+LINE_BUDGET = 4000
+
+
+def test_src_stays_within_its_line_budget():
+    """The package keeps to its line budget: a change that adds lines
+    pays for them elsewhere."""
+    total = sum(len(path.read_text().splitlines())
+                for path in PACKAGE.glob("*.py"))
+    assert total <= LINE_BUDGET, total

@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+import sys
+
 import zzqh.modules
 from zzqh.algebra import AlgebraInstance
 from zzqh.cli import run_cli
 from zzqh.linalg import Echelon, Matrix, _coerce, exact_div
-from zzqh.modules import ModuleMap, RightModule
+from zzqh.modules import Resolution, RightModule
 
 
 def _exact(x):
@@ -38,10 +40,11 @@ def test_no_float_reaches_rows_actions_maps_or_forms(monkeypatch, capsys):
     """``check all`` on the grid and ``check dual`` and ``check koszul``
     at a grid point, on instances built here, store only ints and
     Fractions: in the echelon rows, the action rows of every module,
-    the matrices of every module map (resolution and Hom maps among
-    them) and of every Hom-complex differential, and the normal forms
-    of every basis."""
-    bad, made = [], {"modules": [], "maps": [], "algebras": [], "diffs": []}
+    the generator images of every resolution, the matrices that
+    ``hom_space`` and ``left_mult_map`` return, the Hom-complex
+    differentials, and the normal forms of every basis."""
+    bad, made = [], {"modules": [], "resolutions": [], "maps": [],
+                     "algebras": [], "diffs": []}
 
     def watch(cls, name, bucket):
         orig = getattr(cls, name)
@@ -53,7 +56,7 @@ def test_no_float_reaches_rows_actions_maps_or_forms(monkeypatch, capsys):
         monkeypatch.setattr(cls, name, wrapped)
 
     watch(RightModule, "__init__", "modules")
-    watch(ModuleMap, "__post_init__", "maps")
+    watch(Resolution, "__init__", "resolutions")
     watch(AlgebraInstance, "__init__", "algebras")
     insert = Echelon.insert
 
@@ -71,6 +74,18 @@ def test_no_float_reaches_rows_actions_maps_or_forms(monkeypatch, capsys):
         return bases, diffs
     monkeypatch.setattr(zzqh.modules, "hom_complex", recorded_hom_complex)
 
+    def recorded(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            made["maps"].extend(out if isinstance(out, list) else [out])
+            return out
+        return wrapped
+    # patch each name where a layer imported it, not only its home module
+    for fn in (zzqh.modules.hom_space, zzqh.modules.left_mult_map):
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("zzqh") and getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, recorded(fn))
+
     for argv in (["check", "all"], ["check", "dual", "--n", "2", "--s", "3"],
                  ["check", "koszul", "--n", "2", "--s", "3"]):
         assert run_cli(argv) == 0, argv
@@ -80,7 +95,10 @@ def test_no_float_reaches_rows_actions_maps_or_forms(monkeypatch, capsys):
     for m in made["modules"]:
         bad.extend(c for rows in m.action.values() for row in rows.values()
                    for c in row.values() if not _exact(c))
-    for mat in [f.matrix for f in made["maps"]] + made["diffs"]:
+    for res in made["resolutions"]:
+        bad.extend(c for rows in res.gens for row in rows for c in row
+                   if not _exact(c))
+    for mat in made["maps"] + made["diffs"]:
         bad.extend(c for row in mat.data for c in row if not _exact(c))
     for inst in made["algebras"]:
         bad.extend(c for form in inst._forms.values()

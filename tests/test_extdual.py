@@ -143,6 +143,12 @@ def _dense_map(free, target, gen_rows):
     return Matrix(rows, ncols=target.dim)
 
 
+def _step_map(res, i):
+    """The full matrix of step i of ``res``, from its generator images."""
+    return _dense_map(res.frees[i], res.frees[i - 1] if i else res.module,
+                      res.gens[i])
+
+
 def _cochain_map(res, n, i, basis, row):
     gens = [[0] * n.dim for _ in res.frees[i].summands]
     for c, (t, j, _) in enumerate(basis):
@@ -166,8 +172,8 @@ def _yoneda_reference(f, g):
     for k in range(f.i + 1):
         src, tgt = res_a.frees[g.i + k], res_b.frees[k]
         if k:
-            rhs = res_a.maps[g.i + k].matrix * lift
-        dmat, gens = res_b.maps[k].matrix, []
+            rhs = _step_map(res_a, g.i + k) * lift
+        dmat, gens = _step_map(res_b, k), []
         for (v, _, start, _) in src.summands:
             cols = [j for j, w in enumerate(tgt.vertices) if w == v]
             sol = Matrix([[dmat.data[j][col] for j in cols]
@@ -194,7 +200,7 @@ def _yoneda_reference(f, g):
 def test_products_match_the_dense_route(monkeypatch, n, s):
     """Every degree-two product that ``build_dual_from_ext`` forms
     equals the product on full matrices, and after the whole table
-    each resolution holds the coefficient table its maps give."""
+    each resolution holds the coefficient table its full maps give."""
     formed = []
     original = extdual.yoneda_product
 
@@ -213,7 +219,8 @@ def test_products_match_the_dense_route(monkeypatch, n, s):
     for res in table.resolutions.values():
         want = []
         for i in range(len(res.frees) - 1):
-            gens = [res.maps[i + 1].matrix.data[start]
+            full = _step_map(res, i + 1)
+            gens = [full.data[start]
                     for _, _, start, _ in res.frees[i + 1].summands]
             want.append([[(l, pairs) for l in range(stop - start)
                           if (pairs := [(t1, g[start + l])

@@ -11,14 +11,13 @@ from zzqh import (compute_basis, presentation_borel, presentation_cover,
                   presentation_zigzag)
 from zzqh.koszul import _flat_degree_zero_part
 from zzqh.linalg import Echelon, Matrix
-from zzqh.modules import (ModuleMap, RightModule, _block_kernel, _block_key,
+from zzqh.modules import (RightModule, _block_kernel, _block_key,
                           _dense, algebra_order, canonical_module,
                           costandard_module, delta_filtration, direct_sum,
-                          dualize, ext_dims, free_module, free_row_image,
-                          generated_submodule, gldim, hom_complex, hom_space,
-                          injective_module, is_linear,
-                          map_from_generators, minimal_resolution,
-                          projective_module,
+                          dualize, ext_dims, free_images, free_module,
+                          free_row_image, generated_submodule, gldim,
+                          hom_complex, hom_space, injective_module, is_linear,
+                          minimal_resolution, projective_module,
                           quotient_module, restrict_to, shift_module,
                           simple_module,
                           socle_isomorphic, socle_rows, standard_module,
@@ -206,7 +205,7 @@ def test_hom_space_matches_dense_reference(covers, point):
     for m in mods:
         for n in mods:
             for shift in (None, (0, 0), (0, 1)):
-                got = [f.matrix for f in hom_space(m, n, shift)]
+                got = hom_space(m, n, shift)
                 assert got == _hom_space_reference(m, n, shift), \
                     (m, n, shift)
 
@@ -222,11 +221,27 @@ def test_minimal_resolution_of_simple_exact_shape(cover12):
     assert is_linear(res, "length")["linear"]
 
 
-def test_resolution_composes_to_zero(cover12):
-    res = minimal_resolution(simple_module(cover12, (1, 1)))
-    for i in range(1, len(res.maps)):
-        composite = res.maps[i].matrix * res.maps[i - 1].matrix
-        assert all(all(c == 0 for c in row) for row in composite.data)
+def _below(res, i):
+    """The target of step i of ``res``: frees[i-1], or the module."""
+    return res.frees[i - 1] if i else res.module
+
+
+def test_resolution_composes_to_zero(covers):
+    """Consecutive maps compose to zero in the resolutions of every
+    simple and standard at the grid points: each generator image of
+    step i goes to zero through the generator images of step i - 1."""
+    composed = 0
+    for a in covers.values():
+        for m in [f(a, x) for x in a.presentation.vertices
+                  for f in (simple_module, standard_module)]:
+            res = minimal_resolution(m)
+            for i in range(1, len(res.gens)):
+                for grow in res.gens[i]:
+                    assert not any(free_row_image(
+                        res.frees[i - 1], _below(res, i - 1), res.gens[i - 1],
+                        grow)), (m, i)
+                    composed += 1
+    assert composed
 
 
 def test_projective_dimensions_and_gldim(cover12):
@@ -299,7 +314,7 @@ def _search_isomorphic(m, n, graded=True):
         rows = [[0] * n.dim for _ in range(m.dim)]
         for f in maps:
             c = rng.randint(1, 1 << 20)
-            for row, frow in zip(rows, f.matrix.data):
+            for row, frow in zip(rows, f.data):
                 for j, v in enumerate(frow):
                     row[j] += c * v
         if Matrix(rows, ncols=n.dim).rank() == m.dim:
@@ -398,7 +413,7 @@ def test_a_map_nonzero_on_the_top_alone_is_not_an_isomorphism(cover12):
         other = direct_sum(cover12, [
             quotient_module(proj, [i]),
             simple_module(cover12, proj.vertices[i], proj.bidegrees[i])])
-        assert any(f.matrix.data[0] != [0] * other.dim
+        assert any(f.data[0] != [0] * other.dim
                    for f in hom_space(proj, other, shift=(0, 0)))
         assert not socle_isomorphic(proj, other), x
         assert not socle_isomorphic(proj, other, graded=False), x
@@ -445,10 +460,10 @@ def _left_kernel_reference(rows, width):
                   ncols=len(rows)).kernel_basis().data
 
 
-def _kernel_rows_reference(f):
-    """The left kernel of the whole map matrix, split by block."""
+def _kernel_rows_reference(source, f):
+    """The left kernel of the whole map matrix f, split by block."""
     return _graded_rows_reference(
-        f.source, _left_kernel_reference(f.matrix.data, f.matrix.ncols))
+        source, _left_kernel_reference(f.data, f.ncols))
 
 
 def _largest_stable_subspace_reference(m, allowed):
@@ -517,11 +532,11 @@ def _socle_rows_reference(m):
         m, _left_kernel_reference(stacked, m.dim * len(arrows)))
 
 
-def _block_kernel_rows(f):
+def _block_kernel_rows(free, target, gens):
     """The kernel of ``_block_kernel`` as full-width rows, blocks in
     order."""
-    _, kernel = _block_kernel(f)
-    return [_dense(zip(kernel[key][0], r), f.source.dim)
+    _, kernel = _block_kernel(free, target, gens)
+    return [_dense(zip(kernel[key][0], r), free.dim)
             for key in sorted(kernel, key=_block_key) for r in kernel[key][1]]
 
 
@@ -533,9 +548,12 @@ def test_block_kernels_match_the_whole_matrix_route(covers, point):
     a = covers[point]
     for x in a.presentation.vertices:
         for m in (simple_module(a, x), standard_module(a, x)):
-            for f in minimal_resolution(m).maps:
-                assert _block_kernel(f)[0] == f.matrix.rank()
-                assert _block_kernel_rows(f) == _kernel_rows_reference(f), (m, f)
+            res = minimal_resolution(m)
+            for i, (free, gens) in enumerate(zip(res.frees, res.gens)):
+                f = _dense_map(free, _below(res, i), gens)
+                assert _block_kernel(free, _below(res, i), gens)[0] == f.rank()
+                assert (_block_kernel_rows(free, _below(res, i), gens)
+                        == _kernel_rows_reference(free, f)), (m, i)
 
 
 @pytest.mark.parametrize("point", GRID)
@@ -578,17 +596,21 @@ def test_act_on_a_support_matches_the_dense_row(cover12):
 
 
 def test_a_map_entry_in_another_block_is_rejected(cover12):
-    f = minimal_resolution(simple_module(cover12, (0, 2))).maps[1]
-    assert _block_kernel(f)
-    i, j = next((i, j) for i, row in enumerate(f.matrix.data)
-                for j, c in enumerate(row) if c)
-    key = (f.target.vertices[j], f.target.bidegrees[j])
-    other = next(k for k in range(f.target.dim)
-                 if (f.target.vertices[k], f.target.bidegrees[k]) != key)
-    moved = Matrix([list(row) for row in f.matrix.data])
-    moved.data[i][other], moved.data[i][j] = moved.data[i][j], Fraction(0)
+    """A generator image with one nonzero entry moved to another block
+    at the same vertex (the generator keeps only the entries at its
+    vertex) stops the kernel."""
+    res = minimal_resolution(costandard_module(cover12, (1, 1)))
+    free, target, gens = res.frees[1], res.frees[0], res.gens[1]
+    assert _block_kernel(free, target, gens)
+    t, j, other = next(
+        (t, j, k) for t, row in enumerate(gens) for j, c in enumerate(row)
+        if c for k in range(target.dim)
+        if target.vertices[k] == target.vertices[j]
+        and target.bidegrees[k] != target.bidegrees[j])
+    moved = [list(row) for row in gens]
+    moved[t][other], moved[t][j] = moved[t][j], Fraction(0)
     with pytest.raises(AssertionError, match="leaves its"):
-        _block_kernel(ModuleMap(f.source, f.target, moved))
+        _block_kernel(free, target, moved)
 
 
 def test_block_elimination_rejects_broken_actions(cover12):
@@ -805,28 +827,37 @@ def _relations_hold_reference(m):
     return True
 
 
+def _dense_map(free, target, gen_rows):
+    """The full matrix of the map free -> target sending generator t to
+    ``gen_rows[t]``: its image times each basis path, arrow by arrow."""
+    return Matrix([_act_path(target, grow, p)
+                   for grow, (v, _, _, _) in zip(gen_rows, free.summands)
+                   for p in projective_module(free.algebra, v).basis_paths],
+                  ncols=target.dim)
+
+
 @pytest.mark.parametrize("point", [(1, 2), (2, 2), (2, 3)])
 def test_maps_from_generators_match_the_path_by_path_route(covers, point):
-    """Each row of ``map_from_generators`` is its generator's image
-    times the basis path, and ``free_row_image`` is a row times that
-    map, on the maps and rows of the resolutions of the standards."""
+    """The rows ``free_images`` reads are the generator's image times
+    each basis path, also on every other ascending set of indices, and
+    ``free_row_image`` is a row times that map, on the generator images
+    of the resolutions of the standards."""
     a = covers[point]
     for x in a.presentation.vertices:
         res = minimal_resolution(standard_module(a, x))
-        for k, step in enumerate(res.maps):
-            free, target = step.source, step.target
-            gens = [step.matrix.data[start] for _, _, start, _ in free.summands]
+        for k, (free, gens) in enumerate(zip(res.frees, res.gens)):
+            target = _below(res, k)
             ones = [[1] * target.dim for _ in gens]
             for rows in (gens, ones):
-                got = map_from_generators(free, target, rows).matrix.data
-                want = [_act_path(target, grow, p)
-                        for grow, (v, _, _, _) in zip(rows, free.summands)
-                        for p in projective_module(a, v).basis_paths]
-                assert got == want
-            full = map_from_generators(free, target, gens).matrix
-            assert full == step.matrix
-            if k + 1 < len(res.maps):
-                for row in res.maps[k + 1].matrix.data + [[1] * free.dim]:
+                want = _dense_map(free, target, rows).data
+                assert list(free_images(free, target, rows,
+                                        range(free.dim))) == want
+                odd = range(1, free.dim, 2)
+                assert (list(free_images(free, target, rows, odd))
+                        == [want[i] for i in odd])
+            full = _dense_map(free, target, gens)
+            if k + 1 < len(res.gens):
+                for row in res.gens[k + 1] + [[1] * free.dim]:
                     assert (free_row_image(free, target, gens, row)
                             == full.mul_row(row))
 
