@@ -2,11 +2,10 @@
 ``Fraction``, never a ``float`` or a ``bool``, and the number rules in
 ``linalg`` hold."""
 
+import sys
 from fractions import Fraction
 
 import pytest
-
-import sys
 
 import zzqh.modules
 from zzqh.algebra import AlgebraInstance
