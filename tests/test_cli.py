@@ -319,6 +319,12 @@ FROZEN_STDOUT = {
         "36167e7b98bedec695003f5a42d481242c549e65c0d3fb24e9ca02cf151eb5a1",
     ("resolve", "--n", "3", "--s", "4", "--module", "standard:0,1,1,2"):
         "89b79c17b6f466f614a17f21495fca285ea840d83a4d98b2ca05788026de90dd",
+    ("check", "dual", "--n", "4", "--s", "3"):
+        "dad514edf23b81c7dc80b130dd6c32459efa9512aa68c3fe9e8c50c5f92b8569",
+    ("check", "dual", "--n", "2", "--s", "6"):
+        "00e19ebcf47cfd7ff943ef873b7a4bf81fb9ffb372bad3d20520c91447d5141b",
+    ("check", "degree-law", "--n", "3", "--s", "5"):
+        "cf704ccb2285c7a3592f85d09287c03a783e66c7cd632561e0d0d0cf4d3f3a3f",
 }
 
 
