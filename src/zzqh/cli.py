@@ -7,7 +7,7 @@ produce byte-identical bytes.
 
 Exit codes: 0 everything requested succeeded, 1 at least one check
 failed (the report carries a witness), 2 argument errors, 3 a
-computation hit its step cap or an isomorphism search was inconclusive.
+computation hit its step cap.
 """
 
 from __future__ import annotations

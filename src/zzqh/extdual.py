@@ -67,9 +67,10 @@ class ExtTable:
     """Bigraded Ext of all standard modules over one cover.
 
     ``dims`` maps (x, y, i, flat, sharp) to a dimension and
-    ``classes_by_key`` to the tuple of representative classes; the
-    Hom complex of each pair, as ``ext_table`` built it, and its
-    coboundary echelons are kept so products computed later land in
+    ``classes_by_key`` to the tuple of representative classes.
+    ``hom[(x, y)]`` keeps the Hom complex of each pair as
+    ``ext_bigraded_reps`` built it, its bases and its bidegree blocks
+    with their coboundary echelons, so products computed later land in
     the same canonical coordinates.
     """
 
@@ -79,19 +80,8 @@ class ExtTable:
     resolutions: dict
     dims: dict = field(default_factory=dict)
     classes_by_key: dict = field(default_factory=dict)
-    _hom: dict = field(default_factory=dict, repr=False)
-    _echelons: dict = field(default_factory=dict, repr=False)
+    hom: dict = field(default_factory=dict, repr=False)
     _products: dict = field(default_factory=dict, repr=False)
-
-    def hom_data(self, x, y):
-        """(bases, diffs, coboundary echelons) of Hom(F_*(x), Delta_y)."""
-        bases, diffs = self._hom[(x, y)]
-        echelons = self._echelons.get((x, y))
-        if echelons is None:
-            echelons = self._echelons[(x, y)] = [
-                Echelon(diffs[i - 1].data if i else ())
-                for i in range(len(bases))]
-        return bases, diffs, echelons
 
     def identity(self, x) -> ExtClass:
         reps = self.classes_by_key.get((x, x, 0, 0, 0), ())
@@ -135,8 +125,8 @@ def ext_table(cover: AlgebraInstance) -> ExtTable:
     table = ExtTable(cover, order, deltas, resolutions)
     for x in deltas:
         for y in deltas:
-            bases, diffs, levels = ext_bigraded_reps(resolutions[x], deltas[y])
-            table._hom[(x, y)] = (bases, diffs)
+            bases, blocks, levels = ext_bigraded_reps(resolutions[x], deltas[y])
+            table.hom[(x, y)] = (bases, blocks)
             for i, level in enumerate(levels):
                 for d, reps in sorted(level.items()):
                     key = (x, y, i, -d[0], d[1])
@@ -187,7 +177,7 @@ def _generator_rows(free, n, basis, row):
 
 
 def _zero_class(table, a, c, i, bidegree) -> ExtClass:
-    bases, _, _ = table.hom_data(a, c)
+    bases = table.hom[(a, c)][0]
     width = len(bases[i]) if i < len(bases) else 0
     return ExtClass(a, c, i, bidegree, (ZERO,) * width, table)
 
@@ -222,12 +212,11 @@ def yoneda_product(f: ExtClass, g: ExtClass) -> ExtClass:
         table._products[key] = out
         return out
 
-    bases_ac, diffs_ac, ech_ac = table.hom_data(a, c)
     delta_c = table.deltas[c]
     # lift_k: F^a_(q+k) -> F^b_k, as generator rows, with d^b_k lift_k
     # = lift_(k-1) d^a_(q+k), and d^b_0 lift_0 = g
     rhs = _generator_rows(res_a.frees[g.i], table.deltas[g.target],
-                          table.hom_data(a, g.target)[0][g.i], g.row)
+                          table.hom[(a, g.target)][0][g.i], g.row)
     for k in range(f.i + 1):
         src = res_a.frees[g.i + k]
         if k:
@@ -236,25 +225,26 @@ def yoneda_product(f: ExtClass, g: ExtClass) -> ExtClass:
         lift = _lift_generators(res_b, k, rhs, src)
 
     f_gens = _generator_rows(res_b.frees[f.i], delta_c,
-                             table.hom_data(g.target, c)[0][f.i], f.row)
-    basis = bases_ac[i_total]
-    pos = {(t, j): col for col, (t, j, _) in enumerate(basis)}
-    row = [ZERO] * len(basis)
+                             table.hom[(g.target, c)][0][f.i], f.row)
+    # the product lives on the block of its bidegree, if there is one
+    bases, blocks = table.hom[(a, c)]
+    basis = bases[i_total]
+    cols, diff, bounds = blocks[i_total].get(
+        (-bidegree[0], bidegree[1]), ((), Matrix.zero(0, 0), Echelon()))
+    pos = {basis[col][:2]: k for k, col in enumerate(cols)}
+    local = [ZERO] * len(cols)
     for t, grow in enumerate(lift):
         img = free_row_image(res_b.frees[f.i], delta_c, f_gens, grow)
         for j, val in enumerate(img):
             if val:
-                col = pos.get((t, j))
-                if col is None:
-                    raise ArithmeticError("product image leaves the weight")
-                row[col] = val
-    row = ech_ac[i_total].reduce(row)
-    if i_total < len(diffs_ac) and any(diffs_ac[i_total].mul_row(row)):
+                k = pos.get((t, j))
+                if k is None:
+                    raise ArithmeticError("product left its bidegree")
+                local[k] = val
+    local = bounds.reduce(local)
+    if any(diff.mul_row(local)):
         raise ArithmeticError("product row is not a cocycle")
-    want_d = (-bidegree[0], bidegree[1])
-    for col, v in enumerate(row):
-        if v and basis[col][2] != want_d:
-            raise ArithmeticError("product left its bidegree")
+    row = _dense(zip(cols, local), len(basis))
     out = ExtClass(a, c, i_total, bidegree, tuple(row), table)
     table._products[key] = out
     return out

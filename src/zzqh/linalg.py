@@ -9,7 +9,7 @@ boundary: ``Matrix(rows)`` and ``Element`` coerce what they are given;
 zeros, ``rref`` results, kernel bases and ``left_kernel``'s augmented
 matrix are built from exact entries and not coerced again.  The
 matrices here (Hom-space bases and constraint systems, one resolution
-block at a time, Hom-complex differentials, relation spans) are small,
+block or Hom-complex bidegree block at a time, relation spans) are small,
 and a dense representation keeps the code simple and the pivoting
 deterministic.  Arrow actions and resolution maps are not matrices:
 ``modules.RightModule`` stores actions as sparse rows, and a

@@ -505,13 +505,16 @@ def socle_isomorphic(m: RightModule, n: RightModule, graded=True):
 
 def _path_images(target: RightModule, proj: RightModule, grow, wanted):
     """``grow`` times basis path l of ``proj`` for each l in ``wanted``: e_x
-    keeps the entries at x, a longer path its prefix's image times its last arrow."""
+    keeps ``grow``, which must sit at x or raises, and a longer path gives
+    its prefix's image times its last arrow."""
+    x = proj.basis_paths[0].source
+    if any(c for w, c in zip(target.vertices, grow) if w != x):
+        raise AssertionError("generator image leaves its vertex")
     memo = {}
     def image(l):
         if l not in memo:
-            step, x = proj.prefixes[l], proj.basis_paths[l].source
-            memo[l] = ([c if w == x else ZERO for w, c in zip(target.vertices, grow)]
-                       if step is None else target.act(step[1], image(step[0])))
+            step = proj.prefixes[l]
+            memo[l] = list(grow) if step is None else target.act(step[1], image(step[0]))
         return memo[l]
     return [image(l) for l in wanted]
 
@@ -694,43 +697,6 @@ def gldim(a: AlgebraInstance, max_steps=None):
 # Ext via Hom cochain complexes
 
 
-def hom_complex(res: Resolution, n: RightModule):
-    """The cochain complex Hom(F_*, n) of a projective resolution.
-
-    Returns (bases, diffs): bases[i] lists the Hom basis of step i as
-    (summand index, n basis index, bidegree) triples, the bidegree
-    being that of the n basis vector minus the generator's shift;
-    diffs[i] maps step i to step i+1 (rows act on the left).  An entry
-    is stored only between cochains of one bidegree, or raises.
-    """
-    if not res.complete:
-        raise ValueError("resolution is truncated; Ext would be unreliable")
-    at = n.blocks(graded=False)
-    bases = [[(t, j, (n.bidegrees[j][0] - sh[0], n.bidegrees[j][1] - sh[1]))
-              for t, (v, sh, _, _) in enumerate(free.summands)
-              for j in at.get(v, ())] for free in res.frees]
-    diffs = []
-    for i, coeffs in enumerate(res.coefficients):
-        src, tgt = bases[i], bases[i + 1]
-        pos = {entry: c for c, entry in enumerate(tgt)}
-        mat = Matrix.zero(len(src), len(tgt))
-        # cochain (t, j) sends generator t1 of F_{i+1} to e_j times the
-        # summand-t part of t1's image, a combination of its basis paths
-        for c0, (t, j, d) in enumerate(src):
-            images = _path_images(n, res.frees[i].parts[t], n.unit(j),
-                                  [l for l, _ in coeffs[t]])
-            for (_, pairs), img in zip(coeffs[t], images):
-                for jj, x in enumerate(img):
-                    if x:
-                        for t1, c in pairs:
-                            col = pos.get((t1, jj, d))
-                            if col is None:
-                                raise AssertionError("hom differential mixes bidegrees")
-                            mat.data[c0][col] += c * x
-        diffs.append(mat)
-    return bases, diffs
-
-
 def ext_dims(res: Resolution, n: RightModule):
     """Ungraded Ext dimensions from a projective resolution: the class
     counts of ``ext_bigraded_reps``, summed over bidegrees."""
@@ -739,40 +705,68 @@ def ext_dims(res: Resolution, n: RightModule):
 
 
 def ext_bigraded_reps(res: Resolution, n: RightModule):
-    """Ext split by cocycle bidegree.
+    """The cochain complex Hom(F_*, n) of a complete resolution, stored
+    once by bidegree block, and its Ext split by cocycle bidegree.
 
-    Returns (bases, diffs, levels) with bases and diffs from
-    hom_complex, whose differentials preserve bidegree, and levels[i] a
-    dict bidegree -> list of representative cocycle rows (full width,
-    supported on that bidegree, reduced against the coboundary echelon,
-    leading coefficient one).
+    Returns (bases, blocks, levels).  bases[i] lists the Hom basis of
+    step i as (summand index, n basis index, bidegree) triples, the
+    bidegree being that of the n basis vector minus the generator's
+    shift.  blocks[i][d] is (cols, diff, bounds): cols the ascending
+    indices of bases[i] in bidegree d, diff the Matrix from those
+    cochains to the bidegree-d cochains of step i+1 (rows act on the
+    left; no columns at the last step, where every cochain is a
+    cocycle), bounds the Echelon of the coboundaries, the rows of
+    blocks[i-1][d]'s diff.  An entry aimed at another bidegree raises.
+    levels[i] maps a bidegree to its representative cocycle rows: full
+    width, reduced modulo the coboundaries, leading coefficient one.
     """
-    bases, diffs = hom_complex(res, n)
+    if not res.complete:
+        raise ValueError("resolution is truncated; Ext would be unreliable")
+    at = n.blocks(graded=False)
+    bases = [[(t, j, (n.bidegrees[j][0] - sh[0], n.bidegrees[j][1] - sh[1]))
+              for t, (v, sh, _, _) in enumerate(free.summands)
+              for j in at.get(v, ())] for free in res.frees]
     groups = [{} for _ in bases]
     for group, basis in zip(groups, bases):
         for c, (_, _, d) in enumerate(basis):
             group.setdefault(d, []).append(c)
-    levels = []
+    # the last step maps to nothing: its summands have no coefficients
+    coeffs = res.coefficients + [[[] for _ in res.frees[-1].summands]]
+    blocks, levels = [], []
     for i, basis in enumerate(bases):
-        level = {}
+        nxt = groups[i + 1] if i < res.length else {}
+        pos = {bases[i + 1][c]: k for tcols in nxt.values()
+               for k, c in enumerate(tcols)}
+        step, level = {}, {}
         for d in sorted(groups[i]):
             cols = groups[i][d]
-            # at the last step there is no differential: every cochain
-            # is a cocycle, the kernel of a matrix with no columns
-            tcols = groups[i + 1].get(d, []) if i < len(diffs) else []
-            _, cycles = Matrix([[diffs[i].data[r][c] for c in tcols]
-                                for r in cols], ncols=len(tcols)).left_kernel()
-            span = Echelon([diffs[i - 1].data[r][c] for c in cols]
-                           for r in (groups[i - 1].get(d, ()) if i else ()))
-            reps = []
-            for row in cycles:
-                piv = span.insert(row)
-                if piv is not None:
-                    reps.append(_dense(zip(cols, span.rows[piv]), len(basis)))
-            if reps:
-                level[d] = reps
+            diff = Matrix.zero(len(cols), len(nxt.get(d, ())))
+            # cochain (t, j) sends generator t1 of F_{i+1} to e_j times the
+            # summand-t part of t1's image, a combination of its basis paths
+            for row, c0 in zip(diff.data, cols):
+                t, j, _ = basis[c0]
+                images = _path_images(n, res.frees[i].parts[t], n.unit(j),
+                                      [l for l, _ in coeffs[i][t]])
+                for (_, pairs), img in zip(coeffs[i][t], images):
+                    for jj, x in enumerate(img):
+                        if x:
+                            for t1, c in pairs:
+                                k = pos.get((t1, jj, d))
+                                if k is None:
+                                    raise AssertionError("hom differential mixes bidegrees")
+                                row[k] += c * x
+            bounds = Echelon(blocks[i - 1][d][1].data
+                             if i and d in blocks[i - 1] else ())
+            step[d] = (cols, diff, bounds)
+            reps = Echelon()
+            for cycle in diff.left_kernel()[1]:
+                reps.insert(bounds.reduce(cycle))
+            if reps.rows:
+                level[d] = [_dense(zip(cols, r), len(basis))
+                            for r in reps.rows.values()]
+        blocks.append(step)
         levels.append(level)
-    return bases, diffs, levels
+    return bases, blocks, levels
 
 
 # ---------------------------------------------------------------------------

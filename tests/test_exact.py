@@ -40,8 +40,8 @@ def test_no_float_reaches_rows_actions_maps_or_forms(monkeypatch, capsys):
     at a grid point, on instances built here, store only ints and
     Fractions: in the echelon rows, the action rows of every module,
     the generator images of every resolution, the matrices that
-    ``hom_space`` and ``left_mult_map`` return, the Hom-complex
-    differentials, and the normal forms of every basis."""
+    ``hom_space`` and ``left_mult_map`` return, the bidegree blocks of
+    the Hom-complex differentials, and the normal forms of every basis."""
     bad, made = [], {"modules": [], "resolutions": [], "maps": [],
                      "algebras": [], "diffs": []}
 
@@ -65,13 +65,13 @@ def test_no_float_reaches_rows_actions_maps_or_forms(monkeypatch, capsys):
             bad.extend(c for c in self.rows[piv] if not _exact(c))
         return piv
     monkeypatch.setattr(Echelon, "insert", checked_insert)
-    hom_complex = zzqh.modules.hom_complex
+    ext_bigraded_reps = zzqh.modules.ext_bigraded_reps
 
-    def recorded_hom_complex(res, n):
-        bases, diffs = hom_complex(res, n)
-        made["diffs"].extend(diffs)
-        return bases, diffs
-    monkeypatch.setattr(zzqh.modules, "hom_complex", recorded_hom_complex)
+    def recorded_ext_bigraded_reps(res, n):
+        bases, blocks, levels = ext_bigraded_reps(res, n)
+        made["diffs"].extend(diff for step in blocks
+                             for _, diff, _ in step.values())
+        return bases, blocks, levels
 
     def recorded(fn):
         def wrapped(*args, **kwargs):
@@ -80,10 +80,13 @@ def test_no_float_reaches_rows_actions_maps_or_forms(monkeypatch, capsys):
             return out
         return wrapped
     # patch each name where a layer imported it, not only its home module
-    for fn in (zzqh.modules.hom_space, zzqh.modules.left_mult_map):
+    for fn, wrapper in ((zzqh.modules.hom_space, recorded(zzqh.modules.hom_space)),
+                        (zzqh.modules.left_mult_map,
+                         recorded(zzqh.modules.left_mult_map)),
+                        (ext_bigraded_reps, recorded_ext_bigraded_reps)):
         for key, mod in list(sys.modules.items()):
             if key.startswith("zzqh") and getattr(mod, fn.__name__, None) is fn:
-                monkeypatch.setattr(mod, fn.__name__, recorded(fn))
+                monkeypatch.setattr(mod, fn.__name__, wrapper)
 
     for argv in (["check", "all"], ["check", "dual", "--n", "2", "--s", "3"],
                  ["check", "koszul", "--n", "2", "--s", "3"]):

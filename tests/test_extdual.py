@@ -3,13 +3,16 @@ products, extraction of the dual presentation and its certification
 against the closed form."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from zzqh import (Element, Presentation, compute_basis, extdual, modules,
                   presentation_cover, presentation_dual_conjectured)
-from zzqh.linalg import Matrix
-from zzqh.modules import projective_module
+from zzqh.linalg import Echelon, Matrix
+from zzqh.modules import (_dense, algebra_order, cached_module,
+                          ext_bigraded_reps, projective_module,
+                          standard_resolution)
 from zzqh.extdual import (build_dual_from_ext, check_degree_law,
                           check_dual_koszul, check_simple_costandard_dims,
                           check_yoneda_associative, compare_dual,
@@ -113,16 +116,17 @@ def test_product_of_incomposable_classes_rejected(tables):
 
 def test_each_hom_complex_is_built_once(monkeypatch):
     """The products of ``build_dual_from_ext`` reuse the Hom complexes
-    that ``ext_table`` built, one per (standard, standard) pair."""
+    that ``ext_table`` built, one ``ext_bigraded_reps`` call per
+    (standard, standard) pair."""
     built = Counter()
-    original = modules.hom_complex
+    original = modules.ext_bigraded_reps
 
     def counting(res, n):
         built[(res.module.label, n.label)] += 1
         return original(res, n)
 
-    monkeypatch.setattr(modules, "hom_complex", counting)
-    monkeypatch.setattr(extdual, "hom_complex", counting, raising=False)
+    monkeypatch.setattr(modules, "ext_bigraded_reps", counting)
+    monkeypatch.setattr(extdual, "ext_bigraded_reps", counting)
     cover = compute_basis(presentation_cover(1, 2))
     build_dual_from_ext(cover, ext_table(cover))
     labels = [f"Delta[{x}]" for x in cover.presentation.vertices]
@@ -156,19 +160,47 @@ def _cochain_map(res, n, i, basis, row):
     return _dense_map(res.frees[i], n, gens)
 
 
+def _full_hom_diff(res, n, bases, i):
+    """The Hom differential from step i to step i+1 over the full width,
+    one dense Matrix: each basis cochain as a map, times the step map
+    d_(i+1) at the generators of step i+1.  No columns at the last step."""
+    if i == res.length:
+        return Matrix([[] for _ in bases[i]], ncols=0)
+    step = _step_map(res, i + 1)
+    starts = [start for _, _, start, _ in res.frees[i + 1].summands]
+    pos = {(t, j): c for c, (t, j, _) in enumerate(bases[i + 1])}
+    rows = []
+    for c in range(len(bases[i])):
+        cochain = _cochain_map(res, n, i, bases[i], _dense([(c, 1)], len(bases[i])))
+        row = [0] * len(bases[i + 1])
+        for t, start in enumerate(starts):
+            for j, v in enumerate(cochain.mul_row(step.data[start])):
+                if v:
+                    row[pos[(t, j)]] = v
+        rows.append(row)
+    return Matrix(rows, ncols=len(bases[i + 1]))
+
+
+def _coboundaries(res, n, bases, i):
+    """The coboundary echelon of step i over the full width, from the
+    dense differential of step i - 1."""
+    return Echelon(_full_hom_diff(res, n, bases, i - 1).data if i else ())
+
+
 def _yoneda_reference(f, g):
     """f.g on full matrices: the cocycle of g as a map, lifted step by
     step through dense lift matrices and matrix products, composed with
-    the map of f, read off at the generators and reduced."""
+    the map of f, read off at the generators and reduced against the
+    coboundaries of the dense Hom differential."""
     table = f.table
     a, b, c = g.source, g.target, f.target
     res_a, res_b = table.resolutions[a], table.resolutions[b]
     i_total = f.i + g.i
     if i_total > res_a.length or not (any(f.row) and any(g.row)):
-        bases = table.hom_data(a, c)[0]
+        bases = table.hom[(a, c)][0]
         return [0] * (len(bases[i_total]) if i_total < len(bases) else 0)
     rhs = _cochain_map(res_a, table.deltas[b], g.i,
-                       table.hom_data(a, b)[0][g.i], g.row)
+                       table.hom[(a, b)][0][g.i], g.row)
     for k in range(f.i + 1):
         src, tgt = res_a.frees[g.i + k], res_b.frees[k]
         if k:
@@ -185,15 +217,15 @@ def _yoneda_reference(f, g):
             gens.append(grow)
         lift = _dense_map(src, tgt, gens)
     prod = lift * _cochain_map(res_b, table.deltas[c], f.i,
-                               table.hom_data(b, c)[0][f.i], f.row)
-    bases, _, echelons = table.hom_data(a, c)
+                               table.hom[(b, c)][0][f.i], f.row)
+    bases = table.hom[(a, c)][0]
     pos = {(t, j): col for col, (t, j, _) in enumerate(bases[i_total])}
     row = [0] * len(bases[i_total])
     for t, (_, _, start, _) in enumerate(res_a.frees[i_total].summands):
         for j, val in enumerate(prod.data[start]):
             if val:
                 row[pos[(t, j)]] = val
-    return echelons[i_total].reduce(row)
+    return _coboundaries(res_a, table.deltas[c], bases, i_total).reduce(row)
 
 
 @pytest.mark.parametrize("n,s", [(2, 3), (3, 3), (2, 4)])
@@ -228,6 +260,116 @@ def test_products_match_the_dense_route(monkeypatch, n, s):
                                         if g[start + l]])]
                          for _, _, start, stop in res.frees[i].summands])
         assert vars(res)["coefficients"] == want  # cached, not rebuilt
+
+
+def _hom_pairs(a):
+    """(resolution of Delta_x, target) for every (Delta_x, Delta_y) and
+    (Delta_y, Nabla_x) pair over the cover ``a``."""
+    order = algebra_order(a)
+    verts = a.presentation.vertices
+    res = {x: standard_resolution(a, x, order)[1] for x in verts}
+    for x in verts:
+        for y in verts:
+            yield res[x], cached_module(a, "standard", y, order)
+            yield res[y], cached_module(a, "costandard", x, order)
+
+
+def _cols(basis, d):
+    """The indices of ``basis`` in bidegree d."""
+    return [c for c, b in enumerate(basis) if b[2] == d]
+
+
+def _levels_reference(res, n, bases):
+    """Ext split by bidegree over the full width: the cycles of each
+    bidegree of the dense differential, inserted into one full-width
+    echelon that starts from every coboundary of the step."""
+    levels = []
+    for i, basis in enumerate(bases):
+        full = _full_hom_diff(res, n, bases, i)
+        span, level = _coboundaries(res, n, bases, i), {}
+        for d in sorted({b[2] for b in basis}):
+            cols = _cols(basis, d)
+            tcols = _cols(bases[i + 1], d) if i < res.length else []
+            _, cycles = Matrix([[full.data[r][c] for c in tcols] for r in cols],
+                               ncols=len(tcols)).left_kernel()
+            reps = []
+            for cycle in cycles:
+                piv = span.insert(_dense(zip(cols, cycle), len(basis)))
+                if piv is not None:
+                    reps.append(span.rows[piv])
+            if reps:
+                level[d] = reps
+        levels.append(level)
+    return levels
+
+
+@pytest.mark.parametrize("n,s", [*GRID, (2, 4)])
+def test_hom_blocks_match_the_dense_route(n, s):
+    """Each bidegree block of every Hom complex between standards, and
+    from standards to costandards, is its slice of the full dense
+    differential, which has no entry between two bidegrees; the full
+    width route gives the same representative rows."""
+    a = compute_basis(presentation_cover(n, s))
+    entries = 0
+    for res, target in _hom_pairs(a):
+        bases, blocks, levels = ext_bigraded_reps(res, target)
+        assert len(blocks) == len(bases) == res.length + 1
+        fulls = [_full_hom_diff(res, target, bases, i)
+                 for i in range(len(bases))]
+        for i, full in enumerate(fulls):
+            for r, row in enumerate(full.data):
+                assert all(bases[i][r][2] == bases[i + 1][c][2]
+                           for c, v in enumerate(row) if v)
+                entries += len(row) - row.count(0)
+            assert sorted(blocks[i]) == sorted({b[2] for b in bases[i]})
+            for d, (cols, diff, bounds) in blocks[i].items():
+                assert cols == _cols(bases[i], d)
+                tcols = _cols(bases[i + 1], d) if i < res.length else []
+                assert diff.ncols == len(tcols)
+                assert diff.data == [[full.data[r][c] for c in tcols]
+                                     for r in cols]
+                prev = [[fulls[i - 1].data[r][c] for c in cols]
+                        for r in (_cols(bases[i - 1], d) if i else ())]
+                assert bounds.rows == Echelon(prev).rows
+        assert levels == _levels_reference(res, target, bases)
+    assert entries
+
+
+def test_a_product_off_its_bidegree_is_rejected(tables):
+    """A class whose recorded bidegree is off by (1, 0) gives a product
+    whose entries lie outside the block of the bidegree it expects."""
+    table = tables[(2, 3)]
+    ones = [c for key in sorted(table.classes_by_key)
+            if key[2] + key[4] == 1 for c in table.classes_by_key[key]]
+    f, g = next((f, g) for f in ones for g in ones if g.target == f.source
+                and not yoneda_product(f, g).is_zero())
+    bad = replace(g, bidegree=(g.bidegree[0] + 1, g.bidegree[1]))
+    with pytest.raises(ArithmeticError, match="product left its bidegree"):
+        yoneda_product(f, bad)
+
+
+def test_a_product_is_reduced_by_its_blocks_coboundaries(tables):
+    """Every Hom differential between standards is zero at the grid
+    points, so no product there meets a coboundary.  On a copy of the
+    table whose block of a nonzero product's bidegree counts that
+    product among its coboundaries, the product reduces to zero."""
+    table = tables[(2, 3)]
+    ones = [c for key in sorted(table.classes_by_key)
+            if key[2] + key[4] == 1 for c in table.classes_by_key[key]]
+    f, g, prod = next((f, g, p) for f in ones for g in ones
+                      if g.target == f.source
+                      and not (p := yoneda_product(f, g)).is_zero())
+    bases, blocks = table.hom[(g.source, f.target)]
+    d = (-prod.bidegree[0], prod.bidegree[1])
+    cols, diff, bounds = blocks[prod.i][d]
+    assert not bounds.rows
+    forged = [dict(step) for step in blocks]
+    forged[prod.i][d] = (cols, diff, Echelon([[prod.row[c] for c in cols]]))
+    copy = replace(table, hom={**table.hom,
+                               (g.source, f.target): (bases, forged)},
+                   _products={})
+    out = yoneda_product(replace(f, table=copy), replace(g, table=copy))
+    assert out.is_zero() and len(out.row) == len(prod.row)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ from zzqh.linalg import Echelon, Matrix
 from zzqh.modules import (RightModule, _block_kernel, _block_key,
                           _dense, algebra_order, canonical_module,
                           costandard_module, delta_filtration, direct_sum,
-                          dualize, ext_dims, free_images, free_module,
-                          free_row_image, generated_submodule, gldim,
-                          hom_complex, hom_space, injective_module, is_linear,
+                          dualize, ext_bigraded_reps, ext_dims, free_images,
+                          free_module, free_row_image, generated_submodule,
+                          gldim, hom_space, injective_module, is_linear,
                           minimal_resolution, projective_module,
                           quotient_module, restrict_to, shift_module,
                           simple_module,
@@ -597,8 +597,7 @@ def test_act_on_a_support_matches_the_dense_row(cover12):
 
 def test_a_map_entry_in_another_block_is_rejected(cover12):
     """A generator image with one nonzero entry moved to another block
-    at the same vertex (the generator keeps only the entries at its
-    vertex) stops the kernel."""
+    at the same vertex stops the kernel."""
     res = minimal_resolution(costandard_module(cover12, (1, 1)))
     free, target, gens = res.frees[1], res.frees[0], res.gens[1]
     assert _block_kernel(free, target, gens)
@@ -611,6 +610,26 @@ def test_a_map_entry_in_another_block_is_rejected(cover12):
     moved[t][other], moved[t][j] = moved[t][j], Fraction(0)
     with pytest.raises(AssertionError, match="leaves its"):
         _block_kernel(free, target, moved)
+
+
+def test_a_generator_image_off_its_vertex_is_rejected(cover12):
+    """A generator image with one nonzero entry moved to another vertex,
+    which no map out of e_x A can have, stops the kernel and the image
+    of a row instead of being cut."""
+    res = minimal_resolution(costandard_module(cover12, (1, 1)))
+    free, target, gens = res.frees[1], res.frees[0], res.gens[1]
+    t, j, other = next(
+        (t, j, k) for t, row in enumerate(gens) for j, c in enumerate(row)
+        if c for k in range(target.dim)
+        if target.vertices[k] != target.vertices[j])
+    moved = [list(row) for row in gens]
+    moved[t][other], moved[t][j] = moved[t][j], Fraction(0)
+    row = _dense([(free.summands[t][2], 1)], free.dim)
+    assert any(free_row_image(free, target, gens, row))
+    with pytest.raises(AssertionError, match="leaves its vertex"):
+        _block_kernel(free, target, moved)
+    with pytest.raises(AssertionError, match="leaves its vertex"):
+        free_row_image(free, target, moved, row)
 
 
 def test_block_elimination_rejects_broken_actions(cover12):
@@ -841,13 +860,15 @@ def test_maps_from_generators_match_the_path_by_path_route(covers, point):
     """The rows ``free_images`` reads are the generator's image times
     each basis path, also on every other ascending set of indices, and
     ``free_row_image`` is a row times that map, on the generator images
-    of the resolutions of the standards."""
+    of the resolutions of the standards and on rows of ones at each
+    generator's vertex."""
     a = covers[point]
     for x in a.presentation.vertices:
         res = minimal_resolution(standard_module(a, x))
         for k, (free, gens) in enumerate(zip(res.frees, res.gens)):
             target = _below(res, k)
-            ones = [[1] * target.dim for _ in gens]
+            ones = [[int(w == v) for w in target.vertices]
+                    for v, _, _, _ in free.summands]
             for rows in (gens, ones):
                 want = _dense_map(free, target, rows).data
                 assert list(free_images(free, target, rows,
@@ -891,13 +912,15 @@ def test_a_hom_complex_against_a_shifted_vector_is_rejected(cover12):
     entry instead of mixing bidegrees."""
     res = minimal_resolution(simple_module(cover12, (0, 2)))
     target = projective_module(cover12, (1, 1))
-    bases, diffs = hom_complex(res, target)
-    j = next(bases[i][r][1] for i, mat in enumerate(diffs)
-             for r, row in enumerate(mat.data) for c, v in enumerate(row)
-             if v and bases[i + 1][c][1] != bases[i][r][1])
+    bases, blocks, _ = ext_bigraded_reps(res, target)
+    j = next(bases[i][cols[r]][1] for i, step in enumerate(blocks)
+             for d, (cols, diff, _) in step.items()
+             for r, row in enumerate(diff.data) for k, v in enumerate(row)
+             if v and bases[i + 1][blocks[i + 1][d][0][k]][1]
+             != bases[i][cols[r]][1])
     bidegrees = list(target.bidegrees)
     bidegrees[j] = (bidegrees[j][0] + 1, bidegrees[j][1])
     shifted = RightModule(cover12, target.vertices, bidegrees, target.action)
     with pytest.raises(AssertionError,
                        match="hom differential mixes bidegrees"):
-        hom_complex(res, shifted)
+        ext_bigraded_reps(res, shifted)
