@@ -80,10 +80,9 @@ def test_no_float_reaches_rows_actions_maps_or_forms(monkeypatch, capsys):
             return out
         return wrapped
     # patch each name where a layer imported it, not only its home module
-    for fn, wrapper in ((zzqh.modules.hom_space, recorded(zzqh.modules.hom_space)),
-                        (zzqh.modules.left_mult_map,
-                         recorded(zzqh.modules.left_mult_map)),
-                        (ext_bigraded_reps, recorded_ext_bigraded_reps)):
+    wrappers = [(fn, recorded(fn))
+                for fn in (zzqh.modules.hom_space, zzqh.modules.left_mult_map)]
+    for fn, wrapper in wrappers + [(ext_bigraded_reps, recorded_ext_bigraded_reps)]:
         for key, mod in list(sys.modules.items()):
             if key.startswith("zzqh") and getattr(mod, fn.__name__, None) is fn:
                 monkeypatch.setattr(mod, fn.__name__, wrapper)
