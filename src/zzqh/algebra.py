@@ -475,7 +475,7 @@ class AlgebraInstance:
         self._forms = forms
         self.top_length = len(self.basis_by_length) - 1
         self._basis_set = {p for level in self.basis_by_length for p in level}
-        self._op = None
+        self._memo = {}  # key -> what memo(key, build) built for it
         self._blocks = {}  # (source, target) -> bidegree -> path count
         for p in self.basis():
             counts = self._blocks.setdefault((p.source, p.target), {})
@@ -521,13 +521,21 @@ class AlgebraInstance:
 
     # -- derived structure --------------------------------------------------
 
+    def memo(self, key, build):
+        """``build()``, made once per instance and key and kept here: the
+        one store of the objects derived from this instance."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def opposite(self) -> "AlgebraInstance":
-        if self._op is None:
-            self._op = compute_basis(opposite_presentation(self.presentation),
-                                     max_len=max(self.top_length + 1,
-                                                 DEFAULT_MAX_LEN))
-            self._op._op = self
-        return self._op
+        def build():
+            op = compute_basis(opposite_presentation(self.presentation),
+                               max_len=max(self.top_length + 1,
+                                           DEFAULT_MAX_LEN))
+            op._memo["opposite"] = self
+            return op
+        return self.memo("opposite", build)
 
     def __repr__(self):
         return (f"AlgebraInstance({self.presentation.kind}, dim {self.dim()}, "

@@ -120,7 +120,8 @@ def _presentation(kind: str, n, s) -> Presentation:
         name = kind.split(":", 1)[1]
         make = {"counterexample": counterexample_presentation,
                 "loop": loop_presentation,
-                "brauer-line": partial(brauer_line_presentation, s or 2)}.get(name)
+                "brauer-line": partial(brauer_line_presentation,
+                                        2 if s is None else s)}.get(name)
         if make is None:
             raise UsageError(f"unknown fixture: {name!r}")
     elif kind not in ALGEBRA_KINDS:
@@ -318,7 +319,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    cover = compute_basis(_presentation("cover", args.n, args.s))
+    cover = _instance("cover", args.n, args.s, _max_steps(args))
     built = build_dual_from_ext(cover)
     if args.emit == "dot":
         _emit(export_dot(built), args.out)

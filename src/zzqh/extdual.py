@@ -35,8 +35,9 @@ from .algebra import (AlgebraInstance, Arrow, Element, Path, Presentation,
                       presentation_dual_conjectured, quadratic_blocks)
 from .koszul import KoszulReport, check_koszul
 from .linalg import ONE, ZERO, Echelon, Matrix, exact_div
-from .modules import (_dense, algebra_order, cached_module, ext_bigraded_reps,
-                      free_images, free_row_image, standard_resolution)
+from .modules import (_dense, algebra_order, costandard_module,
+                      ext_bigraded_reps, free_images, free_row_image,
+                      standard_resolution)
 from .quiver import build_quiver, order_data, vertex_name
 
 
@@ -106,20 +107,22 @@ class ExtTable:
 def ext_table(cover: AlgebraInstance) -> ExtTable:
     """Tabulate bigraded Ext between the standard modules of a cover.
 
-    Standards and their complete resolutions come from
+    The complete resolutions of the standards come from
     ``standard_resolution``.  The table, with canonical representative
-    cocycles and the products computed later, is cached on ``cover``
-    in ``cover._ext_table``: later calls return the same table.
+    cocycles and the products computed later, is made once per cover
+    through ``cover.memo``: later calls return the same table.
     """
-    table = getattr(cover, "_ext_table", None)
-    if table is not None:
-        return table
     if cover.presentation.kind != "cover":
         raise ValueError("ext tables are computed over a cover instance")
+    return cover.memo("ext-table", lambda: _tabulate_ext(cover))
+
+
+def _tabulate_ext(cover: AlgebraInstance) -> ExtTable:
     order = algebra_order(cover)
     deltas, resolutions = {}, {}
     for x in cover.presentation.vertices:
-        deltas[x], resolutions[x] = standard_resolution(cover, x, order)
+        resolutions[x] = standard_resolution(cover, x, order)
+        deltas[x] = resolutions[x].module
         if not resolutions[x].complete:
             raise RuntimeError(f"resolution of the standard at {x} truncated")
     table = ExtTable(cover, order, deltas, resolutions)
@@ -134,7 +137,6 @@ def ext_table(cover: AlgebraInstance) -> ExtTable:
                     table.classes_by_key[key] = tuple(
                         ExtClass(x, y, i, (-d[0], d[1]), tuple(r), table)
                         for r in reps)
-    cover._ext_table = table
     return table
 
 
@@ -674,10 +676,10 @@ def check_simple_costandard_dims(cover: AlgebraInstance) -> dict:
     projective."""
     order = algebra_order(cover)
     verts = list(cover.presentation.vertices)
-    resolutions = {y: standard_resolution(cover, y, order)[1] for y in verts}
+    resolutions = {y: standard_resolution(cover, y, order) for y in verts}
     failures, hom_dims = [], {}
     for x in verts:
-        nab = cached_module(cover, "costandard", x, order)
+        nab = costandard_module(cover, x, order)
         for y in verts:
             _, _, levels = ext_bigraded_reps(resolutions[y], nab)
             hom0 = {d: len(reps) for d, reps in levels[0].items()}

@@ -133,7 +133,7 @@ def check_standard_koszul(cover: AlgebraInstance) -> KoszulReport:
         raise ValueError("check_standard_koszul expects a cover instance")
     order = algebra_order(cover)
     modules = {vertex_name(x): _linearity(
-        standard_resolution(cover, x, order)[1], "length")
+        standard_resolution(cover, x, order), "length")
         for x in cover.presentation.vertices}
     return KoszulReport(kind="standard", grading="length", modules=modules)
 
@@ -167,7 +167,7 @@ def check_delta_koszul(cover: AlgebraInstance) -> KoszulReport:
     verts = pres.vertices
     resolved = {x: standard_resolution(cover, x, order) for x in verts}
     modules = {vertex_name(x): _linearity(res, "flat")
-               for x, (_, res) in resolved.items()}
+               for x, res in resolved.items()}
     offdiag = [[i, [flat, sharp], vertex_name(x), vertex_name(y), dim]
                for (x, y, i, flat, sharp), dim in ext_table(cover).dims.items()
                if flat != i]
@@ -185,8 +185,8 @@ def check_delta_koszul(cover: AlgebraInstance) -> KoszulReport:
                    "lines_directed": monotone,
                    "gldim": gl, "chain_bound": s}
 
-    iso = all(gamma0_summand_iso(cover, x, delta)
-              for x, (delta, _) in resolved.items())
+    iso = all(gamma0_summand_iso(cover, x, res.module)
+              for x, res in resolved.items())
 
     return KoszulReport(kind="delta", grading="flat", modules=modules,
                         offdiagonal=offdiag,

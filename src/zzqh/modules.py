@@ -202,15 +202,14 @@ def _block_kernel(free: RightModule, target: RightModule, gen_rows):
 
 
 def projective_module(a: AlgebraInstance, x, shift=(0, 0)) -> RightModule:
-    """e_x A, made once per instance and vertex and cached on ``a`` in
-    ``a._projective_cache``; a shifted one shares the cached action."""
+    """e_x A, made once per instance and vertex through ``a.memo``; a
+    shifted one shares the memoized action."""
     if shift != (0, 0):
         return shift_module(projective_module(a, x), shift)
-    cache = getattr(a, "_projective_cache", None)
-    if cache is None:
-        cache = a._projective_cache = {}
-    if x in cache:
-        return cache[x]
+    return a.memo(("projective", x), lambda: _projective(a, x))
+
+
+def _projective(a: AlgebraInstance, x) -> RightModule:
     paths = sorted((p for p in a.basis() if p.source == x), key=Path.sort_key)
     if not paths:
         raise ValueError(f"no such vertex: {x}")
@@ -228,7 +227,6 @@ def projective_module(a: AlgebraInstance, x, shift=(0, 0)) -> RightModule:
     # builds each length from the one before, so a prefix is a basis path
     mod.prefixes = tuple((index[Path(x, p.arrows[:-1])], p.arrows[-1])
                          if p.arrows else None for p in paths)
-    cache[x] = mod
     return mod
 
 
@@ -323,7 +321,7 @@ def algebra_order(a: AlgebraInstance) -> OrderData:
         raise ValueError(
             f"no partial order for a {a.presentation.kind!r} presentation")
     n, s = a.presentation.params["n"], a.presentation.params["s"]
-    return _on_instance(a, "order", lambda: order_data(build_quiver(n, s)))
+    return a.memo("order", lambda: order_data(build_quiver(n, s)))
 
 
 def _assert_stable(m: RightModule, indices, message):
@@ -376,22 +374,30 @@ def quotient_module(m: RightModule, indices, label=""):
 
 def standard_module(a: AlgebraInstance, x, order: OrderData = None) -> RightModule:
     """Largest quotient of P_x whose composition factors have weight
-    at most x."""
+    at most x, made once per instance, vertex and order (keyed by
+    value) through ``a.memo``."""
     order = order or algebra_order(a)
-    proj = projective_module(a, x)
-    bad = [i for i, v in enumerate(proj.vertices) if not order.leq(v, x)]
-    return quotient_module(proj, generated_submodule(proj, bad),
-                           label=f"Delta[{x}]")
+
+    def build():
+        proj = projective_module(a, x)
+        bad = [i for i, v in enumerate(proj.vertices) if not order.leq(v, x)]
+        return quotient_module(proj, generated_submodule(proj, bad),
+                               label=f"Delta[{x}]")
+    return a.memo(("standard", x, order.key), build)
 
 
 def costandard_module(a: AlgebraInstance, x, order: OrderData = None) -> RightModule:
     """Largest submodule of I_x whose composition factors have weight
     at most x: the dual of the standard module of the opposite algebra
-    at x, under the same order (Dlab-Ringel)."""
+    at x, under the same order (Dlab-Ringel).  Made once per instance,
+    vertex and order, as ``standard_module`` is."""
     order = order or algebra_order(a)
-    mod = dualize(standard_module(a.opposite(), x, order))
-    mod.label = f"Nabla[{x}]"
-    return mod
+
+    def build():
+        mod = dualize(standard_module(a.opposite(), x, order))
+        mod.label = f"Nabla[{x}]"
+        return mod
+    return a.memo(("costandard", x, order.key), build)
 
 
 def canonical_module(a: AlgebraInstance, kind: str, x, shift=(0, 0)) -> RightModule:
@@ -608,38 +614,16 @@ def minimal_resolution(m: RightModule, max_steps=None) -> Resolution:
         want = sum(len(rows) for _, rows in kernel.values())
 
 
-def _on_instance(a: AlgebraInstance, key, build):
-    """``build()``, made once per instance and key and cached on ``a``
-    in ``a._standard_cache``, as projectives are in ``_projective_cache``."""
-    cache = getattr(a, "_standard_cache", None)
-    if cache is None:
-        cache = a._standard_cache = {}
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
-
-
-def cached_module(a: AlgebraInstance, kind: str, x, order: OrderData = None):
-    """Delta_x (``kind`` "standard") or Nabla_x ("costandard"), made once
-    per instance, vertex and order, with the order keyed by value."""
-    order = order or algebra_order(a)
-    build = {"standard": standard_module,
-             "costandard": costandard_module}[kind]
-    key = (kind, x, order.key)
-    return _on_instance(a, key, lambda: build(a, x, order))
-
-
 def standard_resolution(a: AlgebraInstance, x, order: OrderData = None,
-                        max_steps=None):
-    """Delta_x, from ``cached_module``, and its minimal resolution cut
-    off after ``max_steps``, cached on ``a`` per vertex, order and step
-    cap, so a resolution cut off at one cap is never returned for
-    another."""
+                        max_steps=None) -> Resolution:
+    """The minimal resolution of Delta_x (its ``module``) cut off after
+    ``max_steps``, made once per instance, vertex, order and step cap
+    through ``a.memo``, so a resolution cut off at one cap is never
+    returned for another."""
     order = order or algebra_order(a)
-    delta = cached_module(a, "standard", x, order)
-    key = ("resolution", x, order.key, max_steps)
-    return delta, _on_instance(a, key,
-                               lambda: minimal_resolution(delta, max_steps))
+    return a.memo(("resolution", x, order.key, max_steps),
+                  lambda: minimal_resolution(standard_module(a, x, order),
+                                             max_steps))
 
 
 def _submodule_top(m: RightModule, kernel):
@@ -790,8 +774,7 @@ def delta_filtration(m: RightModule, order: OrderData = None):
                        if not any(order.lt(x, y) for y in present if y != x))
         gens = [i for i, v in enumerate(current.vertices) if v == maximal]
         sub = generated_submodule(current, gens)
-        expected = len(gens) * cached_module(m.algebra, "standard", maximal,
-                                             order).dim
+        expected = len(gens) * standard_module(m.algebra, maximal, order).dim
         if len(sub) != expected:
             witness = {"vertex": maximal, "copies": len(gens),
                        "submodule_dim": len(sub), "expected_dim": expected}

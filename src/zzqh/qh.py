@@ -23,10 +23,10 @@ from .linalg import ZERO, Echelon, Matrix
 from .quiver import build_quiver, vertex_name
 from .algebra import (AlgebraInstance, Element, Path, presentation_zigzag,
                       zigzag_hom_oracle)
-from .modules import (algebra_order, cached_module, costandard_module,
-                      delta_filtration, ext_dims, hom_space, injective_module,
-                      left_mult_map, projective_module, restrict_to,
-                      RightModule, socle_isomorphic, standard_resolution)
+from .modules import (algebra_order, costandard_module, delta_filtration,
+                      ext_dims, hom_space, injective_module, left_mult_map,
+                      projective_module, restrict_to, RightModule,
+                      socle_isomorphic, standard_module, standard_resolution)
 
 REPORT_FIELDS = (
     "endo_standard_trivial",
@@ -63,13 +63,6 @@ class QhReport:
         return (not any(v is False for v in values)
                 and any(v is True for v in values))
 
-    def merge(self, other: "QhReport") -> "QhReport":
-        out = QhReport(witnesses={**self.witnesses, **other.witnesses})
-        for f in REPORT_FIELDS:
-            mine, theirs = getattr(self, f), getattr(other, f)
-            setattr(out, f, theirs if theirs is not None else mine)
-        return out
-
     def as_dict(self) -> dict:
         out = {f: getattr(self, f) for f in REPORT_FIELDS}
         out["passed"] = self.passed()
@@ -92,9 +85,8 @@ def check_quasi_hereditary(a: AlgebraInstance, order=None,
         order = algebra_order(a)
     rep = QhReport()
     verts = a.presentation.vertices
-    deltas = {x: standard_resolution(a, x, order, max_steps)[0]
-              for x in verts}
-    nablas = {x: cached_module(a, "costandard", x, order) for x in verts}
+    deltas = {x: standard_module(a, x, order) for x in verts}
+    nablas = {x: costandard_module(a, x, order) for x in verts}
 
     bad = [vertex_name(x) for x in verts
            if len(hom_space(deltas[x], deltas[x])) != 1]
@@ -126,7 +118,7 @@ def check_quasi_hereditary(a: AlgebraInstance, order=None,
 
     ext_bad = []
     for x in verts:
-        res = standard_resolution(a, x, order, max_steps)[1]
+        res = standard_resolution(a, x, order, max_steps)
         if not res.complete:
             ext_bad.append({"standard": vertex_name(x),
                             "truncated_at": res.length})
@@ -333,7 +325,7 @@ def check_borel(cover: AlgebraInstance, borel: AlgebraInstance) -> QhReport:
     iso_bad = []
     cover_order = algebra_order(cover)  # the borel's too: same (n, s)
     for x in cover.presentation.vertices:
-        nab = cached_module(cover, "costandard", x, cover_order)
+        nab = costandard_module(cover, x, cover_order)
         restricted = RightModule(
             borel, nab.vertices, nab.bidegrees,
             {ar: nab.action[ar] for ar in borel.presentation.arrows},

@@ -120,11 +120,6 @@ class OrderData:
         """The order as a hashable value, made once per object."""
         return frozenset(self.dist.items())
 
-    def hasse_edges(self):
-        """Covering pairs of the order, sorted."""
-        edges = [p for p, d in self.dist.items() if d == 1]
-        return sorted(edges)
-
 
 def order_data(q: Quiver) -> OrderData:
     """Compute the order and distances along arrows of nonzero index.

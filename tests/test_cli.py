@@ -159,6 +159,8 @@ def test_out_flag_writes_file(capsys, tmp_path):
     (["check", "koszul", "--algebra", "zigzag", "--n", "2", "--s", "1"], None,
      "zigzag type needs s >= 2, got s=1"),
     (["dual", "--n", "0", "--s", "2"], None, "need n >= 1, got 0"),
+    (["build", "--algebra", "fixture:brauer-line", "--s", "0"], None,
+     "the Brauer line needs s >= 1, got 0"),
     (["build", "--n", "1", "--s", "2", "--max-steps", "0"], None,
      "the step cap must be at least 1, got 0"),
     (["resolve", "--n", "1", "--s", "2", "--module", "simple:0,2",
@@ -192,6 +194,33 @@ def test_usage_errors_exit_two_with_one_line(capsys, monkeypatch, argv, env,
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
+def test_brauer_line_defaults_to_s_two(capsys, monkeypatch):
+    monkeypatch.delenv("ZZQH_MAX_STEPS", raising=False)
+    code, out = _run(capsys, "build", "--algebra", "fixture:brauer-line")
+    assert code == 0 and json.loads(out)["params"] == {"s": 2}
+
+
+@pytest.mark.parametrize("flag,env", [(["--max-steps", "1"], None),
+                                      ([], "1")])
+def test_dual_caps_the_basis(capsys, monkeypatch, flag, env):
+    """``dual`` builds its cover under the step cap, as ``check dual``
+    does."""
+    if env is None:
+        monkeypatch.delenv("ZZQH_MAX_STEPS", raising=False)
+    else:
+        monkeypatch.setenv("ZZQH_MAX_STEPS", env)
+    code, out = _run(capsys, "dual", "--n", "2", "--s", "3", *flag)
+    assert code == 3
+    assert json.loads(out) == {"nonterminating": True, "max_length": 1,
+                               "dims_so_far": [10, 18]}
+
+
+def test_dual_under_a_loose_cap_is_unchanged(capsys, monkeypatch):
+    monkeypatch.delenv("ZZQH_MAX_STEPS", raising=False)
+    argv = ("dual", "--n", "2", "--s", "3", "--emit", "json")
+    assert _run(capsys, *argv, "--max-steps", "32") == _run(capsys, *argv)
+
+
 def test_check_all_on_zigzag_runs_only_its_checks(capsys):
     code, out = _run(capsys, "check", "all", "--algebra", "zigzag",
                      "--n", "2", "--s", "3")
@@ -211,8 +240,9 @@ def test_check_caps_the_basis(capsys):
 
 def test_check_all_resolves_each_standard_once(capsys, monkeypatch):
     """Each standard is built and resolved once, and each costandard of
-    the cover built once (the Borel's own costandards aside)."""
-    resolved, built = Counter(), Counter()
+    the cover built once (the Borel's own costandards aside): every call
+    for one of them hands back the same object."""
+    resolved, built = Counter(), {}
 
     def counting(name, fn):
         def wrapped(first, *args, **kwargs):
@@ -220,7 +250,7 @@ def test_check_all_resolves_each_standard_once(capsys, monkeypatch):
             if name == "minimal_resolution":  # first is the module
                 resolved[first.label] += 1
             elif first.presentation.kind == "cover":  # first is the algebra
-                built[out.label] += 1
+                built.setdefault(out.label, {})[id(out)] = out  # kept alive
             return out
         return wrapped
 
@@ -236,8 +266,8 @@ def test_check_all_resolves_each_standard_once(capsys, monkeypatch):
     verts = presentation_cover(2, 2).vertices
     standards = {l: k for l, k in resolved.items() if l.startswith("Delta[")}
     assert standards == {f"Delta[{x}]": 1 for x in verts}
-    assert built == {f"{kind}[{x}]": 1 for x in verts
-                     for kind in ("Delta", "Nabla")}
+    assert {label: len(objs) for label, objs in built.items()} == {
+        f"{kind}[{x}]": 1 for x in verts for kind in ("Delta", "Nabla")}
 
 
 # sha256 of stdout, recorded with the column-by-column Gauss-Jordan rref.

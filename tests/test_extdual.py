@@ -10,9 +10,9 @@ import pytest
 from zzqh import (Element, Presentation, compute_basis, extdual, modules,
                   presentation_cover, presentation_dual_conjectured)
 from zzqh.linalg import Echelon, Matrix
-from zzqh.modules import (_dense, algebra_order, cached_module,
+from zzqh.modules import (_dense, algebra_order, costandard_module,
                           ext_bigraded_reps, projective_module,
-                          standard_resolution)
+                          standard_module, standard_resolution)
 from zzqh.extdual import (build_dual_from_ext, check_degree_law,
                           check_dual_koszul, check_simple_costandard_dims,
                           check_yoneda_associative, compare_dual,
@@ -267,11 +267,11 @@ def _hom_pairs(a):
     (Delta_y, Nabla_x) pair over the cover ``a``."""
     order = algebra_order(a)
     verts = a.presentation.vertices
-    res = {x: standard_resolution(a, x, order)[1] for x in verts}
+    res = {x: standard_resolution(a, x, order) for x in verts}
     for x in verts:
         for y in verts:
-            yield res[x], cached_module(a, "standard", y, order)
-            yield res[y], cached_module(a, "costandard", x, order)
+            yield res[x], standard_module(a, y, order)
+            yield res[y], costandard_module(a, x, order)
 
 
 def _cols(basis, d):

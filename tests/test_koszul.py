@@ -9,8 +9,8 @@ from zzqh.koszul import (check_delta_koszul, check_koszul,
                          check_shifted_dual_lemmas, check_standard_koszul,
                          fixture_brauer_line, fixture_counterexample,
                          gamma0_summand_iso, loop_presentation)
-from zzqh.modules import (RightModule, algebra_order, cached_module,
-                          projective_module, shift_module)
+from zzqh.modules import (RightModule, algebra_order, projective_module,
+                          shift_module, standard_module)
 
 GRID = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
 
@@ -51,7 +51,7 @@ def test_gamma0_certificate_rejects_other_modules(covers, point):
     cut = 0
     for x in a.presentation.vertices:
         proj = projective_module(a, x)
-        delta = cached_module(a, "standard", x, order)
+        delta = standard_module(a, x, order)
         split = RightModule(a, delta.vertices, delta.bidegrees,
                             {b: {} for b in delta.action})
         assert gamma0_summand_iso(a, x, delta)

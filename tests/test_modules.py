@@ -9,7 +9,9 @@ import pytest
 import zzqh.modules
 from zzqh import (compute_basis, presentation_borel, presentation_cover,
                   presentation_zigzag)
-from zzqh.koszul import _flat_degree_zero_part
+from zzqh.algebra import AlgebraInstance
+from zzqh.extdual import ext_table
+from zzqh.koszul import _flat_degree_zero_part, check_delta_koszul
 from zzqh.linalg import Echelon, Matrix
 from zzqh.modules import (RightModule, _block_kernel, _block_key,
                           _dense, algebra_order, canonical_module,
@@ -22,7 +24,8 @@ from zzqh.modules import (RightModule, _block_kernel, _block_key,
                           simple_module,
                           socle_isomorphic, socle_rows, standard_module,
                           top_generators)
-from zzqh.quiver import build_quiver, order_data
+from zzqh.qh import check_borel, check_quasi_hereditary
+from zzqh.quiver import OrderData, build_quiver, order_data
 
 GRID = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
 VERTS = ((0, 2), (1, 1), (2, 0))
@@ -728,6 +731,40 @@ def test_standards_match_the_echelon_route(covers, borels, point):
         for x in a.presentation.vertices:
             assert _based(standard_module(a, x, order)) == \
                 _based(_standard_reference(a, x, order)), (a, x)
+
+
+def test_the_memo_keys_standards_by_order(covers):
+    """Under the order with only the diagonal, Delta_x is the simple top
+    of P_x: a different object, and of a different dimension wherever
+    the cover's order keeps more of P_x, than under the cover's order."""
+    a = covers[(2, 2)]
+    verts = a.presentation.vertices
+    order = algebra_order(a)
+    diagonal = OrderData(order.quiver, {(v, v): 0 for v in verts})
+    larger = 0
+    for x in verts:
+        delta, bare = standard_module(a, x), standard_module(a, x, diagonal)
+        assert bare is not delta and bare.dim == 1
+        assert standard_module(a, x, diagonal) is bare
+        assert standard_module(a, x, order) is delta
+        larger += delta.dim > 1
+    assert larger
+
+
+def test_checks_leave_no_cache_outside_the_memo():
+    """Every object the checks derive from an instance is kept in its
+    memo: after them, the cover, its opposite and the Borel hold just
+    the attributes ``AlgebraInstance.__init__`` sets."""
+    cover = compute_basis(presentation_cover(2, 2))
+    borel = compute_basis(presentation_borel(2, 2))
+    ext_table(cover)
+    assert check_quasi_hereditary(cover).passed()
+    assert check_borel(cover, borel).passed()
+    assert check_delta_koszul(cover).passed()
+    assert cover.opposite().opposite() is cover
+    for a in (cover, cover.opposite(), borel):
+        fresh = AlgebraInstance(a.presentation, a.basis_by_length, a._forms)
+        assert vars(a).keys() == vars(fresh).keys(), a
 
 
 @pytest.mark.parametrize("point", GRID)

@@ -92,16 +92,16 @@ def test_zigzag_is_not_quasi_hereditary():
     assert witness and all("projective" in w for w in witness)
 
 
-def test_report_merge_and_pass_semantics():
+def test_report_pass_semantics():
     empty = QhReport()
     assert not empty.passed()
-    a = QhReport(endo_standard_trivial=True)
-    b = QhReport(borel_directed=False, witnesses={"borel_directed": ["x"]})
-    merged = a.merge(b)
-    assert merged.endo_standard_trivial and merged.borel_directed is False
-    assert not merged.passed()
-    assert merged.witnesses == {"borel_directed": ["x"]}
-    assert merged.as_dict()["passed"] is False
+    assert QhReport(endo_standard_trivial=True).passed()
+    both = QhReport(endo_standard_trivial=True, borel_directed=False,
+                    witnesses={"borel_directed": ["x"]})
+    assert both.endo_standard_trivial and both.borel_directed is False
+    assert not both.passed()
+    assert both.witnesses == {"borel_directed": ["x"]}
+    assert both.as_dict()["passed"] is False
 
 
 def test_check_borel_builds_the_order_once(monkeypatch):
