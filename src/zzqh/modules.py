@@ -239,7 +239,7 @@ def simple_module(a: AlgebraInstance, x, shift=(0, 0)) -> RightModule:
 
 def free_module(a: AlgebraInstance, gens) -> RightModule:
     """Direct sum of shifted projectives, one per (vertex, shift) pair:
-    the sum of the cached unshifted projectives, recorded as ``parts``,
+    the sum of the memoized unshifted projectives, recorded as ``parts``,
     with the shifted bidegrees written once.  Records ``summands`` as
     (vertex, shift, start, stop) slices."""
     mod = direct_sum(a, parts := [projective_module(a, v) for v, _ in gens])
