@@ -355,6 +355,12 @@ FROZEN_STDOUT = {
         "00e19ebcf47cfd7ff943ef873b7a4bf81fb9ffb372bad3d20520c91447d5141b",
     ("check", "degree-law", "--n", "3", "--s", "5"):
         "cf704ccb2285c7a3592f85d09287c03a783e66c7cd632561e0d0d0cf4d3f3a3f",
+    ("check", "qh", "--n", "4", "--s", "4"):
+        "88a38383f68d85f094f3694ff5de3e671d5fedb75cced26271fa5227545295aa",
+    ("check", "dual", "--n", "4", "--s", "4"):
+        "ffe05a85c8d117f2a9dfb50f8834442d0b720190e63f9b8f931887eba0284624",
+    ("check", "all", "--n", "2", "--s", "2", "--max-steps", "32"):
+        "901b26ad2a68cae674d933446f2035db53871f59f0e89530a18e317ec3b5fb41",
 }
 
 
@@ -363,6 +369,22 @@ def test_stdout_is_byte_identical_to_the_frozen_digest(capsys, argv):
     code, out = _run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_STDOUT[argv]
+
+
+def test_zigzag_qh_failure_is_byte_identical_to_its_frozen_digest(capsys):
+    """The one call whose End, Hom and truncation witnesses are all
+    nonempty: End(Delta) at 0,0,2 is 2, Hom(Delta, Nabla) there is 2,
+    and five standards are cut at 30 steps.  It exits 1."""
+    code, out = _run(capsys, "check", "qh", "--algebra", "zigzag",
+                     "--n", "2", "--s", "3")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7f8b3df8eda82704525b4a32549c8784803a2e728e523087ff9ca2253171626d")
+    witnesses = json.loads(out)["results"][0]["report"]["witnesses"]
+    assert witnesses["endo_standard_trivial"] == ["0,0,2"]
+    assert witnesses["hom_delta_nabla_diagonal"] == [["0,0,2", "0,0,2", 2]]
+    assert {w["truncated_at"] for w in
+            witnesses["ext_delta_nabla_vanishing"]} == {30}
 
 
 def test_check_all_matches_the_single_checks(capsys):
