@@ -23,7 +23,7 @@ from .koszul import (KoszulReport, check_delta_koszul, check_koszul,
                      counterexample_presentation, fixture_brauer_line,
                      fixture_counterexample)
 from .modules import (Resolution, RightModule, canonical_module,
-                      costandard_module, ext_dims, gldim, hom_space,
+                      costandard_module, delta_nabla_ext, gldim, hom_space,
                       is_linear, minimal_resolution, projective_module,
                       simple_module, standard_module)
 from .qh import (QhReport, check_borel, check_cover,

@@ -35,7 +35,7 @@ from .algebra import (AlgebraInstance, Arrow, Element, Path, Presentation,
                       presentation_dual_conjectured, quadratic_blocks)
 from .koszul import KoszulReport, check_koszul
 from .linalg import ONE, ZERO, Echelon, Matrix, exact_div
-from .modules import (_dense, algebra_order, costandard_module,
+from .modules import (_dense, algebra_order, delta_nabla_ext,
                       ext_bigraded_reps, free_images, free_row_image,
                       standard_resolution)
 from .quiver import build_quiver, order_data, vertex_name
@@ -673,15 +673,16 @@ def check_simple_costandard_dims(cover: AlgebraInstance) -> dict:
     """dim Hom(Delta_y, Nabla_x<j>) = delta_xy delta_j0, and all higher
     graded Ext(Delta_y, Nabla_x) vanish: the dimensions that force each
     costandard onto the simple top of the corresponding dual
-    projective."""
-    order = algebra_order(cover)
-    verts = list(cover.presentation.vertices)
-    resolutions = {y: standard_resolution(cover, y, order) for y in verts}
-    failures, hom_dims = [], {}
+    projective.  Hom is Ext^0, and every level is read from the table
+    of ``delta_nabla_ext`` that ``check_quasi_hereditary`` reads."""
+    resolutions, ext = delta_nabla_ext(cover, algebra_order(cover))
+    verts = cover.presentation.vertices
+    failures = [{"standard": vertex_name(y), "truncated_at": res.length}
+                for y, res in resolutions.items() if not res.complete]
+    hom_dims = {}
     for x in verts:
-        nab = costandard_module(cover, x, order)
         for y in verts:
-            _, _, levels = ext_bigraded_reps(resolutions[y], nab)
+            levels = ext[(y, x)]
             hom0 = {d: len(reps) for d, reps in levels[0].items()}
             hom_dims[f"{vertex_name(y)}->{vertex_name(x)}"] = \
                 sum(hom0.values())

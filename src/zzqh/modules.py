@@ -617,13 +617,33 @@ def minimal_resolution(m: RightModule, max_steps=None) -> Resolution:
 def standard_resolution(a: AlgebraInstance, x, order: OrderData = None,
                         max_steps=None) -> Resolution:
     """The minimal resolution of Delta_x (its ``module``) cut off after
-    ``max_steps``, made once per instance, vertex, order and step cap
-    through ``a.memo``, so a resolution cut off at one cap is never
-    returned for another."""
+    ``max_steps``, made once per instance, vertex and order through
+    ``a.memo``: a complete one serves every cap above its length, a cut
+    one only the cap that cut it."""
     order = order or algebra_order(a)
-    return a.memo(("resolution", x, order.key, max_steps),
-                  lambda: minimal_resolution(standard_module(a, x, order),
-                                             max_steps))
+    cap = a.dim() + 1 if max_steps is None else max_steps
+    made = a.memo(("resolutions", x, order.key), dict)  # "complete" or cap
+    res = made.get("complete")
+    if res is None or res.length >= cap:
+        res = made.get(cap) or minimal_resolution(standard_module(a, x, order),
+                                                  cap)
+        made["complete" if res.complete else cap] = res
+    return res
+
+
+def delta_nabla_ext(a: AlgebraInstance, order: OrderData = None,
+                    max_steps=None):
+    """The standards' resolutions {x: res_x} under ``max_steps`` and the
+    Ext levels {(x, y): ``ext_bigraded_reps(res_x, Nabla_y)[2]``}, made
+    once per instance and order through ``a.memo``, and once per cap
+    only if the cap cuts some resolution."""
+    order = order or algebra_order(a)
+    verts = a.presentation.vertices
+    res = {x: standard_resolution(a, x, order, max_steps) for x in verts}
+    cap = "complete" if all(r.complete for r in res.values()) else max_steps
+    return a.memo(("delta-nabla-ext", order.key, cap), lambda: (res, {
+        (x, y): ext_bigraded_reps(res[x], costandard_module(a, y, order))[2]
+        for x in verts for y in verts}))
 
 
 def _submodule_top(m: RightModule, kernel):
@@ -681,16 +701,11 @@ def gldim(a: AlgebraInstance, max_steps=None):
 # Ext via Hom cochain complexes
 
 
-def ext_dims(res: Resolution, n: RightModule):
-    """Ungraded Ext dimensions from a projective resolution: the class
-    counts of ``ext_bigraded_reps``, summed over bidegrees."""
-    _, _, levels = ext_bigraded_reps(res, n)
-    return [sum(len(reps) for reps in level.values()) for level in levels]
-
-
 def ext_bigraded_reps(res: Resolution, n: RightModule):
-    """The cochain complex Hom(F_*, n) of a complete resolution, stored
-    once by bidegree block, and its Ext split by cocycle bidegree.
+    """The cochain complex Hom(F_*, n) of a resolution, stored once by
+    bidegree block, and its Ext split by cocycle bidegree.  A truncated
+    resolution gives only its exact levels, those below ``res.length``;
+    one cut at F_0 has none and raises ``ValueError``.
 
     Returns (bases, blocks, levels).  bases[i] lists the Hom basis of
     step i as (summand index, n basis index, bidegree) triples, the
@@ -704,8 +719,9 @@ def ext_bigraded_reps(res: Resolution, n: RightModule):
     levels[i] maps a bidegree to its representative cocycle rows: full
     width, reduced modulo the coboundaries, leading coefficient one.
     """
-    if not res.complete:
-        raise ValueError("resolution is truncated; Ext would be unreliable")
+    exact = len(res.frees) if res.complete else res.length
+    if not exact:
+        raise ValueError("resolution is cut at F_0; no Ext level is exact")
     at = n.blocks(graded=False)
     bases = [[(t, j, (n.bidegrees[j][0] - sh[0], n.bidegrees[j][1] - sh[1]))
               for t, (v, sh, _, _) in enumerate(free.summands)
@@ -717,7 +733,7 @@ def ext_bigraded_reps(res: Resolution, n: RightModule):
     # the last step maps to nothing: its summands have no coefficients
     coeffs = res.coefficients + [[[] for _ in res.frees[-1].summands]]
     blocks, levels = [], []
-    for i, basis in enumerate(bases):
+    for i, basis in enumerate(bases[:exact]):
         nxt = groups[i + 1] if i < res.length else {}
         pos = {bases[i + 1][c]: k for tcols in nxt.values()
                for k, c in enumerate(tcols)}

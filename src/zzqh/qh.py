@@ -24,9 +24,9 @@ from .quiver import build_quiver, vertex_name
 from .algebra import (AlgebraInstance, Element, Path, presentation_zigzag,
                       zigzag_hom_oracle)
 from .modules import (algebra_order, costandard_module, delta_filtration,
-                      ext_dims, hom_space, injective_module, left_mult_map,
-                      projective_module, restrict_to, RightModule,
-                      socle_isomorphic, standard_module, standard_resolution)
+                      delta_nabla_ext, hom_space, injective_module,
+                      left_mult_map, projective_module, restrict_to,
+                      RightModule, socle_isomorphic)
 
 REPORT_FIELDS = (
     "endo_standard_trivial",
@@ -63,6 +63,16 @@ class QhReport:
         return (not any(v is False for v in values)
                 and any(v is True for v in values))
 
+    def record(self, name, bad, into=None):
+        """Set field ``name``, or ``into[name]``, to whether ``bad`` is
+        empty; a nonempty ``bad`` becomes the witnesses of ``name``."""
+        if into is None:
+            setattr(self, name, not bad)
+        else:
+            into[name] = not bad
+        if bad:
+            self.witnesses[name] = bad
+
     def as_dict(self) -> dict:
         out = {f: getattr(self, f) for f in REPORT_FIELDS}
         out["passed"] = self.passed()
@@ -74,25 +84,23 @@ def check_quasi_hereditary(a: AlgebraInstance, order=None,
                            max_steps=None) -> QhReport:
     """Certify the quasi-hereditary axioms for ``a``.
 
-    End(Delta_x) = k for every x, every projective is Delta-filtered,
-    Ext^i(Delta, nabla) = 0 for 1 <= i <= the computed global
-    dimension (a complete check, since the resolutions are finite),
-    and Hom(Delta_x, nabla_y) has dimension delta_{xy}.  A resolution
-    cut off at the dimension bound fails the Ext check with a
-    truncation witness instead of raising.
+    End(Delta_x) = k for every x, counted as [Delta_x : L_x], since a
+    map P_x -> Delta_x kills the kernel, generated at vertices not below
+    x.  Every projective is Delta-filtered.  From the one table of
+    ``delta_nabla_ext``: Hom(Delta_x, nabla_y) = Ext^0 has dimension
+    delta_{xy}, and Ext^i(Delta, nabla) = 0 for 1 <= i <= the computed
+    global dimension.  A resolution cut off at the step cap fails the
+    Ext check with a truncation witness instead of raising.
     """
     if order is None:
         order = algebra_order(a)
     rep = QhReport()
     verts = a.presentation.vertices
-    deltas = {x: standard_module(a, x, order) for x in verts}
-    nablas = {x: costandard_module(a, x, order) for x in verts}
+    resolutions, ext = delta_nabla_ext(a, order, max_steps)
 
     bad = [vertex_name(x) for x in verts
-           if len(hom_space(deltas[x], deltas[x])) != 1]
-    rep.endo_standard_trivial = not bad
-    if bad:
-        rep.witnesses["endo_standard_trivial"] = bad
+           if resolutions[x].module.vertices.count(x) != 1]
+    rep.record("endo_standard_trivial", bad)
 
     bad = []
     for x in verts:
@@ -102,37 +110,24 @@ def check_quasi_hereditary(a: AlgebraInstance, order=None,
             witness = dict(witness)
             witness["vertex"] = vertex_name(witness["vertex"])
             bad.append({"projective": vertex_name(x), **witness})
-    rep.projectives_delta_filtered = not bad
-    if bad:
-        rep.witnesses["projectives_delta_filtered"] = bad
+    rep.record("projectives_delta_filtered", bad)
 
-    hom_bad = []
-    for x in verts:
-        for y in verts:
-            d = len(hom_space(deltas[x], nablas[y]))
-            if d != (1 if x == y else 0):
-                hom_bad.append([vertex_name(x), vertex_name(y), d])
-    rep.hom_delta_nabla_diagonal = not hom_bad
-    if hom_bad:
-        rep.witnesses["hom_delta_nabla_diagonal"] = hom_bad
-
-    ext_bad = []
-    for x in verts:
-        res = standard_resolution(a, x, order, max_steps)
+    hom_bad, ext_bad = [], []
+    for x, res in resolutions.items():
         if not res.complete:
             ext_bad.append({"standard": vertex_name(x),
                             "truncated_at": res.length})
-            continue
         for y in verts:
-            dims = ext_dims(res, nablas[y])
-            for i, d in enumerate(dims):
-                if i >= 1 and d:
-                    ext_bad.append({"standard": vertex_name(x),
-                                    "costandard": vertex_name(y),
-                                    "degree": i, "dim": d})
-    rep.ext_delta_nabla_vanishing = not ext_bad
-    if ext_bad:
-        rep.witnesses["ext_delta_nabla_vanishing"] = ext_bad
+            dims = [sum(map(len, level.values())) for level in ext[(x, y)]]
+            if dims[0] != (1 if x == y else 0):
+                hom_bad.append([vertex_name(x), vertex_name(y), dims[0]])
+            if res.complete:
+                ext_bad.extend({"standard": vertex_name(x),
+                                "costandard": vertex_name(y),
+                                "degree": i, "dim": d}
+                               for i, d in enumerate(dims) if i and d)
+    rep.record("hom_delta_nabla_diagonal", hom_bad)
+    rep.record("ext_delta_nabla_vanishing", ext_bad)
     return rep
 
 
@@ -199,9 +194,7 @@ def check_cover(cover: AlgebraInstance) -> QhReport:
             got = len(jpaths[(a, b)])
             if got != want:
                 dim_bad.append([vertex_name(a), vertex_name(b), got, want])
-    detail["end_dims_match_oracle"] = not dim_bad
-    if dim_bad:
-        rep.witnesses["end_dims_match_oracle"] = dim_bad
+    rep.record("end_dims_match_oracle", dim_bad, detail)
 
     rel_bad = []
     for r in presentation_zigzag(n, s).relations:
@@ -210,9 +203,7 @@ def check_cover(cover: AlgebraInstance) -> QhReport:
             lifted = lifted + Element.of_path(_lift_path(pres, p)).scale(c)
         if not cover.normal_form(lifted).is_zero():
             rel_bad.append(repr(r))
-    detail["zigzag_relations_hold"] = not rel_bad
-    if rel_bad:
-        rep.witnesses["zigzag_relations_hold"] = rel_bad
+    rep.record("zigzag_relations_hold", rel_bad, detail)
 
     gen_ech = {key: Echelon() for key in jpaths}
     frontier = []
@@ -236,16 +227,12 @@ def check_cover(cover: AlgebraInstance) -> QhReport:
                 len(jpaths[(a, b)])]
                for a in jverts for b in jverts
                if len(gen_ech[(a, b)].rows) != len(jpaths[(a, b)])]
-    detail["arrows_generate"] = not gen_bad
-    if gen_bad:
-        rep.witnesses["arrows_generate"] = gen_bad
+    rep.record("arrows_generate", gen_bad, detail)
 
     detail["zigzag_engine_compared"] = False
 
     ff_bad = _fully_faithful_failures(cover, jset)
-    detail["fully_faithful_pairs"] = not ff_bad
-    if ff_bad:
-        rep.witnesses["fully_faithful_pairs"] = ff_bad
+    rep.record("fully_faithful_pairs", ff_bad, detail)
 
     rep.cover_fully_faithful = not (dim_bad or rel_bad or gen_bad or ff_bad)
     rep.witnesses.setdefault("cover_detail", detail)
@@ -334,9 +321,7 @@ def check_borel(cover: AlgebraInstance, borel: AlgebraInstance) -> QhReport:
         if not socle_isomorphic(costandard_module(borel, x, cover_order),
                                 restricted):
             iso_bad.append(vertex_name(x))
-    rep.borel_costandard_iso = not iso_bad
-    if iso_bad:
-        rep.witnesses["borel_costandard_iso"] = iso_bad
+    rep.record("borel_costandard_iso", iso_bad)
     return rep
 
 
@@ -354,8 +339,6 @@ def check_projective_injective(cover: AlgebraInstance) -> QhReport:
                 jbad.append(vertex_name(x))
         else:
             at_k.append([vertex_name(x), bool(iso)])
-    rep.proj_injective_at_J = not jbad
-    if jbad:
-        rep.witnesses["proj_injective_at_J"] = jbad
+    rep.record("proj_injective_at_J", jbad)
     rep.witnesses["injective_at_K"] = at_k
     return rep

@@ -238,10 +238,12 @@ def test_check_caps_the_basis(capsys):
     assert report["nonterminating"] and report["max_length"] == 5
 
 
-def test_check_all_resolves_each_standard_once(capsys, monkeypatch):
+@pytest.mark.parametrize("cap", [(), ("--max-steps", "32")])
+def test_check_all_resolves_each_standard_once(capsys, monkeypatch, cap):
     """Each standard is built and resolved once, and each costandard of
     the cover built once (the Borel's own costandards aside): every call
-    for one of them hands back the same object."""
+    for one of them hands back the same object.  Under a cap that cuts
+    nothing, the capped and uncapped checks share the resolutions."""
     resolved, built = Counter(), {}
 
     def counting(name, fn):
@@ -261,13 +263,52 @@ def test_check_all_resolves_each_standard_once(capsys, monkeypatch):
         for mod in (zzqh, zzqh.modules, zzqh.qh, zzqh.koszul, zzqh.extdual):
             if getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, wrapped)
-    code, _ = _run(capsys, "check", "all", "--n", "2", "--s", "2")
+    code, _ = _run(capsys, "check", "all", "--n", "2", "--s", "2", *cap)
     assert code == 0
     verts = presentation_cover(2, 2).vertices
     standards = {l: k for l, k in resolved.items() if l.startswith("Delta[")}
     assert standards == {f"Delta[{x}]": 1 for x in verts}
     assert {label: len(objs) for label, objs in built.items()} == {
         f"{kind}[{x}]": 1 for x in verts for kind in ("Delta", "Nabla")}
+
+
+def test_check_all_makes_one_delta_nabla_pass(capsys, monkeypatch):
+    """``check qh`` and ``check dual`` read one (Delta, Nabla) table:
+    each pair's Hom complex is built once, and ``check_quasi_hereditary``
+    solves no Hom space of its own (``check cover`` still does)."""
+    pairs, homs, in_qh = Counter(), Counter(), []
+    ext, hom = zzqh.modules.ext_bigraded_reps, zzqh.modules.hom_space
+    check_qh = zzqh.qh.check_quasi_hereditary
+
+    def counting_ext(res, n):
+        if n.label.startswith("Nabla["):
+            pairs[(res.module.label, n.label)] += 1
+        return ext(res, n)
+
+    def counting_hom(*args, **kwargs):
+        homs["qh" if in_qh else "other"] += 1
+        return hom(*args, **kwargs)
+
+    def marked_qh(*args, **kwargs):
+        in_qh.append(True)
+        try:
+            return check_qh(*args, **kwargs)
+        finally:
+            in_qh.pop()
+
+    for fn, wrapped in ((ext, counting_ext), (hom, counting_hom),
+                        (check_qh, marked_qh)):
+        for mod in (zzqh, zzqh.modules, zzqh.qh, zzqh.koszul, zzqh.extdual,
+                    zzqh.cli):
+            if getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, wrapped)
+    code, _ = _run(capsys, "check", "all", "--n", "2", "--s", "2")
+    assert code == 0
+    verts = presentation_cover(2, 2).vertices
+    assert pairs == {(f"Delta[{x}]", f"Nabla[{y}]"): 1
+                     for x in verts for y in verts}
+    assert len(pairs) == 36
+    assert homs["qh"] == 0 and homs["other"] > 0
 
 
 # sha256 of stdout, recorded with the column-by-column Gauss-Jordan rref.

@@ -16,7 +16,7 @@ from zzqh.linalg import Echelon, Matrix
 from zzqh.modules import (RightModule, _block_kernel, _block_key,
                           _dense, algebra_order, canonical_module,
                           costandard_module, delta_filtration, direct_sum,
-                          dualize, ext_bigraded_reps, ext_dims, free_images,
+                          dualize, ext_bigraded_reps, free_images,
                           free_module, free_row_image, generated_submodule,
                           gldim, hom_space, injective_module, is_linear,
                           minimal_resolution, projective_module,
@@ -259,7 +259,8 @@ def test_ext_simple_simple_counts_arrows(cover12):
     for x in VERTS:
         res = minimal_resolution(simple_module(cover12, x))
         for y in VERTS:
-            dims = ext_dims(res, simple_module(cover12, y))
+            _, _, levels = ext_bigraded_reps(res, simple_module(cover12, y))
+            dims = [sum(map(len, level.values())) for level in levels]
             arrows = sum(1 for a in pres.arrows
                          if a.source == x and a.target == y)
             assert dims[1] == arrows

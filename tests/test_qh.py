@@ -8,6 +8,9 @@ import zzqh.qh
 from zzqh import (compute_basis, presentation_borel, presentation_cover,
                   presentation_zigzag)
 from zzqh.extdual import ext_table
+from zzqh.modules import (algebra_order, costandard_module, delta_nabla_ext,
+                          ext_bigraded_reps, hom_space, minimal_resolution,
+                          standard_module, standard_resolution)
 from zzqh.qh import (QhReport, _fully_faithful_failures, check_borel,
                      check_cover, check_projective_injective,
                      check_quasi_hereditary)
@@ -41,6 +44,85 @@ def test_capped_and_uncapped_resolutions_are_kept_apart(ext_first):
     assert ext_table(inst) is table
     assert table.dims == ext_table(
         compute_basis(presentation_cover(2, 2))).dims
+
+
+def test_a_loose_cap_shares_the_complete_resolutions_and_table():
+    """Resolutions that complete under a cap are the uncapped ones, and
+    the (Delta, Nabla) table under that cap is the uncapped table."""
+    a = compute_basis(presentation_cover(2, 2))
+    order = algebra_order(a)
+    resolutions, ext = table = delta_nabla_ext(a, order, 32)
+    assert delta_nabla_ext(a, order) is table
+    for x, res in resolutions.items():
+        assert res.complete and standard_resolution(a, x, order) is res
+
+
+@pytest.mark.parametrize("n,s,cap", [(2, 2, 2), (2, 2, 3), (2, 4, 3)])
+def test_a_cut_resolution_gives_the_prefix_of_its_levels(n, s, cap):
+    """Cut at ``cap``, a standard's resolution gives the Ext levels of
+    the complete one below the cut, against every costandard and
+    standard, and no level at the cut.  At (2,2) the longest resolution
+    has length 2, so a cap of 3 cuts nothing and gives every level."""
+    a = compute_basis(presentation_cover(n, s))
+    order = algebra_order(a)
+    verts = a.presentation.vertices
+    x = max(verts, key=lambda v: standard_resolution(a, v, order).length)
+    full = standard_resolution(a, x, order)
+    capped = minimal_resolution(full.module, max_steps=cap)
+    if cap > full.length:
+        assert capped.complete and capped.length == full.length
+        exact = full.length + 1
+    else:
+        assert not capped.complete and capped.length == cap - 1
+        exact = capped.length
+    for y in verts:
+        for target in (costandard_module(a, y, order),
+                       standard_module(a, y, order)):
+            levels = ext_bigraded_reps(capped, target)[2]
+            assert len(levels) == exact
+            assert levels == ext_bigraded_reps(full, target)[2][:exact]
+
+
+def test_a_resolution_cut_at_the_first_step_has_no_exact_hom():
+    """Level 0 needs F_1: under a cap of one the check raises rather
+    than read Hom(Delta, Nabla) from an inexact level.  No CLI call gets
+    here, since the basis itself stops at one step."""
+    with pytest.raises(ValueError, match="cut at F_0"):
+        check_quasi_hereditary(compute_basis(presentation_cover(2, 2)),
+                               max_steps=1)
+
+
+@pytest.mark.parametrize("kind,n,s", [
+    *(("cover", n, s) for n, s in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2),
+                                   (2, 4), (3, 3), (4, 2))),
+    ("zigzag", 2, 3)])
+def test_end_and_hom_of_standards_agree_with_hom_space(kind, n, s):
+    """The second route: ``hom_space`` solves End(Delta_x) and
+    Hom(Delta_x, Nabla_y), against [Delta_x : L_x] and level 0 of the
+    table.  The zigzag algebra, under an order that is not
+    quasi-hereditary, is the negative control: both routes give 2 for
+    End and Hom at 0,0,2."""
+    if kind == "cover":
+        a = compute_basis(presentation_cover(n, s))
+        order = algebra_order(a)
+    else:
+        a = compute_basis(presentation_zigzag(n, s))
+        order = order_data(build_quiver(n, s - 1))
+    verts = a.presentation.vertices
+    resolutions, ext = delta_nabla_ext(a, order)
+    ends, homs = {}, {}
+    for x in verts:
+        delta = resolutions[x].module
+        ends[x] = len(hom_space(delta, delta))
+        assert ends[x] == delta.vertices.count(x), x
+        for y in verts:
+            d = len(hom_space(delta, costandard_module(a, y, order)))
+            assert d == sum(map(len, ext[(x, y)][0].values())), (x, y)
+            if d:
+                homs[(x, y)] = d
+    odd = {(0, 0, 2): 2} if kind == "zigzag" else {}
+    assert {x: d for x, d in ends.items() if d != 1} == odd
+    assert homs == {(x, x): odd.get(x, 1) for x in verts}
 
 
 def test_covers_cover_their_zigzag_algebras(covers):
