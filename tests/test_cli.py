@@ -428,6 +428,22 @@ def test_zigzag_qh_failure_is_byte_identical_to_its_frozen_digest(capsys):
             witnesses["ext_delta_nabla_vanishing"]} == {30}
 
 
+def test_capped_qh_failure_is_byte_identical_to_its_frozen_digest(capsys):
+    """A cap of 4 cuts the five standards at (2,4) whose resolutions
+    have length 4, after step 3: their Hom(Delta, Nabla) is still read,
+    from the exact levels below the cut, and only the Ext check fails.
+    The bytes are those of the code that solved Hom with ``hom_space``."""
+    code, out = _run(capsys, "check", "qh", "--n", "2", "--s", "4",
+                     "--max-steps", "4")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e4fce5885dbee4715df03058dac69689fe3f49bf641a5418692e24319f024737")
+    report = json.loads(out)["results"][0]["report"]
+    assert report["hom_delta_nabla_diagonal"] is True
+    assert [w["truncated_at"] for w in
+            report["witnesses"]["ext_delta_nabla_vanishing"]] == [3] * 5
+
+
 def test_check_all_matches_the_single_checks(capsys):
     _, out = _run(capsys, "check", "all", "--n", "2", "--s", "2")
     results = json.loads(out)["results"]
