@@ -402,6 +402,18 @@ FROZEN_STDOUT = {
         "ffe05a85c8d117f2a9dfb50f8834442d0b720190e63f9b8f931887eba0284624",
     ("check", "all", "--n", "2", "--s", "2", "--max-steps", "32"):
         "901b26ad2a68cae674d933446f2035db53871f59f0e89530a18e317ec3b5fb41",
+    ("check", "koszul", "--n", "4", "--s", "2"):
+        "1633ed7ae8eb2da9c3bb859998376c0f98e3ffade3372c9d46acd414c0d5cb88",
+    ("check", "qh", "--n", "4", "--s", "2"):
+        "732f6f590132c227c6a03c53cc1eba1638597c2d82e8740741601df9172e82e7",
+    ("resolve", "--n", "2", "--s", "4", "--module", "simple:0,1,3"):
+        "475fa15a9af657dd6843ae4388992f19235ebbc0cb26bf4b01f5094dcf386f09",
+    ("resolve", "--n", "4", "--s", "2", "--module", "simple:0,0,1,0,1"):
+        "4b817ef4fc49f2c4fabb9e62d97044274c8a715726eb99b62a3ede6108b8e4fa",
+    ("check", "dual", "--n", "4", "--s", "2"):
+        "a45423612de7ab40a5bc6d66ea338430488dcbf0b384dc0f60c655f3142e2509",
+    ("dual", "--n", "4", "--s", "2", "--emit", "json"):
+        "f15e7499329a6621863e33e5bc64e0b8166d90eb8e15db1d73949075f86f20d1",
 }
 
 
