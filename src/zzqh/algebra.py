@@ -27,6 +27,8 @@ Everything is immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .linalg import ONE, ZERO, Matrix, _coerce
@@ -459,6 +461,26 @@ class NonTerminationError(Exception):
             f"basis not exhausted by length {max_len}; dims so far {dims}")
 
 
+_scopes = []  # the instances made in each open scope, innermost last
+
+
+@contextmanager
+def scope():
+    """Record weakly each instance made inside, and yield that set; on
+    exit, release each one still alive.  What a memo holds points back at
+    its instance, so this cuts the cycles, and all of it dies by
+    reference counting once dropped.  Scopes nest; an instance made
+    outside every scope, and its opposite, keep their memos."""
+    made = weakref.WeakSet()
+    _scopes.append(made)
+    try:
+        yield made
+    finally:
+        _scopes.remove(made)
+        for inst in list(made):
+            inst.release()
+
+
 class AlgebraInstance:
     """A finite dimensional bound quiver algebra with a computed basis.
 
@@ -480,6 +502,8 @@ class AlgebraInstance:
         for p in self.basis():
             counts = self._blocks.setdefault((p.source, p.target), {})
             counts[p.bidegree] = counts.get(p.bidegree, 0) + 1
+        if _scopes:
+            _scopes[-1].add(self)
 
     # -- basic queries ----------------------------------------------------
 
@@ -522,18 +546,25 @@ class AlgebraInstance:
     # -- derived structure --------------------------------------------------
 
     def memo(self, key, build):
-        """``build()``, made once per instance and key and kept here: the
-        one store of the objects derived from this instance."""
+        """``build()``, made once per instance and key and kept until
+        ``release()``: the one store of what this instance derives."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
 
+    def release(self):
+        """Forget what ``memo`` kept; later calls build it again."""
+        self._memo.clear()
+
     def opposite(self) -> "AlgebraInstance":
+        """Made once; released in the scopes that release this one."""
         def build():
             op = compute_basis(opposite_presentation(self.presentation),
                                max_len=max(self.top_length + 1,
                                            DEFAULT_MAX_LEN))
             op._memo["opposite"] = self
+            for made in _scopes:
+                (made.add if self in made else made.discard)(op)
             return op
         return self.memo("opposite", build)
 
@@ -749,16 +780,6 @@ def zigzag_hom_oracle(n: int, s: int) -> Matrix:
     q = build_quiver(n, s - 1)
     vset = set(q.vertices)
     idx = {v: i for i, v in enumerate(q.vertices)}
-
-    def reachable(x, todo):
-        if not todo:
-            return True
-        for i in list(todo):
-            y = q.target(x, i)
-            if y in vset and reachable(y, todo - {i}):
-                return True
-        return False
-
     m = Matrix.zero(len(idx), len(idx))
     for x in q.vertices:
         for mask in range(1 << (n + 1)):
@@ -766,9 +787,16 @@ def zigzag_hom_oracle(n: int, s: int) -> Matrix:
             y = x
             for i in subset:
                 y = tuple(a + b for a, b in zip(y, displacement(i, n)))
-            if y in vset and reachable(x, subset):
+            if y in vset and _reachable(q, vset, x, subset):
                 m.data[idx[x]][idx[y]] += 1
     return m
+
+
+def _reachable(q, vset, x, todo) -> bool:
+    """Whether some ordering of the arrow indices ``todo`` is a path from
+    ``x`` that stays on the vertices ``vset`` of ``q``."""
+    return not todo or any((y := q.target(x, i)) in vset
+                           and _reachable(q, vset, y, todo - {i}) for i in todo)
 
 
 def shifted_dual_membership(x, d) -> bool:

@@ -22,7 +22,7 @@ from functools import cache, partial
 from .algebra import (AlgebraInstance, NonTerminationError, Presentation,
                       compute_basis, presentation_borel, presentation_cover,
                       presentation_dual_conjectured, presentation_zigzag,
-                      quadratic_dual)
+                      quadratic_dual, scope)
 from .extdual import (build_dual_from_ext, check_degree_law,
                       check_dual_koszul, check_simple_costandard_dims,
                       compare_dual, dual_presentation_json, ext_table,
@@ -299,21 +299,22 @@ def cmd_check(args) -> int:
     cap = _max_steps(args)
     results, worst = [], EXIT_OK
     for n, s in points:
-        # built on first use, under the step cap, and dropped with the point
-        basis = cache(partial(_instance, args.algebra, n, s, cap))
-        for name in names:
-            try:
-                report = _check_one(name, n, s, basis, cap)
-                code = EXIT_OK if _report_passed(report) else EXIT_FAIL
-            except NonTerminationError as e:
-                code, report = EXIT_NONTERM, {"passed": False,
-                                              "nonterminating": True,
-                                              "max_length": e.max_len,
-                                              "dims_so_far": e.dims}
-            worst = max(worst, code)
-            results.append({"check": name, "n": n, "s": s,
-                            "passed": code == EXIT_OK,
-                            "report": _jsonable(report)})
+        # built on first use, under the step cap, and freed with the point
+        with scope():
+            basis = cache(partial(_instance, args.algebra, n, s, cap))
+            for name in names:
+                try:
+                    report = _check_one(name, n, s, basis, cap)
+                    code = EXIT_OK if _report_passed(report) else EXIT_FAIL
+                except NonTerminationError as e:
+                    code, report = EXIT_NONTERM, {"passed": False,
+                                                  "nonterminating": True,
+                                                  "max_length": e.max_len,
+                                                  "dims_so_far": e.dims}
+                worst = max(worst, code)
+                results.append({"check": name, "n": n, "s": s,
+                                "passed": code == EXIT_OK,
+                                "report": _jsonable(report)})
     _emit_json({"passed": worst == EXIT_OK, "results": results}, args.out)
     return worst
 
@@ -397,7 +398,8 @@ def run_cli(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code else EXIT_OK
     try:
-        return COMMANDS[args.command](args)
+        with scope():  # nothing the command derives outlives it
+            return COMMANDS[args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,6 +27,7 @@ of the corresponding dual projective.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ from .algebra import (AlgebraInstance, Arrow, Element, Path, Presentation,
 from .koszul import KoszulReport, check_koszul
 from .linalg import ONE, ZERO, Echelon, Matrix, exact_div
 from .modules import (_dense, algebra_order, delta_nabla_ext,
-                      ext_bigraded_reps, free_images, free_row_image,
+                      ext_bigraded_reps, free_row_image,
                       standard_resolution)
 from .quiver import build_quiver, order_data, vertex_name
 
@@ -49,7 +50,8 @@ class ExtClass:
     Hom-complex basis at step i of the resolution of Delta_source,
     reduced modulo coboundaries.  ``bidegree`` is the internal
     (flat, sharp) degree read off the cocycle; the flat part lands on
-    i for the covers, but that is checked, not assumed.
+    i for the covers, but that is checked, not assumed.  The table that
+    holds the class is held weakly: keep it while its classes multiply.
     """
 
     source: tuple
@@ -57,10 +59,14 @@ class ExtClass:
     i: int
     bidegree: tuple
     row: tuple
-    table: "ExtTable" = field(repr=False, compare=False)
+    table: ExtTable = field(repr=False, compare=False)
 
     def is_zero(self) -> bool:
         return not any(self.row)
+
+
+ExtClass.table = property(lambda self: self._table(), lambda self, table: setattr(
+    self, "_table", weakref.ref(table)))  # None once the table is freed
 
 
 @dataclass
@@ -146,24 +152,20 @@ def _tabulate_ext(cover: AlgebraInstance) -> ExtTable:
 
 def _lift_generators(res, k, rhs, src):
     """One step of a chain lift: generator rows of a map src -> frees[k]
-    of ``res`` whose composite with d_k, read from ``res.gens[k]``, sends
+    of ``res`` whose composite with d_k, read from ``res.step_at``, sends
     generator t to ``rhs[t]``.  Matching the generator rows suffices, and
     exactness of the resolved complex guarantees a solution; rref pivots
     make the choice reproducible."""
     tgt = res.frees[k]
-    below = res.frees[k - 1] if k else res.module
-    gen_rows, subs = [], {}
+    gen_rows = []
     for (v, _, _, _), want in zip(src.summands, rhs, strict=True):
-        cols = [j for j, w in enumerate(tgt.vertices) if w == v]
+        cols, d = res.step_at(k, v)
         if not cols:
             if any(want):
                 raise ArithmeticError(f"chain lift failed: no room at {v}")
             gen_rows.append([ZERO] * tgt.dim)
             continue
-        if v not in subs:
-            rows = free_images(tgt, below, res.gens[k], cols)
-            subs[v] = Matrix(zip(*rows), ncols=len(cols))
-        sol = subs[v].solve(list(want))
+        sol = d.solve(list(want))
         if sol is None:
             raise ArithmeticError("chain lift failed: complex not exact?")
         gen_rows.append(_dense(zip(cols, sol), tgt.dim))
@@ -195,8 +197,8 @@ def yoneda_product(f: ExtClass, g: ExtClass) -> ExtClass:
     be a cocycle concentrated in the expected bidegree.
     """
     table = f.table
-    if table is not g.table:
-        raise ValueError("classes live over different tables")
+    if table is None or table is not g.table:
+        raise ValueError("classes live over different tables, or a freed one")
     if g.target != f.source:
         raise ValueError(
             f"classes do not compose: target {g.target}, source {f.source}")

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .linalg import ONE, ZERO, Echelon, Matrix
@@ -512,17 +512,20 @@ def socle_isomorphic(m: RightModule, n: RightModule, graded=True):
 def _path_images(target: RightModule, proj: RightModule, grow, wanted):
     """``grow`` times basis path l of ``proj`` for each l in ``wanted``: e_x
     keeps ``grow``, which must sit at x or raises, and a longer path gives
-    its prefix's image times its last arrow."""
+    its prefix's image times its last arrow, made first: a prefix sorts
+    before its path."""
     x = proj.basis_paths[0].source
     if any(c for w, c in zip(target.vertices, grow) if w != x):
         raise AssertionError("generator image leaves its vertex")
-    memo = {}
-    def image(l):
-        if l not in memo:
-            step = proj.prefixes[l]
-            memo[l] = list(grow) if step is None else target.act(step[1], image(step[0]))
-        return memo[l]
-    return [image(l) for l in wanted]
+    need = set(wanted)
+    for l in range(max(need, default=0), 0, -1):  # path 0 is e_x
+        if l in need:
+            need.add(proj.prefixes[l][0])
+    images = {}
+    for l in sorted(need):
+        step = proj.prefixes[l]
+        images[l] = list(grow) if step is None else target.act(step[1], images[step[0]])
+    return [images[l] for l in wanted]
 
 
 def free_images(free: RightModule, target: RightModule, gen_rows, indices):
@@ -563,10 +566,22 @@ class Resolution:
     terms: list
     gens: list
     complete: bool
+    _at: dict = field(default_factory=dict, repr=False)  # (k, v) -> step_at
 
     @property
     def length(self):
         return len(self.frees) - 1
+
+    def step_at(self, k, v):
+        """(cols, d): the indices of the basis vectors of frees[k] at vertex
+        v, and the Matrix whose column c is d_k of cols[c]; made once per
+        step and vertex and kept here, so it goes with the resolution."""
+        if (k, v) not in self._at:
+            cols = [j for j, w in enumerate(self.frees[k].vertices) if w == v]
+            rows = free_images(self.frees[k], self.frees[k - 1] if k else self.module,
+                               self.gens[k], cols)
+            self._at[(k, v)] = (cols, Matrix(zip(*rows), ncols=len(cols)))
+        return self._at[(k, v)]
 
     @cached_property
     def coefficients(self):

@@ -36,16 +36,8 @@ def displacement(i: int, n: int) -> Vertex:
 
 def _compositions(w: int, parts: int):
     """All tuples of `parts` non-negative integers summing to w, sorted."""
-    out = []
-    for cuts in combinations_with_replacement(range(w + 1), parts - 1):
-        comp = []
-        prev = 0
-        for c in cuts:
-            comp.append(c - prev)
-            prev = c
-        comp.append(w - prev)
-        out.append(tuple(comp))
-    return sorted(out)
+    return sorted(tuple(b - a for a, b in zip((0,) + cuts, cuts + (w,)))
+                  for cuts in combinations_with_replacement(range(w + 1), parts - 1))
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ from zzqh import (NonTerminationError, closed_form_cover_basis,
                   presentation_dual_conjectured, presentation_shifted_dual,
                   presentation_zigzag, quadratic_dual,
                   shifted_dual_membership, zigzag_hom_oracle)
+from zzqh import algebra
 from zzqh.algebra import (Arrow, Element, Path, Presentation, label_key,
-                          quadratic_blocks)
+                          quadratic_blocks, scope)
 from zzqh.koszul import (brauer_line_presentation,
                          counterexample_presentation, loop_presentation)
 
@@ -445,3 +446,33 @@ def test_an_arrow_hashes_and_compares_like_a_fresh_copy(covers):
         other = Arrow(source=a.source, target=a.target, label=a.label,
                       bidegree=(a.bidegree[1] + 1, a.bidegree[0]))
         assert other != a and other not in {a}
+
+
+# ---------------------------------------------------------------------------
+# scopes: what the instances made inside derive is released on exit
+
+
+def test_scopes_nest_and_release_only_the_instances_made_inside():
+    """Each scope releases the instances made inside it and not in an
+    inner one; an opposite goes with its algebra, wherever it is made;
+    an instance made outside every scope keeps its memo.  The registry
+    of open scopes is empty once they close."""
+    outside = compute_basis(presentation_cover(1, 2))
+    before = outside.memo("key", object)
+    with scope() as outer:
+        a = compute_basis(presentation_cover(1, 2))
+        a_key = a.memo("key", object)
+        with scope() as inner:
+            b = compute_basis(presentation_cover(1, 2))
+            b_key = b.memo("key", object)
+            a_op, out_op = a.opposite(), outside.opposite()
+            assert set(inner) == {b} and set(outer) == {a, a_op}
+            assert algebra._scopes == [outer, inner]
+        assert b.memo("key", object) is not b_key
+        assert a.memo("key", object) is a_key and a.opposite() is a_op
+    assert a.memo("key", object) is not a_key
+    assert a_op.memo("opposite", lambda: None) is None
+    assert a.opposite() is not a_op
+    assert outside.memo("key", object) is before
+    assert outside.opposite() is out_op and out_op.opposite() is outside
+    assert algebra._scopes == []

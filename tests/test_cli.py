@@ -1,14 +1,18 @@
 """The batch command surface: exit codes, JSON determinism, witnesses."""
 
+import gc
 import hashlib
 import json
+import types
 from collections import Counter
 
 import pytest
 
 import zzqh
-from zzqh import presentation_cover
+from zzqh import compute_basis, presentation_cover
+from zzqh.algebra import AlgebraInstance
 from zzqh.cli import run_cli
+from zzqh.extdual import ext_table
 
 
 def _run(capsys, *argv):
@@ -480,3 +484,97 @@ def test_resolve_caps_the_basis(capsys):
     assert code == 3
     report = json.loads(out)
     assert report["nonterminating"] and report["max_length"] == 2
+
+
+# ---------------------------------------------------------------------------
+# what a call derives dies by reference counting
+
+
+def _cyclic_garbage(capsys, argv):
+    """The objects of a ``zzqh`` type, and the functions defined in
+    ``zzqh``, that only the cyclic collector could free after
+    ``run_cli(argv)``: with the collector off, every unreachable object
+    it finds afterwards is kept in ``gc.garbage``."""
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code, _ = _run(capsys, *argv)
+        assert code == 0
+        gc.collect()
+        return [obj for obj in gc.garbage
+                if type(obj).__module__.startswith("zzqh")
+                or isinstance(obj, types.FunctionType)
+                and obj.__module__.startswith("zzqh")]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+CYCLE_FREE_CALLS = [("check", "all", "--n", "2", "--s", "2"),
+                    ("check", "dual", "--n", "2", "--s", "3")]
+
+
+@pytest.mark.parametrize("argv", CYCLE_FREE_CALLS, ids=" ".join)
+def test_a_call_leaves_no_cyclic_garbage(capsys, argv):
+    assert _cyclic_garbage(capsys, argv) == []
+    assert zzqh.algebra._scopes == []
+
+
+@pytest.mark.parametrize("argv", CYCLE_FREE_CALLS, ids=" ".join)
+def test_without_the_release_a_call_leaves_cyclic_garbage(capsys, monkeypatch,
+                                                           argv):
+    """Negative control: the memos hold the cycles that releasing cuts."""
+    monkeypatch.setattr(AlgebraInstance, "release", lambda self: None)
+    garbage = _cyclic_garbage(capsys, argv)
+    assert any(isinstance(obj, AlgebraInstance) for obj in garbage)
+
+
+def test_an_instance_made_outside_a_call_keeps_its_memo(capsys):
+    cover = compute_basis(presentation_cover(1, 2))
+    table = ext_table(cover)
+    code, _ = _run(capsys, "check", "dual", "--n", "1", "--s", "2")
+    assert code == 0
+    assert ext_table(cover) is table
+    assert zzqh.algebra._scopes == []
+
+
+def test_check_all_releases_each_point_before_the_next(capsys, monkeypatch):
+    """Every instance a point makes, its cover and the Borel, dual and
+    opposite algebras its checks build, has an empty memo by the time
+    the next point's first check starts, and so do the last point's by
+    the time ``run_cli`` returns."""
+    made, points = [], []
+    build, check_one = zzqh.algebra.compute_basis, zzqh.cli._check_one
+
+    def recording(*args, **kwargs):
+        made.append((points[-1], build(*args, **kwargs)))
+        return made[-1][1]
+
+    def checking(name, n, s, *args):
+        if not points or points[-1] != (n, s):
+            assert all(not inst._memo for _, inst in made), points[-1]
+            points.append((n, s))
+        return check_one(name, n, s, *args)
+
+    for mod in (zzqh, zzqh.algebra, zzqh.cli, zzqh.qh, zzqh.koszul,
+                zzqh.extdual):
+        if getattr(mod, "compute_basis", None) is build:
+            monkeypatch.setattr(mod, "compute_basis", recording)
+    monkeypatch.setattr(zzqh.cli, "_check_one", checking)
+    code, _ = _run(capsys, "check", "all")
+    assert code == 0
+    assert len(points) == 5
+    assert {p for p, _ in made} == set(points)
+    assert any(inst.presentation.kind == "borel" for _, inst in made)
+    assert all(not inst._memo for _, inst in made)
+    assert zzqh.algebra._scopes == []
+
+
+def test_a_usage_error_leaves_no_open_scope(capsys):
+    assert run_cli(["resolve", "--n", "2", "--s", "2",
+                    "--module", "simple:9,9,9"]) == 2
+    assert zzqh.algebra._scopes == []
