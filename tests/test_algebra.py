@@ -3,6 +3,7 @@ algebras, covers, Borels, quadratic duals, and the closed-form basis
 oracles that cross-check the engine.  A reference elimination over
 every path checks the engine's basis and normal forms."""
 
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -455,8 +456,9 @@ def test_an_arrow_hashes_and_compares_like_a_fresh_copy(covers):
 def test_scopes_nest_and_release_only_the_instances_made_inside():
     """Each scope releases the instances made inside it and not in an
     inner one; an opposite goes with its algebra, wherever it is made;
-    an instance made outside every scope keeps its memo.  The registry
-    of open scopes is empty once they close."""
+    an instance made outside every scope keeps its memo.  A scope holds
+    its instances weakly, and the registry of open scopes is empty once
+    they close."""
     outside = compute_basis(presentation_cover(1, 2))
     before = outside.memo("key", object)
     with scope() as outer:
@@ -467,6 +469,8 @@ def test_scopes_nest_and_release_only_the_instances_made_inside():
             b_key = b.memo("key", object)
             a_op, out_op = a.opposite(), outside.opposite()
             assert set(inner) == {b} and set(outer) == {a, a_op}
+            dropped = weakref.ref(compute_basis(presentation_cover(1, 2)))
+            assert dropped() is None and set(inner) == {b}
             assert algebra._scopes == [outer, inner]
         assert b.memo("key", object) is not b_key
         assert a.memo("key", object) is a_key and a.opposite() is a_op

@@ -237,13 +237,21 @@ def test_each_lift_block_is_built_once_per_resolution(capsys, monkeypatch):
     call, once per call, step and vertex with room, made 55 builds in
     ``check dual --n 2 --s 3``; now there are 29, and stdout is the
     digest of the code that rebuilt them."""
-    builds, per_call = Counter(), 0
-    step_at, lift = modules.Resolution.step_at, extdual._lift_generators
+    inside, builds, per_call = [], Counter(), 0
+    step_at, images = modules.Resolution.step_at, modules.free_images
+    lift = extdual._lift_generators
 
     def counting_step_at(res, k, v):
-        if (k, v) not in res._at and v in res.frees[k].vertices:
-            builds[(id(res), k, v)] += 1
-        return step_at(res, k, v)
+        inside.append((id(res), k, v))
+        try:
+            return step_at(res, k, v)
+        finally:
+            inside.pop()
+
+    def counting_images(free, target, gen_rows, indices):
+        if inside and indices:  # a block with room is being built
+            builds[inside[-1]] += 1
+        return images(free, target, gen_rows, indices)
 
     def counting_lift(res, k, rhs, src):
         nonlocal per_call
@@ -251,6 +259,7 @@ def test_each_lift_block_is_built_once_per_resolution(capsys, monkeypatch):
         return lift(res, k, rhs, src)
 
     monkeypatch.setattr(modules.Resolution, "step_at", counting_step_at)
+    monkeypatch.setattr(modules, "free_images", counting_images)
     monkeypatch.setattr(extdual, "_lift_generators", counting_lift)
     assert run_cli(["check", "dual", "--n", "2", "--s", "3"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
