@@ -50,8 +50,8 @@ class ExtClass:
     Hom-complex basis at step i of the resolution of Delta_source,
     reduced modulo coboundaries.  ``bidegree`` is the internal
     (flat, sharp) degree read off the cocycle; the flat part lands on
-    i for the covers, but that is checked, not assumed.  The table that
-    holds the class is held weakly: keep it while its classes multiply.
+    i for the covers, but that is checked, not assumed.  The table
+    holding the class is held weakly; keep it while classes are multiplied.
     """
 
     source: tuple
