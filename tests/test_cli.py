@@ -418,6 +418,10 @@ FROZEN_STDOUT = {
         "a45423612de7ab40a5bc6d66ea338430488dcbf0b384dc0f60c655f3142e2509",
     ("dual", "--n", "4", "--s", "2", "--emit", "json"):
         "f15e7499329a6621863e33e5bc64e0b8166d90eb8e15db1d73949075f86f20d1",
+    ("check", "cover", "--n", "5", "--s", "4"):
+        "a68ad69b09777ceb5bda23abafde28f4f7e34404bfe7a18e47c89b1d77dc408e",
+    ("check", "borel", "--n", "4", "--s", "4"):
+        "4b4967a1c564748cb39af153a7dd41b7492336a0d96b9a1c8d8818aa98d71794",
 }
 
 
