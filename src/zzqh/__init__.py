@@ -23,9 +23,9 @@ from .koszul import (KoszulReport, check_delta_koszul, check_koszul,
                      counterexample_presentation, fixture_brauer_line,
                      fixture_counterexample)
 from .modules import (Resolution, RightModule, canonical_module,
-                      costandard_module, delta_nabla_ext, gldim, hom_space,
-                      is_linear, minimal_resolution, projective_module,
-                      simple_module, standard_module)
+                      costandard_module, delta_nabla_ext, gldim, is_linear,
+                      minimal_resolution, projective_module, simple_module,
+                      standard_module)
 from .qh import (QhReport, check_borel, check_cover,
                  check_projective_injective, check_quasi_hereditary)
 from .quiver import (OrderData, Quiver, build_quiver, classify_vertices,

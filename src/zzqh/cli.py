@@ -262,8 +262,8 @@ def _check_one(name: str, n: int, s: int, basis, cap):
     if name == "cover":
         return check_cover(cover)
     if name == "borel":
-        borel = compute_basis(presentation_borel(n, s))
-        return check_borel(cover, borel)
+        with scope():  # the Borel and its opposite go when the check returns
+            return check_borel(cover, compute_basis(presentation_borel(n, s)))
     if name == "standard-koszul":
         return check_standard_koszul(cover)
     if name == "delta-koszul":

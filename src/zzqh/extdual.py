@@ -33,11 +33,12 @@ from fractions import Fraction
 
 from .algebra import (AlgebraInstance, Arrow, Element, Path, Presentation,
                       compute_basis, presentation_cover,
-                      presentation_dual_conjectured, quadratic_blocks)
+                      presentation_dual_conjectured, quadratic_blocks,
+                      scope)
 from .koszul import KoszulReport, check_koszul
 from .linalg import ONE, ZERO, Echelon, Matrix, exact_div
-from .modules import (_dense, algebra_order, delta_nabla_ext,
-                      ext_bigraded_reps, free_row_image,
+from .modules import (_dense, _generator_rows, algebra_order,
+                      delta_nabla_ext, ext_bigraded_reps, free_row_image,
                       standard_resolution)
 from .quiver import build_quiver, order_data, vertex_name
 
@@ -170,14 +171,6 @@ def _lift_generators(res, k, rhs, src):
             raise ArithmeticError("chain lift failed: complex not exact?")
         gen_rows.append(_dense(zip(cols, sol), tgt.dim))
     return gen_rows
-
-
-def _generator_rows(free, n, basis, row):
-    """The generator images in n of the cochain ``row`` of Hom(free, n)."""
-    gens = [[ZERO] * n.dim for _ in free.summands]
-    for c, (t, j, _) in enumerate(basis):
-        gens[t][j] = row[c]
-    return gens
 
 
 def _zero_class(table, a, c, i, bidegree) -> ExtClass:
@@ -647,6 +640,7 @@ def check_degree_law(table: ExtTable) -> dict:
     return {"passed": not failures, "checked": checked, "failures": failures}
 
 
+@scope()  # the dual it builds is its own, released when it returns
 def check_dual_koszul(n: int, s: int) -> KoszulReport:
     """Koszulity of the dual algebra in the total grading (every arrow
     has total degree one, so the length grading is the total grading),

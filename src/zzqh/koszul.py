@@ -27,7 +27,7 @@ from .quiver import vertex_name
 from .algebra import (AlgebraInstance, Arrow, Element, Path, Presentation,
                       compute_basis, presentation_cover,
                       presentation_shifted_dual, quadratic_blocks,
-                      quadratic_dual, shifted_dual_membership)
+                      quadratic_dual, scope, shifted_dual_membership)
 from .modules import (RightModule, algebra_order, dualize, ext_bigraded_reps,
                       free_module, gldim, is_linear,
                       left_mult_map, minimal_resolution, projective_module,
@@ -172,13 +172,15 @@ def check_delta_koszul(cover: AlgebraInstance) -> KoszulReport:
                for (x, y, i, flat, sharp), dim in ext_table(cover).dims.items()
                if flat != i]
 
-    line = compute_basis(_line_presentation(pres))
-    dims_ok = all(
-        line.dim_block(x, y) == sum(
-            c for d, c in cover.block_bidegrees(x, y).items() if d[0] == 0)
-        for x in verts for y in verts)
-    monotone = all(a.source[0] < a.target[0] for a in line.presentation.arrows)
-    gl = gldim(line)
+    with scope():  # the line algebra is this check's own
+        line = compute_basis(_line_presentation(pres))
+        dims_ok = all(
+            line.dim_block(x, y) == sum(
+                c for d, c in cover.block_bidegrees(x, y).items() if d[0] == 0)
+            for x in verts for y in verts)
+        monotone = all(a.source[0] < a.target[0]
+                       for a in line.presentation.arrows)
+        gl = gldim(line)
     s = pres.params["s"]
     line_report = {"passed": dims_ok and monotone and gl <= s,
                    "degree_zero_dims_match": dims_ok,
@@ -198,6 +200,7 @@ def check_delta_koszul(cover: AlgebraInstance) -> KoszulReport:
 # socle lemmas over the shifted dual
 
 
+@scope()  # the algebras it builds are its own, released when it returns
 def check_shifted_dual_lemmas(n: int, s: int) -> dict:
     """Over the opposite quadratic dual B of the cover: the socle of
     every projective is simple and generated by maximal paths ending

@@ -450,61 +450,6 @@ def top_generators(m: RightModule):
             for i in range(m.dim) if i not in pivots]
 
 
-def hom_space(m: RightModule, n: RightModule, shift=None):
-    """A basis of module maps m -> n, as matrices; with ``shift`` only
-    the maps homogeneous of that (flat, sharp) bidegree.  The unknowns f[i][j]
-    pair basis vectors of equal weight; arrow a gives the equation
-    (a_m f - f a_n)[i][j] = 0 for each (i, j) a nonzero action entry
-    reaches."""
-    targets = n.blocks(graded=False)
-    pos = {}
-    for i, v in enumerate(m.vertices):
-        for j in targets.get(v, ()):
-            if shift is None or tuple(shift) == tuple(
-                    b - a for a, b in zip(m.bidegrees[i], n.bidegrees[j])):
-                pos[(i, j)] = len(pos)
-    if not pos:
-        return []
-    by_row, by_col = {}, {}
-    for (i, j), col in pos.items():
-        by_row.setdefault(i, []).append((j, col))
-        by_col.setdefault(j, []).append((i, col))
-    equations = defaultdict(lambda: [ZERO] * len(pos))
-    for a in m.algebra.presentation.arrows:
-        for i, row in m.action[a].items():
-            for k, c in row.items():
-                for j, col in by_row.get(k, ()):
-                    equations[(a, i, j)][col] += c
-        for l, row in n.action[a].items():
-            for j, c in row.items():
-                for i, col in by_col.get(l, ()):
-                    equations[(a, i, j)][col] -= c
-    maps = []
-    sols = Matrix(list(equations.values()), ncols=len(pos)).kernel_basis()
-    for srow in sols.data:
-        mat = Matrix.zero(m.dim, n.dim)
-        for (i, j), col in pos.items():
-            mat.data[i][j] = srow[col]
-        maps.append(mat)
-    return maps
-
-
-def socle_isomorphic(m: RightModule, n: RightModule, graded=True):
-    """Whether m is isomorphic to n, by a map homogeneous of bidegree
-    (0, 0) when ``graded``, for m whose socle is simple, spanned by s.
-    A map out of m is then injective exactly when it is nonzero on s,
-    so for dim m = dim n some basis map of Hom(m, n) is nonzero on s
-    exactly when m and n are isomorphic.  Raises unless the socle of m
-    is simple."""
-    soc = socle_rows(m)
-    if len(soc) != 1:
-        raise AssertionError(f"socle of {m.label or 'module'} is not simple")
-    if m.dim != n.dim:
-        return False
-    return any(any(f.mul_row(soc[0]))
-               for f in hom_space(m, n, shift=(0, 0) if graded else None))
-
-
 # ---------------------------------------------------------------------------
 # projective covers and minimal resolutions
 
@@ -782,6 +727,41 @@ def ext_bigraded_reps(res: Resolution, n: RightModule):
         blocks.append(step)
         levels.append(level)
     return bases, blocks, levels
+
+
+def _generator_rows(free, n, basis, row):
+    """The generator images in n of the cochain ``row`` of Hom(free, n)."""
+    gens = [[ZERO] * n.dim for _ in free.summands]
+    for c, (t, j, _) in enumerate(basis):
+        gens[t][j] = row[c]
+    return gens
+
+
+def socle_isomorphic(m: RightModule, n: RightModule, graded=True):
+    """Whether m is isomorphic to n, by a map homogeneous of bidegree
+    (0, 0) when ``graded``, for m whose socle is simple, spanned by s.
+    A map out of m is then injective exactly when it is nonzero on s,
+    so for dim m = dim n some basis map of Hom(m, n) is nonzero on s
+    exactly when m and n are isomorphic.  Hom(m, n) is Ext^0 of a
+    two-step resolution F_1 -> F_0 -> m: each level-0 cocycle is a map
+    F_0 -> n by its generator images, and its value on s is its image
+    of a lift of s to F_0.  Raises unless the socle of m is simple."""
+    soc = socle_rows(m)
+    if len(soc) != 1:
+        raise AssertionError(f"socle of {m.label or 'module'} is not simple")
+    if m.dim != n.dim:
+        return False
+    res = minimal_resolution(m, max_steps=2)
+    bases, _, (level, *_) = ext_bigraded_reps(res, n)
+    s = soc[0]
+    cols, d = res.step_at(0, m.vertices[next(i for i, c in enumerate(s) if c)])
+    free = res.frees[0]
+    lift = _dense(zip(cols, d.solve(s)), free.dim)
+    cocycles = (level.get((0, 0), []) if graded
+                else [f for rows in level.values() for f in rows])
+    return any(any(free_row_image(free, n, _generator_rows(free, n, bases[0], f),
+                                  lift))
+               for f in cocycles)
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import ZERO, Echelon, Matrix
+from .linalg import ZERO, Echelon
 from .quiver import build_quiver, vertex_name
 from .algebra import (AlgebraInstance, Element, Path, presentation_zigzag,
                       zigzag_hom_oracle)
 from .modules import (algebra_order, costandard_module, delta_filtration,
-                      delta_nabla_ext, hom_space, injective_module,
-                      left_mult_map, projective_module, restrict_to,
-                      RightModule, socle_isomorphic)
+                      delta_nabla_ext, dualize, minimal_resolution,
+                      projective_module, RightModule, socle_isomorphic)
 
 REPORT_FIELDS = (
     "endo_standard_trivial",
@@ -158,9 +157,12 @@ def check_cover(cover: AlgebraInstance) -> QhReport:
     the zigzag algebra: block dimensions match the subset-word oracle,
     the zigzag relations hold among the lifted arrows, and the lifted
     arrows generate.
-    (b) For every ordered pair of cover projectives the map
-    Hom(P_a, P_b) -> Hom(F P_a, F P_b) induced by F = Hom(P_J, -) is
-    bijective (dimension count plus injectivity).
+    (b) F = Hom(P_J, -) is fully faithful on projectives: every P_x
+    has an injective copresentation 0 -> P_x -> I^0 -> I^1 with I^0 and
+    I^1 sums of injectives I_j, j in J (Koenig-Slungaard-Xi, J. Algebra
+    240, 2001).  A witness [x, v, step] names an I_v outside J in step
+    0 or 1 of the minimal copresentation of P_x; the report keeps the
+    key ``fully_faithful_pairs``.
     """
     pres = cover.presentation
     if pres.kind != "cover":
@@ -231,7 +233,7 @@ def check_cover(cover: AlgebraInstance) -> QhReport:
 
     detail["zigzag_engine_compared"] = False
 
-    ff_bad = _fully_faithful_failures(cover, jset)
+    ff_bad = _copresentation_failures(cover, jset)
     rep.record("fully_faithful_pairs", ff_bad, detail)
 
     rep.cover_fully_faithful = not (dim_bad or rel_bad or gen_bad or ff_bad)
@@ -239,35 +241,22 @@ def check_cover(cover: AlgebraInstance) -> QhReport:
     return rep
 
 
-def _fully_faithful_failures(cover, jset):
-    """Pairs (a, b) where Hom(P_a, P_b) -> Hom(F P_a, F P_b) is not
-    bijective, with the three dimensions as witness.  F P_x is P_x
-    restricted to the paths ending in ``jset``: an action entry between
-    two such paths belongs to an arrow inside J, so only those act."""
-    verts = cover.presentation.vertices
-    keep, fproj = {}, {}
-    for x in verts:
-        proj = projective_module(cover, x)
-        ix = keep[x] = [i for i, v in enumerate(proj.vertices) if v in jset]
-        fproj[x] = restrict_to(proj, ix)
-    by_pair = {}
-    for p in cover.basis():
-        by_pair.setdefault((p.source, p.target), []).append(p)
+def _copresentation(cover, x):
+    """The minimal injective copresentation of P_x, as the first two
+    steps of the projective resolution of D(P_x) over the opposite
+    algebra: a summand at v in step i is I_v in step i of the
+    copresentation."""
+    return minimal_resolution(dualize(projective_module(cover, x)),
+                              max_steps=2)
 
-    bad = []
-    for a in verts:
-        for b in verts:
-            hom_dim = cover.dim_block(b, a)
-            end_dim = len(hom_space(fproj[a], fproj[b]))
-            images = []
-            for g in by_pair.get((b, a), ()):
-                m = left_mult_map(cover, Element.of_path(g))
-                images.append([m.data[i][j] for i in keep[a] for j in keep[b]])
-            frank = Matrix(images, ncols=len(keep[a]) * len(keep[b])).rank()
-            if end_dim != hom_dim or frank != hom_dim:
-                bad.append([vertex_name(a), vertex_name(b),
-                            hom_dim, end_dim, frank])
-    return bad
+
+def _copresentation_failures(cover, jset):
+    """[x, v, step] for each vertex v outside ``jset`` with I_v in step
+    0 or 1 of the minimal injective copresentation of P_x."""
+    return [[vertex_name(x), vertex_name(v), step]
+            for x in cover.presentation.vertices
+            for step, terms in enumerate(_copresentation(cover, x).terms)
+            for v in dict.fromkeys(v for v, _ in terms if v not in jset)]
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +315,15 @@ def check_borel(cover: AlgebraInstance, borel: AlgebraInstance) -> QhReport:
 
 
 def check_projective_injective(cover: AlgebraInstance) -> QhReport:
-    """Projectives at J vertices are injective (ungraded isomorphism
-    with the dual of the opposite projective at the same vertex); the
+    """Projectives at J vertices are injective: P_x is isomorphic to
+    I_x exactly when D(P_x) is the projective at x of the opposite
+    algebra, that is, when the copresentation of P_x is I_x alone.  The
     K vertices are recorded but not required to pass."""
     rep = QhReport()
     jbad, at_k = [], []
     for x in cover.presentation.vertices:
-        iso = socle_isomorphic(injective_module(cover, x),
-                               projective_module(cover, x), graded=False)
+        res = _copresentation(cover, x)
+        iso = res.complete and [[v for v, _ in t] for t in res.terms] == [[x]]
         if x[0] > 0:
             if not iso:
                 jbad.append(vertex_name(x))

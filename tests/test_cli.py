@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import types
+import weakref
 from collections import Counter
 
 import pytest
@@ -279,19 +280,19 @@ def test_check_all_resolves_each_standard_once(capsys, monkeypatch, cap):
 def test_check_all_makes_one_delta_nabla_pass(capsys, monkeypatch):
     """``check qh`` and ``check dual`` read one (Delta, Nabla) table:
     each pair's Hom complex is built once, and ``check_quasi_hereditary``
-    solves no Hom space of its own (``check cover`` still does)."""
+    builds no other Hom complex (``check borel``'s socle certificate
+    builds its own)."""
     pairs, homs, in_qh = Counter(), Counter(), []
-    ext, hom = zzqh.modules.ext_bigraded_reps, zzqh.modules.hom_space
+    ext = zzqh.modules.ext_bigraded_reps
     check_qh = zzqh.qh.check_quasi_hereditary
 
     def counting_ext(res, n):
-        if n.label.startswith("Nabla["):
+        if (res.module.label.startswith("Delta[")
+                and n.label.startswith("Nabla[")):
             pairs[(res.module.label, n.label)] += 1
+        else:
+            homs["qh" if in_qh else "other"] += 1
         return ext(res, n)
-
-    def counting_hom(*args, **kwargs):
-        homs["qh" if in_qh else "other"] += 1
-        return hom(*args, **kwargs)
 
     def marked_qh(*args, **kwargs):
         in_qh.append(True)
@@ -300,8 +301,7 @@ def test_check_all_makes_one_delta_nabla_pass(capsys, monkeypatch):
         finally:
             in_qh.pop()
 
-    for fn, wrapped in ((ext, counting_ext), (hom, counting_hom),
-                        (check_qh, marked_qh)):
+    for fn, wrapped in ((ext, counting_ext), (check_qh, marked_qh)):
         for mod in (zzqh, zzqh.modules, zzqh.qh, zzqh.koszul, zzqh.extdual,
                     zzqh.cli):
             if getattr(mod, fn.__name__, None) is fn:
@@ -576,6 +576,41 @@ def test_check_all_releases_each_point_before_the_next(capsys, monkeypatch):
     assert any(inst.presentation.kind == "borel" for _, inst in made)
     assert all(not inst._memo for _, inst in made)
     assert zzqh.algebra._scopes == []
+
+
+def test_each_check_frees_the_instances_it_makes(capsys, monkeypatch):
+    """With the collector off, once each check of ``check all`` returns,
+    the point's algebra and its opposite are the only instances the call
+    made that are still alive: the Borel and its opposite, the line
+    algebra, the shifted dual and the conjectured dual go with the check
+    that made them."""
+    made, left = weakref.WeakSet(), []
+    init, check_one = AlgebraInstance.__init__, zzqh.cli._check_one
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.add(self)
+
+    def checking(name, n, s, basis, cap):
+        report = check_one(name, n, s, basis, cap)
+        cover = basis()
+        left.extend((name, n, s, inst.presentation.kind) for inst in made
+                    if inst is not cover
+                    and inst is not cover._memo.get("opposite"))
+        return report
+
+    monkeypatch.setattr(AlgebraInstance, "__init__", recording)
+    monkeypatch.setattr(zzqh.cli, "_check_one", checking)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        code, _ = _run(capsys, "check", "all")
+    finally:
+        if enabled:
+            gc.enable()
+    assert code == 0
+    assert left == []
 
 
 def test_a_usage_error_leaves_no_open_scope(capsys):

@@ -18,14 +18,16 @@ from zzqh.modules import (RightModule, _block_kernel, _block_key,
                           costandard_module, delta_filtration, direct_sum,
                           dualize, ext_bigraded_reps, free_images,
                           free_module, free_row_image, generated_submodule,
-                          gldim, hom_space, injective_module, is_linear,
+                          gldim, injective_module, is_linear,
                           minimal_resolution, projective_module,
                           quotient_module, restrict_to, shift_module,
                           simple_module,
                           socle_isomorphic, socle_rows, standard_module,
                           top_generators)
-from zzqh.qh import check_borel, check_quasi_hereditary
+from zzqh.qh import _copresentation, check_borel, check_quasi_hereditary
 from zzqh.quiver import OrderData, build_quiver, order_data
+
+from hom_reference import hom_space
 
 GRID = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
 VERTS = ((0, 2), (1, 1), (2, 0))
@@ -198,19 +200,27 @@ def _hom_space_reference(m, n, shift=None):
     return maps
 
 
-@pytest.mark.parametrize("point", [(1, 2), (2, 2)])
-def test_hom_space_matches_dense_reference(covers, point):
+@pytest.mark.parametrize("point", GRID)
+def test_hom_space_matches_dense_reference_and_ext0(covers, point):
     """The sparse equations of ``hom_space`` span the same row space as
-    the dense ones, so the canonical kernel, and every map, agrees."""
+    the dense ones, so the canonical kernel, and every map, agrees.  The
+    engine's Hom, Ext^0 of a two-step resolution, has the dimension
+    ``hom_space`` gives, ungraded and in each bidegree, on every pair of
+    canonical modules."""
     a = covers[point]
     mods = [canonical_module(a, kind, x) for kind in KINDS
             for x in a.presentation.vertices]
     for m in mods:
+        res = minimal_resolution(m, max_steps=2)
         for n in mods:
+            level = ext_bigraded_reps(res, n)[2][0]
             for shift in (None, (0, 0), (0, 1)):
                 got = hom_space(m, n, shift)
                 assert got == _hom_space_reference(m, n, shift), \
                     (m, n, shift)
+                ext0 = level.values() if shift is None else [
+                    level.get(shift, [])]
+                assert len(got) == sum(map(len, ext0)), (m, n, shift)
 
 
 def test_minimal_resolution_of_simple_exact_shape(cover12):
@@ -335,12 +345,14 @@ def _restricted_costandard(cover, borel, x, order):
                         for ar in borel.presentation.arrows})
 
 
-@pytest.mark.parametrize("point", GRID + ((2, 4), (3, 3)))
+@pytest.mark.parametrize("point", GRID + ((2, 4), (3, 3), (4, 2)))
 def test_the_socle_certificate_agrees_with_the_search(covers, borels, point):
     """At both call sites and every vertex, the certificate and the
     search give one answer: the Borel's Nabla_x against the restricted
     cover Nabla_x (graded, either way round), and I_x against P_x
-    (ungraded), which holds exactly at the J vertices."""
+    (ungraded), which holds exactly at the J vertices.  For I_x and P_x
+    the copresentation that ``check_projective_injective`` reads agrees:
+    P_x is I_x exactly when its copresentation is I_x alone."""
     if point in covers:
         cover, borel = covers[point], borels[point]
     else:
@@ -356,6 +368,9 @@ def test_the_socle_certificate_agrees_with_the_search(covers, borels, point):
         inj, proj = injective_module(cover, x), projective_module(cover, x)
         iso = socle_isomorphic(inj, proj, graded=False)
         assert iso == _search_isomorphic(inj, proj, graded=False) == (x[0] > 0)
+        res = _copresentation(cover, x)
+        assert iso == (res.complete
+                       and [[v for v, _ in t] for t in res.terms] == [[x]]), x
 
 
 @pytest.mark.parametrize("point", GRID)

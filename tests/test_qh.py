@@ -1,6 +1,8 @@
 """Quasi-heredity of the covers, the double-centralizer property over
 the zigzag algebras, and the Borel subalgebra checks."""
 
+from itertools import combinations
+
 import pytest
 
 import zzqh.modules
@@ -9,12 +11,14 @@ from zzqh import (compute_basis, presentation_borel, presentation_cover,
                   presentation_zigzag)
 from zzqh.extdual import ext_table
 from zzqh.modules import (algebra_order, costandard_module, delta_nabla_ext,
-                          ext_bigraded_reps, hom_space, minimal_resolution,
+                          ext_bigraded_reps, minimal_resolution,
                           standard_module, standard_resolution)
-from zzqh.qh import (QhReport, _fully_faithful_failures, check_borel,
+from zzqh.qh import (QhReport, _copresentation_failures, check_borel,
                      check_cover, check_projective_injective,
                      check_quasi_hereditary)
 from zzqh.quiver import build_quiver, order_data
+
+from hom_reference import _fully_faithful_failures, hom_space
 
 
 def test_covers_are_quasi_hereditary(covers):
@@ -147,6 +151,49 @@ def test_fully_faithful_fails_off_the_true_j_set(covers):
         ['1,1', '0,2', 1, 1, 0], ['1,1', '1,1', 2, 1, 1],
         ['1,1', '2,0', 1, 0, 0], ['2,0', '1,1', 1, 0, 0],
         ['2,0', '2,0', 2, 0, 0]]
+
+
+def test_the_copresentation_fails_off_the_true_j_set(covers):
+    """Negative control for the route ``check_cover`` takes, on the sets
+    of the test above: frozen witnesses [x, v, step], an injective I_v
+    outside J in step 0 or 1 of the copresentation of P_x."""
+    cover = covers[(1, 2)]
+    assert _copresentation_failures(cover, {(1, 1), (2, 0)}) == []
+    assert _copresentation_failures(cover, {(1, 1)}) == [
+        ['0,2', '2,0', 1], ['2,0', '2,0', 0]]
+    assert _copresentation_failures(cover, {(0, 2)}) == [
+        ['0,2', '1,1', 0], ['0,2', '2,0', 1], ['1,1', '1,1', 0],
+        ['2,0', '2,0', 0]]
+
+
+def _leaves_j(cover, jset):
+    """Whether some basis path between two J vertices passes through a
+    vertex outside J."""
+    return any(p.source in jset and p.target in jset
+               and any(ar.target not in jset for ar in p.arrows)
+               for p in cover.basis())
+
+
+@pytest.mark.parametrize("point,count,apart", [((1, 2), 8, 0),
+                                               ((2, 2), 64, 2)])
+def test_the_cover_routes_agree_on_every_j_subset(covers, point, count, apart):
+    """The copresentation and the pair route on every vertex set J.  They
+    differ only where the pair route fails and the copresentation passes,
+    and there a basis path between two J vertices leaves J: the pair
+    route lets only the arrows inside J act, so it computes Hom over a
+    smaller algebra than eAe."""
+    cover = covers[point]
+    verts = cover.presentation.vertices
+    subsets = [set(js) for k in range(len(verts) + 1)
+               for js in combinations(verts, k)]
+    differ = []
+    for jset in subsets:
+        copres = not _copresentation_failures(cover, jset)
+        pairs = not _fully_faithful_failures(cover, jset)
+        if copres != pairs:
+            assert copres and not pairs and _leaves_j(cover, jset), jset
+            differ.append(jset)
+    assert (len(subsets), len(differ)) == (count, apart)
 
 
 def test_borel_restriction(covers, borels):
