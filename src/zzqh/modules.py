@@ -11,9 +11,10 @@ constructors build simples, projectives e_x A, injectives D(A e_x),
 and, over a quasi-hereditary cover, standard modules from the partial
 order on vertices and costandard modules as duals of the opposite
 algebra's standard modules.  On top of that live projective
-covers, minimal bigraded resolutions, Hom spaces, cochain complexes
-computing Ext, filtration by standard modules, and the duality to the
-opposite algebra.
+covers, minimal bigraded resolutions, cochain complexes computing Ext
+(Hom is their level 0, the one route to Hom), the socle certificate
+for isomorphism, filtration by standard modules, and the duality to
+the opposite algebra.
 
 Elimination is block-local: an arrow maps each (vertex, bidegree) block
 into one other block and a module map keeps blocks in place, so kernels,
@@ -417,7 +418,7 @@ def canonical_module(a: AlgebraInstance, kind: str, x, shift=(0, 0)) -> RightMod
 
 
 # ---------------------------------------------------------------------------
-# socle, top, hom
+# socle and top
 
 
 def socle_rows(m: RightModule):
@@ -752,16 +753,16 @@ def socle_isomorphic(m: RightModule, n: RightModule, graded=True):
     if m.dim != n.dim:
         return False
     res = minimal_resolution(m, max_steps=2)
-    bases, _, (level, *_) = ext_bigraded_reps(res, n)
-    s = soc[0]
+    bases, _, levels = ext_bigraded_reps(res, n)
+    free, s = res.frees[0], soc[0]
     cols, d = res.step_at(0, m.vertices[next(i for i, c in enumerate(s) if c)])
-    free = res.frees[0]
     lift = _dense(zip(cols, d.solve(s)), free.dim)
+    level = levels[0]
     cocycles = (level.get((0, 0), []) if graded
                 else [f for rows in level.values() for f in rows])
-    return any(any(free_row_image(free, n, _generator_rows(free, n, bases[0], f),
-                                  lift))
-               for f in cocycles)
+    images = (free_row_image(free, n, _generator_rows(free, n, bases[0], f),
+                             lift) for f in cocycles)
+    return any(map(any, images))
 
 
 # ---------------------------------------------------------------------------
