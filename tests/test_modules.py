@@ -201,7 +201,7 @@ def _hom_space_reference(m, n, shift=None):
 
 
 @pytest.mark.parametrize("point", GRID)
-def test_hom_space_matches_dense_reference_and_ext0(covers, point):
+def test_hom_space_matches_dense_reference(covers, point):
     """The sparse equations of ``hom_space`` span the same row space as
     the dense ones, so the canonical kernel, and every map, agrees.  The
     engine's Hom, Ext^0 of a two-step resolution, has the dimension
