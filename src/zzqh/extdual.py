@@ -319,39 +319,25 @@ def build_dual_from_ext(cover: AlgebraInstance,
     pres0 = Presentation(cover.presentation.vertices, arrows, [],
                          kind="dual-built", params={"n": n, "s": s})
     blocks = quadratic_blocks(pres0)
-    by_pair = table.dims_by_pair()
-    rels, detail = [], {}
-    for (src, tgt) in sorted(blocks,
-                             key=lambda k: (vertex_name(k[0]),
-                                            vertex_name(k[1]))):
-        paths = blocks[(src, tgt)][0]
+    rels = []
+    for key in sorted(blocks, key=lambda k: tuple(map(vertex_name, k))):
+        paths = blocks[key][0]
         # products of the block land in a direct sum of Ext components,
         # one per (homological degree, bidegree) of total degree two
-        prods, comps = [], {}
-        for p in paths:
-            a1, a2 = p.arrows
-            prod = yoneda_product(arrow_class[(a1.source, a1.label)],
-                                  arrow_class[(a2.source, a2.label)])
-            prods.append(prod)
-            comps[(prod.i, prod.bidegree)] = len(prod.row)
+        prods = [yoneda_product(*(arrow_class[(a.source, a.label)]
+                                  for a in p.arrows)) for p in paths]
+        comps = {(prod.i, prod.bidegree): len(prod.row) for prod in prods}
         rows = [[c for ck in sorted(comps)
                  for c in (prod.row if ck == (prod.i, prod.bidegree)
                            else (ZERO,) * comps[ck])] for prod in prods]
-        rank, ker = Matrix(rows, ncols=sum(comps.values())).left_kernel()
-        ext2 = sum(m for (i, _, js), m in by_pair.get((tgt, src), {}).items()
-                   if i + js == 2)
-        detail[f"{vertex_name(src)}|{vertex_name(tgt)}"] = {
-            "paths": len(paths), "relations": len(ker),
-            "image_rank": rank, "ext2_dim": ext2}
+        _, ker = Matrix(rows, ncols=sum(comps.values())).left_kernel()
         rels.extend(Element({paths[c]: val for c, val in enumerate(krow)})
                     for krow in ker)
     gauge = _preferred_gauge(rels)
     if gauge:
         rels = [_apply_gauge(r, gauge) for r in rels]
-    built = Presentation(pres0.vertices, arrows, rels,
-                         kind="dual-built", params={"n": n, "s": s})
-    built.ext2_detail = detail
-    return built
+    return Presentation(pres0.vertices, arrows, rels,
+                        kind="dual-built", params={"n": n, "s": s})
 
 
 def perturb_presentation(pres: Presentation) -> Presentation:
