@@ -13,6 +13,7 @@ computation hit its step cap.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -397,6 +398,8 @@ def run_cli(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code else EXIT_OK
+    enabled = gc.isenabled()
+    gc.disable()  # the scope frees all that a call derives by refcounting
     try:
         with scope():  # nothing the command derives outlives it
             return COMMANDS[args.command](args)
@@ -407,6 +410,9 @@ def run_cli(argv=None) -> int:
         _emit_json({"nonterminating": True, "max_length": e.max_len,
                     "dims_so_far": e.dims}, getattr(args, "out", None))
         return EXIT_NONTERM
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main() -> None:

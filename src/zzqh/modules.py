@@ -14,7 +14,11 @@ algebra's standard modules.  On top of that live projective
 covers, minimal bigraded resolutions, cochain complexes computing Ext
 (Hom is their level 0, the one route to Hom), the socle certificate
 for isomorphism, filtration by standard modules, and the duality to
-the opposite algebra.
+the opposite algebra.  A free module holds its projective summands by
+reference (``free_module``), a Hom complex with no cochain at any step
+is not built (``_hom_is_zero``), and nothing here forms a reference
+cycle outside an instance's memo, which ``cli.run_cli`` relies on when
+it pauses the cyclic collector for a call.
 
 Elimination is block-local: an arrow maps each (vertex, bidegree) block
 into one other block and a module map keeps blocks in place, so kernels,
@@ -35,7 +39,7 @@ in bidegree (0, 0) and everything else below.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -239,20 +243,52 @@ def simple_module(a: AlgebraInstance, x, shift=(0, 0)) -> RightModule:
 
 
 def free_module(a: AlgebraInstance, gens) -> RightModule:
-    """Direct sum of shifted projectives, one per (vertex, shift) pair:
-    the sum of the memoized unshifted projectives, recorded as ``parts``,
-    with the shifted bidegrees written once.  Records ``summands`` as
-    (vertex, shift, start, stop) slices."""
-    mod = direct_sum(a, parts := [projective_module(a, v) for v, _ in gens])
-    mod.bidegrees = tuple(tuple(c + s for c, s in zip(d, shift))
-                          for (_, shift), part in zip(gens, parts)
-                          for d in part.bidegrees)
-    mod.summands, mod.parts, at = [], parts, 0
-    for (v, shift), part in zip(gens, parts):
-        mod.summands.append((v, tuple(shift), at, at + part.dim))
-        at += part.dim
-    mod.label = "F[" + ", ".join(f"{v}<{s}>" for v, s, _, _ in mod.summands) + "]"
-    return mod
+    """Direct sum of shifted projectives, one per (vertex, shift) pair,
+    held by reference (``FreeModule``): it keeps the memoized projectives
+    and their offsets, writes out only the shifted bidegrees, and copies
+    no action row.  Each projective was certified when it was built, so
+    nothing is certified again.  No resolution step reads the copied
+    ``action`` rows, which ``direct_sum`` builds once, on demand."""
+    return FreeModule(a, gens)
+
+
+class FreeModule(RightModule):
+    """A free module by reference (see ``free_module``): ``parts`` and
+    their (vertex, shift, start, stop) ``summands``."""
+
+    def __init__(self, a: AlgebraInstance, gens):
+        self.algebra, self.parts = a, [projective_module(a, v) for v, _ in gens]
+        self.summands, self.starts, at = [], [], 0
+        for (v, shift), part in zip(gens, self.parts):
+            self.summands.append((v, tuple(shift), at, at + part.dim))
+            self.starts.append(at)
+            at += part.dim
+        self.dim = at
+        self.vertices = tuple(w for part in self.parts for w in part.vertices)
+        self.bidegrees = tuple(tuple(c + s for c, s in zip(d, shift))
+                               for (_, shift), part in zip(gens, self.parts)
+                               for d in part.bidegrees)
+
+    @cached_property
+    def action(self):
+        return direct_sum(self.algebra, self.parts).action
+
+    @cached_property
+    def label(self):
+        return "F[" + ", ".join(f"{v}<{s}>" for v, s, _, _ in self.summands) + "]"
+
+    def act(self, arrow, row, support=None):
+        if support is None and len(row) != self.dim:
+            raise ValueError(f"a row of length {len(row)} in a module of "
+                             f"dimension {self.dim}")
+        out, starts = [ZERO] * self.dim, self.starts
+        for k, a in (zip(support, row, strict=True) if support is not None
+                     else [(k, a) for k, a in enumerate(row) if a]):
+            if a:
+                t = bisect_right(starts, k) - 1
+                for j, c in self.parts[t].action[arrow].get(k - starts[t], {}).items():
+                    out[starts[t] + j] += a * c
+        return out
 
 
 def direct_sum(a: AlgebraInstance, parts) -> RightModule:
@@ -666,7 +702,8 @@ def ext_bigraded_reps(res: Resolution, n: RightModule):
     """The cochain complex Hom(F_*, n) of a resolution, stored once by
     bidegree block, and its Ext split by cocycle bidegree.  A truncated
     resolution gives only its exact levels, those below ``res.length``;
-    one cut at F_0 has none and raises ``ValueError``.
+    one cut at F_0 has none and raises ``ValueError``.  A pair with no
+    cochain at any step (``_hom_is_zero``) builds nothing.
 
     Returns (bases, blocks, levels).  bases[i] lists the Hom basis of
     step i as (summand index, n basis index, bidegree) triples, the
@@ -683,6 +720,9 @@ def ext_bigraded_reps(res: Resolution, n: RightModule):
     exact = len(res.frees) if res.complete else res.length
     if not exact:
         raise ValueError("resolution is cut at F_0; no Ext level is exact")
+    if _hom_is_zero(res, n):  # nothing to build: every level is empty
+        return ([[] for _ in res.frees], [{} for _ in range(exact)],
+                [{} for _ in range(exact)])
     at = n.blocks(graded=False)
     bases = [[(t, j, (n.bidegrees[j][0] - sh[0], n.bidegrees[j][1] - sh[1]))
               for t, (v, sh, _, _) in enumerate(free.summands)
@@ -728,6 +768,12 @@ def ext_bigraded_reps(res: Resolution, n: RightModule):
         blocks.append(step)
         levels.append(level)
     return bases, blocks, levels
+
+
+def _hom_is_zero(res: Resolution, n: RightModule):
+    """Whether Hom(F_i, n) is zero at every step i of ``res``: no basis
+    vector of n sits at the vertex of a summand."""
+    return set(n.vertices).isdisjoint(v for terms in res.terms for v, _ in terms)
 
 
 def _generator_rows(free, n, basis, row):
