@@ -537,6 +537,60 @@ def test_without_the_release_a_call_leaves_cyclic_garbage(capsys, monkeypatch,
     assert any(isinstance(obj, AlgebraInstance) for obj in garbage)
 
 
+def _collector_state_after(call, enabled):
+    """(what ``call()`` returned or raised, whether the collector ran
+    during it, whether it runs after it), with the collector enabled or
+    disabled beforehand; the state before the test is restored."""
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            out = call()
+        except Exception as e:
+            out = e
+        return out, gc.isenabled()
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+COLLECTOR_CALLS = [
+    (("check", "koszul", "--n", "1", "--s", "2"), 0),
+    (("build", "--algebra", "fixture:brauer-line", "--s", "0"), 2),
+    (("build", "--algebra", "zigzag", "--n", "1", "--s", "2",
+      "--max-steps", "10"), 3)]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("argv,code", COLLECTOR_CALLS,
+                         ids=[" ".join(a) for a, _ in COLLECTOR_CALLS])
+def test_run_cli_leaves_the_collector_as_it_found_it(capsys, monkeypatch,
+                                                     argv, code, enabled):
+    """The collector is paused while a command runs and left as it was
+    found when the call returns, on every exit code."""
+    during, command = [], zzqh.cli.COMMANDS[argv[0]]
+
+    def watched(args):
+        during.append(gc.isenabled())
+        return command(args)
+
+    monkeypatch.setitem(zzqh.cli.COMMANDS, argv[0], watched)
+    got, after = _collector_state_after(lambda: _run(capsys, *argv)[0],
+                                        enabled)
+    assert (got, during, after) == (code, [False], enabled)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_run_cli_restores_the_collector_when_a_command_raises(monkeypatch,
+                                                              enabled):
+    def raising(args):
+        raise RuntimeError("a command that fails")
+
+    monkeypatch.setitem(zzqh.cli.COMMANDS, "fixtures", raising)
+    got, after = _collector_state_after(lambda: run_cli(["fixtures"]),
+                                        enabled)
+    assert isinstance(got, RuntimeError) and after == enabled
+
+
 def test_an_instance_made_outside_a_call_keeps_its_memo(capsys):
     cover = compute_basis(presentation_cover(1, 2))
     table = ext_table(cover)

@@ -528,3 +528,71 @@ def test_json_emission_deterministic(built_duals):
     assert all(set(a) == {"src", "tgt", "kind", "i"} for a in j["arrows"])
     kinds = {a["kind"] for a in j["arrows"]}
     assert kinds == {"a0", "ai"}
+
+
+# ---------------------------------------------------------------------------
+# no empty Hom complexes
+
+
+@pytest.mark.parametrize("n,s", [*GRID, (2, 4), (3, 3)])
+def test_a_pair_is_skipped_exactly_when_it_has_no_cochain(monkeypatch, n, s):
+    """Every (Delta_x, Nabla_y) pair of ``delta_nabla_ext`` and every
+    (Delta_x, Delta_y) pair of ``ext_table`` is skipped exactly when the
+    full route, the Hom complex built with the skip turned off, has no
+    cochain at any step; its levels, and every other pair's, are the
+    full route's."""
+    skipped, hom_is_zero = {}, modules._hom_is_zero
+
+    def recording(res, target):
+        skipped[(id(res), id(target))] = out = hom_is_zero(res, target)
+        return out
+
+    monkeypatch.setattr(modules, "_hom_is_zero", recording)
+    cover = compute_basis(presentation_cover(n, s))
+    resolutions, ext = modules.delta_nabla_ext(cover)
+    table = ext_table(cover)
+    monkeypatch.setattr(modules, "_hom_is_zero", lambda res, target: False)
+    verts = cover.presentation.vertices
+    kinds = Counter()
+    for x in verts:
+        for y in verts:
+            nabla = costandard_module(cover, y)
+            for res, target in ((resolutions[x], nabla),
+                                (table.resolutions[x], table.deltas[y])):
+                bases, _, levels = ext_bigraded_reps(res, target)
+                empty = not any(bases)
+                assert skipped[(id(res), id(target))] == empty, (x, y)
+                kinds[target is nabla, empty] += 1
+            assert ext[(x, y)] == ext_bigraded_reps(resolutions[x], nabla)[2]
+            bases, _, levels = ext_bigraded_reps(table.resolutions[x],
+                                                 table.deltas[y])
+            assert table.hom[(x, y)][0] == bases
+            assert {key[2:]: [list(c.row) for c in classes]
+                    for key, classes in table.classes_by_key.items()
+                    if key[:2] == (x, y)} == {
+                (i, -d[0], d[1]): reps for i, level in enumerate(levels)
+                for d, reps in level.items()}
+    assert all(kinds[k] for k in [(True, True), (True, False),
+                                  (False, True), (False, False)]), kinds
+
+
+@pytest.mark.parametrize("n,s", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
+def test_a_product_into_a_skipped_pair_is_the_zero_class(n, s):
+    """Every product of classes of ``ext_table`` whose composite lands
+    in a pair without cochains is the zero class of that pair.  (At
+    n = 1 no two classes compose into such a pair.)"""
+    table = ext_table(compute_basis(presentation_cover(n, s)))
+    by_pair = {}
+    for (x, y, *_), classes in sorted(table.classes_by_key.items()):
+        by_pair.setdefault((x, y), []).extend(classes)
+    empty = {pair for pair, (bases, _) in table.hom.items() if not any(bases)}
+    products = 0
+    for (a, c) in sorted(empty):
+        for b in table.deltas:
+            for f in by_pair.get((b, c), ()):
+                for g in by_pair.get((a, b), ()):
+                    prod = yoneda_product(f, g)
+                    assert prod.is_zero() and prod.row == ()
+                    assert (prod.source, prod.target) == (a, c)
+                    products += 1
+    assert empty and products

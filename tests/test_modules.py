@@ -2,6 +2,7 @@
 socles, Hom spaces, minimal resolutions and Ext."""
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from zzqh.algebra import AlgebraInstance
 from zzqh.extdual import ext_table
 from zzqh.koszul import _flat_degree_zero_part, check_delta_koszul
 from zzqh.linalg import Echelon, Matrix
-from zzqh.modules import (RightModule, _block_kernel, _block_key,
+from zzqh.modules import (FreeModule, RightModule, _block_kernel, _block_key,
                           _dense, algebra_order, canonical_module,
                           costandard_module, delta_filtration, direct_sum,
                           dualize, ext_bigraded_reps, free_images,
@@ -977,3 +978,87 @@ def test_a_hom_complex_against_a_shifted_vector_is_rejected(cover12):
     with pytest.raises(AssertionError,
                        match="hom differential mixes bidegrees"):
         ext_bigraded_reps(res, shifted)
+
+
+# ---------------------------------------------------------------------------
+# free modules by reference
+
+
+def _grid_resolutions(covers):
+    """The minimal resolution of every simple and standard at the grid
+    points, made afresh."""
+    return [minimal_resolution(f(a, x)) for a in covers.values()
+            for x in a.presentation.vertices
+            for f in (simple_module, standard_module)]
+
+
+def _acts_like_the_direct_sum(free):
+    """Whether ``free.act`` agrees with ``act`` on the direct sum of its
+    parts for every arrow, on each unit row and on each (vertex,
+    bidegree) block's support."""
+    whole = direct_sum(free.algebra, free.parts)
+    for a in free.algebra.presentation.arrows:
+        for i in range(free.dim):
+            if free.act(a, free.unit(i)) != whole.act(a, whole.unit(i)):
+                return False
+        for cols in free.blocks().values():
+            row = [Fraction(k + 1) for k in range(len(cols))]
+            if free.act(a, row, cols) != whole.act(a, row, cols):
+                return False
+    return True
+
+
+def test_free_modules_act_by_reference_as_their_direct_sum(covers,
+                                                          monkeypatch):
+    """Building a resolution copies no action row: it calls
+    ``direct_sum`` zero times, and no free module of it has built its
+    ``action`` rows or its label.  Each free module acts as the direct
+    sum of its parts, and reads back the same rows and label on demand."""
+    sums = []
+    monkeypatch.setattr(zzqh.modules, "direct_sum",
+                        lambda *args: sums.append(args) or direct_sum(*args))
+    resolutions = _grid_resolutions(covers)
+    assert sums == []
+    monkeypatch.undo()
+    frees = [(free, terms) for res in resolutions
+             for free, terms in zip(res.frees, res.terms, strict=True)]
+    assert len(frees) > len(resolutions)
+    assert all(vars(free).keys().isdisjoint({"action", "label"})
+               for free, _ in frees)
+    for free, terms in frees:
+        assert _acts_like_the_direct_sum(free), free
+        whole = direct_sum(free.algebra, free.parts)
+        assert (free.action, free.vertices) == (whole.action, whole.vertices)
+        assert free.label == f"F[{', '.join(f'{v}<{s}>' for v, s in terms)}]"
+
+
+def test_a_free_module_act_without_offsets_fails_the_comparison(covers,
+                                                               monkeypatch):
+    """Negative control: an ``act`` that drops each summand's offset."""
+    resolutions = _grid_resolutions(covers)
+
+    def act_at_offset_zero(self, arrow, row, support=None):
+        out = [0] * self.dim
+        for k, a in (zip(support, row) if support is not None
+                     else enumerate(row)):
+            if a:
+                t = bisect_right(self.starts, k) - 1
+                for j, c in self.parts[t].action[arrow].get(
+                        k - self.starts[t], {}).items():
+                    out[j] += a * c
+        return out
+
+    monkeypatch.setattr(FreeModule, "act", act_at_offset_zero)
+    assert not all(_acts_like_the_direct_sum(free)
+                   for res in resolutions for free in res.frees)
+
+
+def test_a_free_module_rejects_a_row_of_the_wrong_length(cover12):
+    free = free_module(cover12, [(x, (0, 0)) for x in VERTS])
+    a = cover12.presentation.arrows[0]
+    assert free.act(a, free.unit(free.dim - 1)) is not None
+    for row in (free.unit(0)[:-1], free.unit(0) + [0]):
+        with pytest.raises(ValueError):
+            free.act(a, row)
+    with pytest.raises(ValueError):
+        free.act(a, [1, 2], [0])
