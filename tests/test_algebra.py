@@ -3,6 +3,7 @@ algebras, covers, Borels, quadratic duals, and the closed-form basis
 oracles that cross-check the engine.  A reference elimination over
 every path checks the engine's basis and normal forms."""
 
+import hashlib
 import weakref
 from fractions import Fraction
 
@@ -480,3 +481,62 @@ def test_scopes_nest_and_release_only_the_instances_made_inside():
     assert outside.memo("key", object) is before
     assert outside.opposite() is out_op and out_op.opposite() is outside
     assert algebra._scopes == []
+
+
+# ---------------------------------------------------------------------------
+# frozen bases and normal forms: every instance that the benchmark's calls
+# build keeps its basis and stored forms, term for term and type for type
+
+
+def _at(n, s):
+    return ["--n", str(n), "--s", str(s)]
+
+
+# `check all`, then the calls of one `large` pass of bench/run.py; a
+# `resolve` builds only its cover, whichever simple it resolves
+BENCH_CALLS = [["check", "all"]]
+for _n, _s in ((2, 4), (3, 3), (4, 2)):
+    BENCH_CALLS += [["check", "koszul"] + _at(_n, _s), ["check", "qh"] + _at(_n, _s),
+                    ["resolve"] + _at(_n, _s) + ["--module", f"simple:{_s}" + ",0" * _n]]
+for _n, _s in ((2, 5), (3, 3), (4, 2)):
+    BENCH_CALLS += [["check", "dual"] + _at(_n, _s),
+                    ["dual"] + _at(_n, _s) + ["--emit", "json"]]
+BENCH_CALLS += [["check", "socle-lemmas"] + _at(_n, _s) for _n, _s in ((2, 4), (3, 3))]
+
+FROZEN_BASES = "e170cf8aa15ee4d9652930aaa1fdaeef2408463be58cf4b0a297ced88625561f"
+
+
+def _instance_digest(inst):
+    """The kind, parameters, ordered basis and stored forms of ``inst``,
+    each coefficient by its repr, so an int turned Fraction shows."""
+    key = Path.sort_key
+    forms = [(repr(p), [(repr(q), repr(c)) for q, c in sorted(
+        form.items(), key=lambda t: key(t[0]))])
+        for p, form in sorted(inst._forms.items(), key=lambda t: key(t[0]))]
+    return repr((inst.presentation.kind, sorted(inst.presentation.params.items()),
+                 [[repr(p) for p in level] for level in inst.basis_by_length],
+                 forms))
+
+
+def test_bench_instances_keep_their_bases_and_forms(capsys, monkeypatch):
+    """Every instance one `check all` and one `large` pass build, 81 of
+    them from the cover and its opposite to the Borel, the line and the
+    duals, hashes to the digest frozen before the basis engine last
+    changed."""
+    from zzqh.cli import run_cli
+    made, init = [], algebra.AlgebraInstance.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        made.append(_instance_digest(self))
+
+    monkeypatch.setattr(algebra.AlgebraInstance, "__init__", record)
+    for call in BENCH_CALLS:
+        assert run_cli(call) == 0, call
+    capsys.readouterr()
+    kinds = {d.split("'")[1] for d in made}
+    assert len(made) == 81 and kinds == {
+        "cover", "cover-op", "dual-built", "dual-conjectured", "shifted-dual",
+        "cover!", "borel", "borel-op", "line"}
+    digest = hashlib.sha256("\n".join(sorted(made)).encode()).hexdigest()
+    assert digest == FROZEN_BASES
