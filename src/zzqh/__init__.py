@@ -15,9 +15,9 @@ from .algebra import (AlgebraInstance, Arrow, Element, NonTerminationError,
                       shifted_dual_membership, zigzag_hom_oracle)
 from .extdual import (ExtClass, ExtTable, build_dual_from_ext,
                       check_degree_law, check_dual_koszul,
-                      check_simple_costandard_dims, check_yoneda_associative,
-                      compare_dual, dual_presentation_json, ext_table,
-                      perturb_presentation, yoneda_product)
+                      check_simple_costandard_dims, compare_dual,
+                      dual_presentation_json, ext_table, perturb_presentation,
+                      yoneda_product)
 from .koszul import (KoszulReport, check_delta_koszul, check_koszul,
                      check_shifted_dual_lemmas, check_standard_koszul,
                      counterexample_presentation, fixture_brauer_line,

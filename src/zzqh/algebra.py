@@ -587,14 +587,13 @@ def _combine(pairs) -> dict:
 
 
 def _normal_form(p: Path, basis, forms) -> dict:
-    """The normal form of ``p`` as a dict basis path -> coefficient.
+    """The normal form of ``p`` as a dict basis path -> coefficient, for
+    ``AlgebraInstance.reduce_path``.
 
-    ``forms`` maps each pivot candidate to its normal form, which is
-    returned as stored: callers only read it.  Any other path not in
-    ``basis`` reduces its prefix first; each term of that, extended by
-    the last arrow, is a candidate.  While ``compute_basis`` works on
-    length d, ``basis`` holds all candidates of length d, so a path of
-    length d is written over them."""
+    A path in ``basis`` is its own form; ``forms`` maps each pivot
+    candidate to its normal form, which is returned as stored: callers
+    only read it.  Any other path reduces its prefix first; each term of
+    that, extended by the last arrow, is a basis path or a pivot."""
     if p in basis:
         return {p: ONE}
     form = forms.get(p)
@@ -606,20 +605,43 @@ def _normal_form(p: Path, basis, forms) -> dict:
                                              basis, forms).items())
 
 
+def _fold(b, r, step, forms) -> dict:
+    """The normal form of basis path ``b`` times relation ``r``, each
+    term folded along its arrows: ``step[(q, a)]`` is the candidate q * a
+    of basis path q, a pivot reading its stored form, maybe empty (zero),
+    or else standing for itself.  A missing (q, a) raises KeyError."""
+    out = {}
+    for t, c in r.terms.items():
+        vec = {b: c}
+        for a in t.arrows:
+            vec, last = {}, vec
+            for q, x in last.items():
+                p = step[(q, a)]
+                form = forms.get(p)
+                for u, v in ((p, ONE),) if form is None else form.items():
+                    vec[u] = vec.get(u, ZERO) + x * v
+        for u, x in vec.items():
+            out[u] = out.get(u, ZERO) + x
+    return {u: x if type(x) is int else _coerce(x) for u, x in out.items() if x}
+
+
 def compute_basis(pres: Presentation, max_len: int = DEFAULT_MAX_LEN) -> AlgebraInstance:
     """Build the basis length by length from the previous length's basis.
 
     The candidates of length d, the basis paths of length d-1 each
-    extended by one arrow, span A_{d-1} (x) A_1.  The kernel of its map
-    onto A_d is spanned by the products b * r of a relation r of length
-    k <= d with a basis path b of length d-k, the length-(d-1) prefix of
-    each term put in normal form.  Each product lies in one (source,
-    target, bidegree) block; ``Matrix.rref`` eliminates each block with
-    its paths as columns in descending ``Path.sort_key`` order, so the
-    pivots and normal forms depend only on the span.  A pivot keeps its
-    row, without the pivot and negated, as its normal form.  By a
-    dimension count the candidates that are not pivots are the normal
-    words, the paths an elimination over all paths would keep.
+    extended by one arrow, span A_{d-1} (x) A_1; ``step`` records each
+    (basis path, arrow) -> candidate as they are listed.  The kernel of
+    its map onto A_d is spanned by the products b * r of a relation r of
+    length k <= d with a basis path b of length d-k, each term folded
+    from b along its arrows over ``step`` (``_fold``): a pivot of a
+    shorter length reads its form, a candidate of length d stands for
+    itself.  Each product lies in one (source, target, bidegree) block;
+    ``Matrix.rref`` eliminates each block with its paths as columns in
+    descending ``Path.sort_key`` order, so the pivots and normal forms
+    depend only on the span.  A pivot keeps its row, without the pivot
+    and negated, as its normal form.  By a dimension count the
+    candidates that are not pivots are the normal words, the paths an
+    elimination over all paths would keep.
 
     Stops at the first empty length and returns the finite instance (all
     longer components vanish since the algebra is generated in length
@@ -633,39 +655,33 @@ def compute_basis(pres: Presentation, max_len: int = DEFAULT_MAX_LEN) -> Algebra
         rels.setdefault(p.length, {}).setdefault(p.source, []).append(r)
 
     basis_by_length = [[Path(v) for v in pres.vertices]]
-    basis = set(basis_by_length[0])
-    forms = {}
+    forms, step = {}, {}
 
     for d in range(1, max_len + 1):
-        candidates = [Path(b.source, b.arrows + (a,))
-                      for b in basis_by_length[-1]
-                      for a in pres.arrows_from(b.target)]
-        basis.update(candidates)  # until the pivots are known
+        new = {(b, a): Path(b.source, b.arrows + (a,))
+               for b in basis_by_length[-1] for a in pres.arrows_from(b.target)}
+        step.update(new)
+        candidates = sorted(new.values(), key=Path.sort_key)
+        rank = {p: i for i, p in enumerate(candidates)}
         blocks = {}  # (source, target, bidegree) -> products b * r
         for k, at in rels.items():
             for b in basis_by_length[d - k] if k <= d else ():
                 for r in at.get(b.target, ()):
-                    vec = _combine(
-                        (_normal_form(Path(b.source, b.arrows + t.arrows),
-                                      basis, forms), c)
-                        for t, c in r.terms.items())
+                    vec = _fold(b, r, step, forms)
                     if vec:
                         p = next(iter(vec))
                         blocks.setdefault((p.source, p.target, p.bidegree),
                                           []).append(vec)
         for vecs in blocks.values():
             cols = sorted({p for vec in vecs for p in vec},
-                          key=Path.sort_key, reverse=True)
-            found, red = Matrix([[vec.get(p, ZERO) for p in cols]
-                                 for vec in vecs]).rref()
+                          key=rank.__getitem__, reverse=True)
+            found, red = Matrix._exact([[vec.get(p, ZERO) for p in cols]
+                                        for vec in vecs], len(cols)).rref()
             for c, row in zip(found, red.data):
                 forms[cols[c]] = {cols[j]: -v for j, v in enumerate(row)
                                   if v and j != c}
-        basis_d = sorted((p for p in candidates if p not in forms),
-                         key=Path.sort_key)
-        basis.difference_update(forms)
-        basis_by_length.append(basis_d)
-        if not basis_d:
+        basis_by_length.append([p for p in candidates if p not in forms])
+        if not basis_by_length[-1]:
             return AlgebraInstance(pres, basis_by_length, forms)
 
     raise NonTerminationError(pres, max_len,

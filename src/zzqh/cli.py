@@ -76,17 +76,11 @@ def _jsonable(obj):
         items = [_jsonable(v) for v in obj]
         return sorted(items, key=json.dumps) if isinstance(
             obj, (set, frozenset)) else items
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, (int, float, str)):
-        return obj
-    return str(obj)
+    return obj if obj is None or isinstance(obj, (int, float, str)) else str(obj)
 
 
 def _key(k):
-    if isinstance(k, tuple):
-        return vertex_name(k)
-    return k if isinstance(k, str) else str(k)
+    return vertex_name(k) if isinstance(k, tuple) else str(k)
 
 
 def _emit(text: str, out: str | None):
@@ -281,9 +275,7 @@ def _check_one(name: str, n: int, s: int, basis, cap):
 
 
 def _report_passed(report) -> bool:
-    if hasattr(report, "passed"):
-        return bool(report.passed())
-    return bool(report.get("passed"))
+    return bool(report.passed() if hasattr(report, "passed") else report.get("passed"))
 
 
 def cmd_check(args) -> int:

@@ -247,31 +247,6 @@ def yoneda_product(f: ExtClass, g: ExtClass) -> ExtClass:
     return out
 
 
-def check_yoneda_associative(table: ExtTable) -> dict:
-    """(f.g).h = f.(g.h) on every composable triple of total-degree-one
-    classes, with additive homological degrees and bidegrees."""
-    ones = [cls for key in sorted(table.classes_by_key)
-            if key[2] + key[4] == 1
-            for cls in table.classes_by_key[key]]
-    triples, failures = 0, []
-    for f in ones:
-        for g in ones:
-            if g.target != f.source:
-                continue
-            fg = yoneda_product(f, g)
-            for h in ones:
-                if h.target != g.source:
-                    continue
-                triples += 1
-                left = yoneda_product(fg, h)
-                right = yoneda_product(f, yoneda_product(g, h))
-                if (left.row != right.row or left.i != right.i
-                        or left.bidegree != right.bidegree):
-                    failures.append([vertex_name(h.source),
-                                     vertex_name(f.target), left.i])
-    return {"passed": not failures, "triples": triples, "failures": failures}
-
-
 # ---------------------------------------------------------------------------
 # extraction of the dual presentation
 

@@ -7,7 +7,10 @@ entry and ``exact_div`` divides one entry by another, both keeping an
 integral result an ``int``.  Entries are coerced once, at the
 boundary: ``Matrix(rows)`` and ``Element`` coerce what they are given;
 zeros, ``rref`` results, kernel bases and ``left_kernel``'s augmented
-matrix are built from exact entries and not coerced again.  The
+matrix are built from exact entries and not coerced again, as are,
+through ``Matrix._exact``, the blocks of ``modules._block_kernel`` and
+``Resolution.step_at`` and the relation blocks of
+``algebra.compute_basis``, whose entries are already exact.  The
 matrices here (Hom-space bases and constraint systems, one resolution
 block or Hom-complex bidegree block at a time, relation spans) are small,
 and a dense representation keeps the code simple and the pivoting
@@ -29,9 +32,11 @@ span, so it is the same whatever order the rows came in.
 
 ``Matrix.left_kernel`` is the one left kernel, for resolution blocks, socles,
 cocycles and the extracted dual's relations; relation spans come from
-``algebra.quadratic_blocks``.  Two shortcuts give the full routine's rows:
-a left kernel with no columns is the identity at rank 0, and ``rref``
-skips back-substitution when there is at most one pivot.
+``algebra.quadratic_blocks``.  Four shortcuts give the full routine's
+rows.  A left kernel of one row is ``(1, [])``, or ``(0, [[1]])`` for a
+zero row, and one with no columns is the identity at rank 0.  ``rref``
+of one row scales a new copy at its leftmost nonzero entry, and skips
+back-substitution when there is at most one pivot.
 """
 
 from __future__ import annotations
@@ -135,6 +140,13 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form; returns (pivot columns, new Matrix)."""
+        if self.nrows == 1:  # the row scaled at its pivot, as a new list
+            row = self.data[0]
+            for piv, p in enumerate(row):
+                if p:
+                    return [piv], Matrix._exact(
+                        [[exact_div(c, p) if c else c for c in row]], self.ncols)
+            return [], Matrix.zero(1, self.ncols)
         ech = Echelon(self.data)
         pivots = sorted(ech.rows)
         # back-substitution, from two pivots on: each row is reduced
@@ -166,6 +178,8 @@ class Matrix:
         """(rank, kernel): the kernel is the reduced echelon basis of
         {v : v * self = 0}, as lists, from the rref of [self | identity]."""
         n = self.nrows
+        if n == 1:
+            return (1, []) if any(self.data[0]) else (0, [[ONE]])
         eye = [[ONE if k == i else ZERO for k in range(n)] for i in range(n)]
         if not self.ncols:
             return 0, eye

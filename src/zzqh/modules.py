@@ -194,8 +194,8 @@ def _block_kernel(free: RightModule, target: RightModule, gen_rows):
         free_images(free, target, gen_rows, range(free.dim)))]
     rank, kernel = 0, {}
     for key, cols in free.blocks().items():
-        r, kern = Matrix([cut[i] for i in cols],
-                         ncols=len(targets.get(key, ()))).left_kernel()
+        r, kern = Matrix._exact([cut[i] for i in cols],
+                                len(targets.get(key, ()))).left_kernel()
         rank += r
         if kern:
             kernel[key] = (cols, kern)
@@ -272,6 +272,13 @@ class FreeModule(RightModule):
     @cached_property
     def action(self):
         return direct_sum(self.algebra, self.parts).action
+
+    @cached_property
+    def _graded_blocks(self):  # made once and shared: callers only read it
+        return super().blocks()
+
+    def blocks(self, graded=True):
+        return self._graded_blocks if graded else super().blocks(False)
 
     @cached_property
     def label(self):
@@ -562,7 +569,8 @@ class Resolution:
             cols = [j for j, w in enumerate(self.frees[k].vertices) if w == v]
             rows = free_images(self.frees[k], self.frees[k - 1] if k else self.module,
                                self.gens[k], cols)
-            self._at[(k, v)] = (cols, Matrix(zip(*rows), ncols=len(cols)))
+            self._at[(k, v)] = (cols, Matrix._exact(list(map(list, zip(*rows))),
+                                                    len(cols)))
         return self._at[(k, v)]
 
     @cached_property
