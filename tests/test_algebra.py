@@ -540,3 +540,31 @@ def test_bench_instances_keep_their_bases_and_forms(capsys, monkeypatch):
         "cover!", "borel", "borel-op", "line"}
     digest = hashlib.sha256("\n".join(sorted(made)).encode()).hexdigest()
     assert digest == FROZEN_BASES
+
+
+# ---------------------------------------------------------------------------
+# the fold of compute_basis: a table lookup per arrow, nothing skipped
+
+
+def test_the_fold_raises_on_a_missing_step_and_reads_an_empty_form_as_zero():
+    """``_fold`` multiplies a basis path by a relation through the
+    (basis path, arrow) table alone: a missing entry raises rather than
+    being skipped, a candidate with no stored form stands for itself,
+    and one whose stored form is empty is zero, not itself."""
+    x = Arrow(source=1, target=2, label="x", bidegree=(1, 0))
+    y = Arrow(source=2, target=3, label="y", bidegree=(1, 0))
+    e, px, pxy = Path(1), Path(1, (x,)), Path(1, (x, y))
+    r = Element({pxy: Fraction(3, 2)}) - Element.of_path(pxy)
+    step = {(e, x): px}
+    with pytest.raises(KeyError):
+        algebra._fold(e, r, step, {})
+    step[(px, y)] = pxy
+    assert algebra._fold(e, r, step, {}) == {pxy: Fraction(1, 2)}
+    assert algebra._fold(e, Element.of_path(pxy), step, {px: {}}) == {}
+    # x2 reduces to x, so the halves meet at x y and sum to the int 1
+    x2 = Arrow(source=1, target=2, label="x2", bidegree=(1, 0))
+    px2 = Path(1, (x2,))
+    step[(e, x2)] = px2
+    halves = Element({pxy: Fraction(1, 2), Path(1, (x2, y)): Fraction(1, 2)})
+    out = algebra._fold(e, halves, step, {px2: {px: 1}})
+    assert out == {pxy: 1} and type(out[pxy]) is int

@@ -272,3 +272,43 @@ def test_results_own_their_rows():
     assert (pivots, red.data) == _gauss_jordan(single)
     red.data[0][2] = F(7, 3)
     assert single.data == before and single.rref()[1].data[0] == [0, 1, 2]
+
+
+def test_one_row_shortcuts_give_the_general_routes_rows():
+    """A one-row ``rref`` and ``left_kernel``, rows of ints and
+    Fractions with leading zeros and zero rows among them, equal a
+    general route: Gauss-Jordan here, and the full ``rref`` of the row
+    over a zero row.  Every entry stays exact (an int when integral),
+    and editing a returned row leaves the input and a recomputation as
+    they were."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.one_of(st.just(0), st.integers(-4, 4),
+                        st.fractions(min_value=-3, max_value=3,
+                                     max_denominator=4))
+    rows = st.tuples(st.integers(0, 3), st.lists(entries, max_size=4)).map(
+        lambda t: [0] * t[0] + t[1])
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(rows)
+    def check(row):
+        m = Matrix([row], ncols=len(row))
+        before = [r[:] for r in m.data]
+        pivots, red = m.rref()
+        assert (pivots, red.data) == _gauss_jordan(m)
+        padded = Matrix([row, [0] * len(row)], ncols=len(row)).rref()
+        assert pivots == padded[0] and red.data == padded[1].data[:1]
+        assert all(type(x) is int or x.denominator > 1 for x in red.data[0])
+        rank, kern = m.left_kernel()
+        gj_pivots, gj = _gauss_jordan(Matrix([row + [1]], ncols=len(row) + 1))
+        want = sum(p < len(row) for p in gj_pivots)
+        assert (rank, kern) == (want, [r[len(row):] for r in gj[want:]])
+        assert all(type(x) is int for r in kern for x in r)
+        for r in red.data + kern:
+            r[:] = [F(7, 3)] * len(r)
+        assert m.data == before
+        assert m.rref()[1].data == padded[1].data[:1]
+        assert m.left_kernel() == (want, [r[len(row):] for r in gj[want:]])
+
+    check()

@@ -1,8 +1,11 @@
 """Graded right modules over the computed algebras: canonical modules,
 socles, Hom spaces, minimal resolutions and Ext."""
 
+import gc
 import random
+import weakref
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -1062,3 +1065,38 @@ def test_a_free_module_rejects_a_row_of_the_wrong_length(cover12):
             free.act(a, row)
     with pytest.raises(ValueError):
         free.act(a, [1, 2], [0])
+
+
+def test_each_free_module_groups_its_blocks_once(covers, monkeypatch):
+    """A resolution groups the graded (vertex, bidegree) blocks of each
+    free module once, though three steps read them: its own kernel, the
+    next step's kernel into it, and its syzygy's top.  The grouping kept
+    equals a fresh one and holds nothing that points back, so a free
+    module that has grouped its blocks still dies by reference counting."""
+    counts, group = Counter(), RightModule.blocks
+
+    def counting(self, graded=True):
+        counts[id(self), graded] += 1
+        return group(self, graded)
+
+    monkeypatch.setattr(RightModule, "blocks", counting)
+    resolutions = _grid_resolutions(covers)
+    monkeypatch.undo()
+    frees = [free for res in resolutions for free in res.frees]
+    assert len(frees) > len(resolutions)
+    assert all(counts[id(free), True] == 1 for free in frees)
+    assert sum(len(res.frees) > 2 for res in resolutions) > 0
+    assert all(free.blocks() == group(free) for free in frees)
+    assert all(free.blocks(False) == group(free, False) for free in frees)
+    a = covers[(2, 2)]
+    free = free_module(a, [(x, (0, 0)) for x in a.presentation.vertices])
+    assert free.blocks() is free.blocks()
+    ref = weakref.ref(free)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del free
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
