@@ -573,19 +573,6 @@ class AlgebraInstance:
                 f"top length {self.top_length})")
 
 
-def _combine(pairs) -> dict:
-    """The sum of c * vec over the (vec, c) pairs, zeros dropped."""
-    out = {}
-    for vec, c in pairs:
-        for q, v in vec.items():
-            nv = out.get(q, ZERO) + c * v
-            if nv:
-                out[q] = nv
-            else:
-                out.pop(q, None)
-    return out
-
-
 def _normal_form(p: Path, basis, forms) -> dict:
     """The normal form of ``p`` as a dict basis path -> coefficient, for
     ``AlgebraInstance.reduce_path``.
@@ -599,10 +586,12 @@ def _normal_form(p: Path, basis, forms) -> dict:
     form = forms.get(p)
     if form is not None:
         return form
-    last = p.arrows[-1]
-    return _combine((_normal_form(Path(b.source, b.arrows + (last,)), basis, forms), c)
-                    for b, c in _normal_form(Path(p.source, p.arrows[:-1]),
-                                             basis, forms).items())
+    out = {}
+    for b, c in _normal_form(Path(p.source, p.arrows[:-1]), basis, forms).items():
+        for q, v in _normal_form(Path(b.source, b.arrows + p.arrows[-1:]),
+                                 basis, forms).items():
+            out[q] = out.get(q, ZERO) + c * v
+    return {q: v for q, v in out.items() if v}
 
 
 def _fold(b, r, step, forms) -> dict:

@@ -76,11 +76,17 @@ def _jsonable(obj):
         items = [_jsonable(v) for v in obj]
         return sorted(items, key=json.dumps) if isinstance(
             obj, (set, frozenset)) else items
-    return obj if obj is None or isinstance(obj, (int, float, str)) else str(obj)
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, (int, float, str)):
+        return obj
+    return str(obj)
 
 
 def _key(k):
-    return vertex_name(k) if isinstance(k, tuple) else str(k)
+    if isinstance(k, tuple):
+        return vertex_name(k)
+    return k if isinstance(k, str) else str(k)
 
 
 def _emit(text: str, out: str | None):
@@ -275,7 +281,9 @@ def _check_one(name: str, n: int, s: int, basis, cap):
 
 
 def _report_passed(report) -> bool:
-    return bool(report.passed() if hasattr(report, "passed") else report.get("passed"))
+    if hasattr(report, "passed"):
+        return bool(report.passed())
+    return bool(report.get("passed"))
 
 
 def cmd_check(args) -> int:

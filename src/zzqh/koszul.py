@@ -48,9 +48,14 @@ class KoszulReport:
     extra: dict = field(default_factory=dict)
 
     def passed(self) -> bool:
-        return (all(m["linear"] for m in self.modules.values()) and not self.offdiagonal
-                and all(v.get("passed", True) if isinstance(v, dict) else v
-                        for v in self.extra.values()))
+        ok = all(m["linear"] for m in self.modules.values())
+        ok = ok and not self.offdiagonal
+        for val in self.extra.values():
+            if isinstance(val, dict):
+                ok = ok and bool(val.get("passed", True))
+            else:
+                ok = ok and bool(val)
+        return ok
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "grading": self.grading,
@@ -76,7 +81,8 @@ def hilbert_koszul_identity(a: AlgebraInstance, resolutions) -> dict:
     for p in a.basis():
         H[sum(p.bidegree)].setdefault(p.source, Counter())[p.target] += 1
 
-    E, cut = [], None
+    E = []
+    cut = None
     for x, res in resolutions.items():
         for e, layer in enumerate(res.terms):
             while len(E) <= e:

@@ -569,8 +569,7 @@ class Resolution:
             cols = [j for j, w in enumerate(self.frees[k].vertices) if w == v]
             rows = free_images(self.frees[k], self.frees[k - 1] if k else self.module,
                                self.gens[k], cols)
-            self._at[(k, v)] = (cols, Matrix._exact(list(map(list, zip(*rows))),
-                                                    len(cols)))
+            self._at[(k, v)] = (cols, Matrix._exact([[*c] for c in zip(*rows)], len(cols)))
         return self._at[(k, v)]
 
     @cached_property
