@@ -494,14 +494,14 @@ def _at(n, s):
 
 # `check all`, then the calls of one `large` pass of bench/run.py; a
 # `resolve` builds only its cover, whichever simple it resolves
-BENCH_CALLS = [["check", "all"]]
-for _n, _s in ((2, 4), (3, 3), (4, 2)):
-    BENCH_CALLS += [["check", "koszul"] + _at(_n, _s), ["check", "qh"] + _at(_n, _s),
-                    ["resolve"] + _at(_n, _s) + ["--module", f"simple:{_s}" + ",0" * _n]]
-for _n, _s in ((2, 5), (3, 3), (4, 2)):
-    BENCH_CALLS += [["check", "dual"] + _at(_n, _s),
-                    ["dual"] + _at(_n, _s) + ["--emit", "json"]]
-BENCH_CALLS += [["check", "socle-lemmas"] + _at(_n, _s) for _n, _s in ((2, 4), (3, 3))]
+BENCH_CALLS = (
+    [["check", "all"]]
+    + [call for n, s in ((2, 4), (3, 3), (4, 2)) for call in (
+        ["check", "koszul"] + _at(n, s), ["check", "qh"] + _at(n, s),
+        ["resolve"] + _at(n, s) + ["--module", f"simple:{s}" + ",0" * n])]
+    + [call for n, s in ((2, 5), (3, 3), (4, 2)) for call in (
+        ["check", "dual"] + _at(n, s), ["dual"] + _at(n, s) + ["--emit", "json"])]
+    + [["check", "socle-lemmas"] + _at(n, s) for n, s in ((2, 4), (3, 3))])
 
 FROZEN_BASES = "e170cf8aa15ee4d9652930aaa1fdaeef2408463be58cf4b0a297ced88625561f"
 
