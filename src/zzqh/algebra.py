@@ -9,8 +9,8 @@ rewritten over the candidates, are eliminated one (source, target,
 bidegree) block at a time.  The largest word is the pivot, so the
 surviving representative of each class is the lexicographically
 smallest path under the arrow order ``a_1 < a_2 < ... < a_n < a_0``
-(index-0 arrows sort last).  Multiplication then reduces
-concatenations to this basis.
+(index-0 arrows sort last).  Products are read off the table of basis
+path times arrow that the elimination fills.
 
 The zigzag family lives on the translation quivers of :mod:`.quiver`:
 
@@ -485,21 +485,25 @@ class AlgebraInstance:
     """A finite dimensional bound quiver algebra with a computed basis.
 
     ``basis_by_length[d]`` lists the basis paths of length d in
-    canonical order; ``reduce_path`` rewrites any valid path as a
-    combination of basis paths.  The instance certifies finiteness: the
-    computation ran until an empty length, and since the algebra is
-    generated in length 1 all longer components vanish as well.
+    canonical order.  ``step`` and ``forms`` from ``compute_basis`` are
+    its one product table: ``reduce_path`` folds a path over them and a
+    projective reads them by ``times_arrow``.  The instance certifies
+    finiteness: the computation ran until an empty length, and since the
+    algebra is generated in length 1 all longer components vanish too.
     """
 
-    def __init__(self, presentation, basis_by_length, forms):
+    def __init__(self, presentation, basis_by_length, forms, step):
         self.presentation = presentation
         self.basis_by_length = [tuple(b) for b in basis_by_length]
-        self._forms = forms
+        self._forms, self._step = forms, step  # the product table
+        self._arrows = frozenset(presentation.arrows)
         self.top_length = len(self.basis_by_length) - 1
         self._basis_set = {p for level in self.basis_by_length for p in level}
         self._memo = {}  # key -> what memo(key, build) built for it
         self._blocks = {}  # (source, target) -> bidegree -> path count
+        self._from = {}  # source -> its basis paths, in Path.sort_key order
         for p in self.basis():
+            self._from.setdefault(p.source, []).append(p)
             counts = self._blocks.setdefault((p.source, p.target), {})
             counts[p.bidegree] = counts.get(p.bidegree, 0) + 1
         if _scopes:
@@ -527,12 +531,24 @@ class AlgebraInstance:
     def is_basis_path(self, p: Path) -> bool:
         return p in self._basis_set
 
+    def paths_from(self, x):
+        return self._from.get(x, [])
+
     # -- reduction and products -------------------------------------------
 
+    def times_arrow(self, p: Path, arrow):
+        """(q, form) for basis path ``p`` times ``arrow``: the product as a
+        path, and its stored normal form, or None when q is a basis path."""
+        q = self._step[(p, arrow)]
+        return q, self._forms.get(q)
+
     def reduce_path(self, p: Path) -> Element:
-        if p.length > self.top_length:
-            return Element()
-        return Element(_normal_form(p, self._basis_set, self._forms))
+        """``p`` folded over the product table from its source's idempotent;
+        ValueError if its source or an arrow is not in the presentation."""
+        if p.source not in self._from or not self._arrows.issuperset(p.arrows):
+            raise ValueError(f"{p!r} is not a path of {self.presentation!r}")
+        return Element(_fold(Path(p.source), Element.of_path(p),
+                             self._step, self._forms))
 
     def normal_form(self, elt: Element) -> Element:
         out = Element()
@@ -573,32 +589,12 @@ class AlgebraInstance:
                 f"top length {self.top_length})")
 
 
-def _normal_form(p: Path, basis, forms) -> dict:
-    """The normal form of ``p`` as a dict basis path -> coefficient, for
-    ``AlgebraInstance.reduce_path``.
-
-    A path in ``basis`` is its own form; ``forms`` maps each pivot
-    candidate to its normal form, which is returned as stored: callers
-    only read it.  Any other path reduces its prefix first; each term of
-    that, extended by the last arrow, is a basis path or a pivot."""
-    if p in basis:
-        return {p: ONE}
-    form = forms.get(p)
-    if form is not None:
-        return form
-    out = {}
-    for b, c in _normal_form(Path(p.source, p.arrows[:-1]), basis, forms).items():
-        for q, v in _normal_form(Path(b.source, b.arrows + p.arrows[-1:]),
-                                 basis, forms).items():
-            out[q] = out.get(q, ZERO) + c * v
-    return {q: v for q, v in out.items() if v}
-
-
 def _fold(b, r, step, forms) -> dict:
-    """The normal form of basis path ``b`` times relation ``r``, each
-    term folded along its arrows: ``step[(q, a)]`` is the candidate q * a
-    of basis path q, a pivot reading its stored form, maybe empty (zero),
-    or else standing for itself.  A missing (q, a) raises KeyError."""
+    """The normal form of basis path ``b`` times ``r``, an element on
+    paths from b's target, each term folded along its arrows:
+    ``step[(q, a)]`` is the candidate q * a of basis path q, a pivot
+    reading its stored form, maybe empty (zero), or else standing for
+    itself.  A missing (q, a) raises KeyError."""
     out = {}
     for t, c in r.terms.items():
         vec = {b: c}
@@ -634,9 +630,11 @@ def compute_basis(pres: Presentation, max_len: int = DEFAULT_MAX_LEN) -> Algebra
 
     Stops at the first empty length and returns the finite instance (all
     longer components vanish since the algebra is generated in length
-    1).  If the cap is reached while the top length is still nonzero,
-    raises :class:`NonTerminationError`: the algebra may be infinite
-    dimensional and no basis is certified.
+    1), which keeps ``step`` and ``forms`` as its product table: the top
+    length's candidates are all pivots, so ``step`` holds every basis path
+    times every arrow.  If the cap is reached while the top length is
+    still nonzero, raises :class:`NonTerminationError`: the algebra may be
+    infinite dimensional and no basis is certified.
     """
     rels = {}  # length -> source -> relations
     for r in pres.relations:
@@ -671,7 +669,7 @@ def compute_basis(pres: Presentation, max_len: int = DEFAULT_MAX_LEN) -> Algebra
                                   if v and j != c}
         basis_by_length.append([p for p in candidates if p not in forms])
         if not basis_by_length[-1]:
-            return AlgebraInstance(pres, basis_by_length, forms)
+            return AlgebraInstance(pres, basis_by_length, forms, step)
 
     raise NonTerminationError(pres, max_len,
                               [len(level) for level in basis_by_length])

@@ -225,12 +225,12 @@ def check_shifted_dual_lemmas(n: int, s: int) -> dict:
         if len(rows) != 1:
             socle_bad.append([vertex_name(x), len(rows)])
         for row in rows:
-            support = [proj.basis_paths[i] for i, c in enumerate(row) if c]
-            for q in support:
+            for i in (i for i, c in enumerate(row) if c):
+                q = proj.basis_paths[i]
                 if q.target[0] != 0:
                     maximal_bad.append([vertex_name(x), repr(q), "not in K"])
                 for ar in pres.arrows_from(q.target):
-                    if not b.reduce_path(Path(q.source, q.arrows + (ar,))).is_zero():
+                    if i in proj.action[ar]:
                         maximal_bad.append([vertex_name(x), repr(q),
                                             "extends along " + str(ar.label)])
 

@@ -6,12 +6,12 @@ exact; a float never becomes an entry.  ``_coerce`` makes a value an
 entry and ``exact_div`` divides one entry by another, both keeping an
 integral result an ``int``.  Entries are coerced once, at the
 boundary: ``Matrix(rows)`` and ``Element`` coerce what they are given;
-zeros, ``rref`` results, kernel bases and ``left_kernel``'s augmented
-matrix are built from exact entries and not coerced again, as are,
-through ``Matrix._exact``, the blocks of ``modules._block_kernel`` and
-``Resolution.step_at`` and the relation blocks of
-``algebra.compute_basis``, whose entries are already exact.  The
-matrices here (Hom-space bases and constraint systems, one resolution
+zeros, ``rref`` results, kernel bases and the augmented matrices of
+``left_kernel`` and ``solve`` (whose right-hand side alone is coerced)
+are built from exact entries and not coerced again, as are, through
+``Matrix._exact``, the blocks of ``modules._block_kernel``, of
+``Resolution.step_at`` and of ``compute_basis``'s relations, all exact.
+The matrices here (Hom-space bases and constraint systems, one resolution
 block or Hom-complex bidegree block at a time, relation spans) are small,
 and a dense representation keeps the code simple and the pivoting
 deterministic.  Arrow actions and resolution maps are not matrices:
@@ -192,8 +192,8 @@ class Matrix:
         """One solution x of self * x = rhs (a list), or None if inconsistent."""
         if len(rhs) != self.nrows:
             raise ValueError("shape mismatch")
-        aug = Matrix([row + [v] for row, v in zip(self.data, rhs)],
-                     ncols=self.ncols + 1)
+        aug = Matrix._exact([row + [_coerce(v)] for row, v in
+                             zip(self.data, rhs)], self.ncols + 1)
         pivots, red = aug.rref()
         if self.ncols in pivots:
             return None

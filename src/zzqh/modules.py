@@ -46,7 +46,7 @@ from functools import cached_property
 
 from .linalg import ONE, ZERO, Echelon, Matrix
 from .quiver import OrderData, build_quiver, order_data
-from .algebra import AlgebraInstance, Element, Path, _vkey
+from .algebra import AlgebraInstance, Element, _vkey
 
 
 class RightModule:
@@ -215,23 +215,24 @@ def projective_module(a: AlgebraInstance, x, shift=(0, 0)) -> RightModule:
 
 
 def _projective(a: AlgebraInstance, x) -> RightModule:
-    paths = sorted((p for p in a.basis() if p.source == x), key=Path.sort_key)
+    """e_x A, each action row one ``a.times_arrow``; a product that is a
+    basis path gives that path's (prefix index, last arrow)."""
+    paths = a.paths_from(x)
     if not paths:
         raise ValueError(f"no such vertex: {x}")
     index = {p: i for i, p in enumerate(paths)}
     action = {arr: {} for arr in a.presentation.arrows}
-    for p, i in index.items():
+    prefixes = [None] * len(paths)
+    for i, p in enumerate(paths):
         for arr in a.presentation.arrows_from(p.target):
-            img = a.reduce_path(Path(p.source, p.arrows + (arr,)))
-            if img.terms:
-                action[arr][i] = {index[q]: c for q, c in img.terms.items()}
+            q, form = a.times_arrow(p, arr)
+            if form is None:
+                action[arr][i], prefixes[index[q]] = {index[q]: ONE}, (i, arr)
+            elif form:
+                action[arr][i] = {index[u]: c for u, c in form.items()}
     mod = RightModule(a, [p.target for p in paths],
                       [p.bidegree for p in paths], action, label=f"P[{x}]")
-    mod.basis_paths = tuple(paths)
-    # (prefix index, last arrow) per path, None for e_x; compute_basis
-    # builds each length from the one before, so a prefix is a basis path
-    mod.prefixes = tuple((index[Path(x, p.arrows[:-1])], p.arrows[-1])
-                         if p.arrows else None for p in paths)
+    mod.basis_paths, mod.prefixes = tuple(paths), tuple(prefixes)
     return mod
 
 

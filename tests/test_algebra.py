@@ -406,6 +406,23 @@ def test_reduce_path_fixes_basis_paths():
         assert inst.is_basis_path(p)
 
 
+def test_reduce_path_rejects_a_path_off_the_presentation():
+    """A path over an arrow the presentation lacks, also one met after a
+    zero prefix, and the idempotent of a vertex it lacks raise
+    ValueError: folded alone, the stray idempotent would be itself."""
+    inst = compute_basis(presentation_cover(1, 2))
+    pres = inst.presentation
+    z = (0, 2)
+    stray = Arrow(source=z, target=z, label="stray", bidegree=(1, 0))
+    twin = Arrow(source=z, target=(2, 0), label=0, bidegree=(0, 1))
+    dead = pres.path(z, (0, 1))
+    assert inst.reduce_path(dead).is_zero()
+    for p in (Path(z, (stray,)), Path(z, (twin,)),
+              Path(z, dead.arrows + (stray,)), Path((9, 9))):
+        with pytest.raises(ValueError, match="not a path of"):
+            inst.reduce_path(p)
+
+
 @pytest.mark.parametrize("point", GRID)
 def test_cached_path_keys_match_a_recomputation(covers, point):
     """Every basis path of the cover, of its opposite and of its

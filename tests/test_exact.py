@@ -35,6 +35,19 @@ def test_coerce_and_exact_div_keep_integers_as_int():
                for c in row)
 
 
+def test_solve_coerces_its_right_hand_side_alone():
+    """``Matrix.solve`` takes its own rows as exact and coerces only the
+    right-hand side: a float there raises, a Fraction solution stays
+    exact, and an integral one comes back as ints."""
+    m = Matrix([[2, 0], [0, 3]])
+    with pytest.raises(TypeError):
+        m.solve([1, 0.5])
+    x = m.solve([1, Fraction(1, 2)])
+    assert x == [Fraction(1, 2), Fraction(1, 6)] and all(map(_exact, x))
+    x = m.solve([4, Fraction(6, 2)])
+    assert x == [2, 1] and all(type(c) is int for c in x)
+
+
 def test_no_float_reaches_rows_actions_maps_or_forms(monkeypatch, capsys):
     """``check all`` on the grid and ``check dual`` and ``check koszul``
     at a grid point, on instances built here, store only ints and

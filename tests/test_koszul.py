@@ -4,7 +4,9 @@ that separate the notions."""
 
 import pytest
 
-from zzqh import compute_basis, presentation_borel, presentation_zigzag
+import zzqh.koszul
+from zzqh import (compute_basis, presentation_borel, presentation_shifted_dual,
+                  presentation_zigzag, vertex_name)
 from zzqh.koszul import (check_delta_koszul, check_koszul,
                          check_shifted_dual_lemmas, check_standard_koszul,
                          fixture_brauer_line, fixture_counterexample,
@@ -92,6 +94,20 @@ def test_socle_lemmas_on_grid():
         assert rep["passed"], ((n, s), rep)
         assert rep["matches_quadratic_dual_blocks"]
         assert rep["membership_mismatches"] == []
+
+
+def test_socle_lemmas_see_a_socle_path_that_extends(monkeypatch):
+    """A negative control for the maximal-path lemma: handed the top e_x
+    of each projective in place of its socle, the check reports each
+    arrow out of x, read off the projective's action rows."""
+    monkeypatch.setattr(zzqh.koszul, "socle_rows", lambda proj: [proj.unit(0)])
+    rep = check_shifted_dual_lemmas(2, 2)
+    assert not rep["passed"]
+    pres = compute_basis(presentation_shifted_dual(2, 2)).presentation
+    assert [[v, why] for v, _, why in rep["socle_not_maximal_into_K"]
+            if why.startswith("extends")] == [
+        [vertex_name(x), f"extends along {ar.label}"]
+        for x in pres.vertices for ar in pres.arrows_from(x)]
 
 
 def test_counterexample_fixture_frozen_values():

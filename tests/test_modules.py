@@ -13,7 +13,7 @@ import pytest
 import zzqh.modules
 from zzqh import (compute_basis, presentation_borel, presentation_cover,
                   presentation_zigzag)
-from zzqh.algebra import AlgebraInstance
+from zzqh.algebra import AlgebraInstance, Path, scope
 from zzqh.extdual import ext_table
 from zzqh.koszul import _flat_degree_zero_part, check_delta_koszul
 from zzqh.linalg import Echelon, Matrix
@@ -146,6 +146,39 @@ def test_duality_swaps_projective_injective(cover12):
     for x in VERTS:
         d = dualize(projective_module(cover12, x))
         assert d.dim == injective_module(cover12, x).dim
+
+
+@pytest.mark.parametrize("point", GRID)
+def test_projectives_are_read_off_the_product_table(monkeypatch, point):
+    """Each P_x of the cover and of its opposite, built with
+    ``AlgebraInstance.basis`` made to raise: its basis paths are the
+    basis paths from x in sort-key order, each action row is
+    ``reduce_path`` of its path times the arrow, in P_x's indices, and
+    ``prefixes[l]`` is (the index of path l's prefix, its last arrow)."""
+    def no_scan(self):
+        raise AssertionError("a projective scanned the whole basis")
+
+    with scope():
+        cover = compute_basis(presentation_cover(*point))
+        algebras = (cover, cover.opposite())
+        want = [[sorted((p for p in a.basis() if p.source == x),
+                        key=Path.sort_key) for x in a.presentation.vertices]
+                for a in algebras]
+        monkeypatch.setattr(AlgebraInstance, "basis", no_scan)
+        for a, by_vertex in zip(algebras, want):
+            for x, paths in zip(a.presentation.vertices, by_vertex):
+                proj = projective_module(a, x)
+                assert proj.basis_paths == tuple(paths)
+                index = {p: i for i, p in enumerate(paths)}
+                assert proj.prefixes == tuple(
+                    (index[Path(x, p.arrows[:-1])], p.arrows[-1])
+                    if p.arrows else None for p in paths)
+                for arr in a.presentation.arrows:
+                    rows = {i: {index[q]: c for q, c in a.reduce_path(
+                        Path(x, p.arrows + (arr,))).terms.items()}
+                        for i, p in enumerate(paths) if p.target == arr.source}
+                    assert proj.action[arr] == {
+                        i: row for i, row in rows.items() if row}, (x, arr)
 
 
 def test_hom_projectives_match_blocks(cover12):
@@ -783,7 +816,7 @@ def test_checks_leave_no_cache_outside_the_memo():
     assert check_delta_koszul(cover).passed()
     assert cover.opposite().opposite() is cover
     for a in (cover, cover.opposite(), borel):
-        fresh = AlgebraInstance(a.presentation, a.basis_by_length, a._forms)
+        fresh = AlgebraInstance(a.presentation, a.basis_by_length, a._forms, a._step)
         assert vars(a).keys() == vars(fresh).keys(), a
 
 
