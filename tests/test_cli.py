@@ -422,6 +422,10 @@ FROZEN_STDOUT = {
         "a68ad69b09777ceb5bda23abafde28f4f7e34404bfe7a18e47c89b1d77dc408e",
     ("check", "borel", "--n", "4", "--s", "4"):
         "4b4967a1c564748cb39af153a7dd41b7492336a0d96b9a1c8d8818aa98d71794",
+    ("check", "all", "--n", "4", "--s", "4"):
+        "d0d3dc7c3d3f07340c69db10ca0ceb082da67d2951bb0fa05b60fa376ef37701",
+    ("check", "all", "--n", "3", "--s", "5"):
+        "6303bd3d67abf9b415bef11f1b6f670f6fcefdb04d8a38d9e7b77fc7f2bb5ddf",
 }
 
 
