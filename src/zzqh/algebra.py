@@ -9,8 +9,9 @@ rewritten over the candidates, are eliminated one (source, target,
 bidegree) block at a time.  The largest word is the pivot, so the
 surviving representative of each class is the lexicographically
 smallest path under the arrow order ``a_1 < a_2 < ... < a_n < a_0``
-(index-0 arrows sort last).  Products are read off the table of basis
-path times arrow that the elimination fills.
+(index-0 arrows sort last).  The elimination fills a table of basis
+path times arrow; the projectives of :mod:`.modules` read their action
+rows off it, and every product outside ``compute_basis`` is such a row.
 
 The zigzag family lives on the translation quivers of :mod:`.quiver`:
 
@@ -168,20 +169,6 @@ class Element:
         if not c:
             return Element()
         return Element({p: c * v for p, v in self.terms.items()})
-
-    def free_mul(self, other: "Element") -> "Element":
-        """Concatenation product, no reduction; drops non-composable terms."""
-        out = {}
-        for p, a in self.terms.items():
-            for q, b in other.terms.items():
-                if p.target == q.source:
-                    pq = p.concat(q)
-                    v = out.get(pq, ZERO) + a * b
-                    if v:
-                        out[pq] = v
-                    else:
-                        out.pop(pq, None)
-        return Element(out)
 
     def support(self):
         return sorted(self.terms, key=Path.sort_key)
@@ -486,8 +473,9 @@ class AlgebraInstance:
 
     ``basis_by_length[d]`` lists the basis paths of length d in
     canonical order.  ``step`` and ``forms`` from ``compute_basis`` are
-    its one product table: ``reduce_path`` folds a path over them and a
-    projective reads them by ``times_arrow``.  The instance certifies
+    its one product table: a projective reads it by ``times_arrow``, and
+    ``reduce_path``, which no module of the package calls, folds a path
+    over it as the oracle for those rows.  The instance certifies
     finiteness: the computation ran until an empty length, and since the
     algebra is generated in length 1 all longer components vanish too.
     """
@@ -549,15 +537,6 @@ class AlgebraInstance:
             raise ValueError(f"{p!r} is not a path of {self.presentation!r}")
         return Element(_fold(Path(p.source), Element.of_path(p),
                              self._step, self._forms))
-
-    def normal_form(self, elt: Element) -> Element:
-        out = Element()
-        for p, c in elt.terms.items():
-            out = out + self.reduce_path(p).scale(c)
-        return out
-
-    def multiply(self, u: Element, v: Element) -> Element:
-        return self.normal_form(u.free_mul(v))
 
     # -- derived structure --------------------------------------------------
 

@@ -5,8 +5,9 @@ a vertex (its weight) and a bidegree, and every arrow acts by sparse
 rows: ``action[arrow]`` is a dict ``{i: {j: c}}``, c the nonzero
 coefficient of basis vector j in basis vector i times the arrow, with
 a row only for each i the arrow moves, certified once to sit at its
-source.  ``RightModule.act(arrow, row)`` is the one product of a dense
-row with an arrow.  Canonical
+source.  ``RightModule.act(arrow, row)`` is the one product: every
+product outside ``compute_basis`` acts on rows of a memoized projective,
+an element of e_x A being its row in P_x (``element_row``).  Canonical
 constructors build simples, projectives e_x A, injectives D(A e_x),
 and, over a quasi-hereditary cover, standard modules from the partial
 order on vertices and costandard modules as duals of the opposite
@@ -206,11 +207,8 @@ def _block_kernel(free: RightModule, target: RightModule, gen_rows):
 # canonical modules
 
 
-def projective_module(a: AlgebraInstance, x, shift=(0, 0)) -> RightModule:
-    """e_x A, made once per instance and vertex through ``a.memo``; a
-    shifted one shares the memoized action."""
-    if shift != (0, 0):
-        return shift_module(projective_module(a, x), shift)
+def projective_module(a: AlgebraInstance, x) -> RightModule:
+    """e_x A, made once per instance and vertex through ``a.memo``."""
     return a.memo(("projective", x), lambda: _projective(a, x))
 
 
@@ -329,34 +327,39 @@ def dualize(m: RightModule) -> RightModule:
 
 def shift_module(m: RightModule, shift) -> RightModule:
     bidegrees = [tuple(c + s for c, s in zip(d, shift)) for d in m.bidegrees]
-    out = RightModule(m.algebra, m.vertices, bidegrees, m.action,
-                      label=f"{m.label}<{shift}>" if m.label else "")
-    if hasattr(m, "basis_paths"):
-        out.basis_paths, out.prefixes = m.basis_paths, m.prefixes
-    return out
+    return RightModule(m.algebra, m.vertices, bidegrees, m.action,
+                       label=f"{m.label}<{shift}>" if m.label else "")
 
 
-def injective_module(a: AlgebraInstance, x, shift=(0, 0)) -> RightModule:
+def injective_module(a: AlgebraInstance, x) -> RightModule:
     mod = dualize(projective_module(a.opposite(), x))
     mod.label = f"I[{x}]"
-    return shift_module(mod, shift) if shift != (0, 0) else mod
+    return mod
 
 
 def left_mult_map(a: AlgebraInstance, g: Element) -> Matrix:
-    """Left multiplication by g in e_u A e_v, as a map P_v -> P_u."""
+    """Left multiplication by g in e_u A e_v, as the map P_v -> P_u that
+    sends e_v to g's row in P_u: row l is that row times basis path l,
+    read off the prefix chain of ``_path_images``."""
     sig = {(p.source, p.target) for p in g.terms}
     if len(sig) != 1:
         raise ValueError("element must be weight-homogeneous")
     u, v = next(iter(sig))
-    src = projective_module(a, v)
-    tgt = projective_module(a, u)
-    tindex = {p: i for i, p in enumerate(tgt.basis_paths)}
-    m = Matrix.zero(src.dim, tgt.dim)
-    for i, p in enumerate(src.basis_paths):
-        img = a.normal_form(g.free_mul(Element.of_path(p)))
-        for q, c in img.terms.items():
-            m.data[i][tindex[q]] = c
-    return m
+    src, tgt = projective_module(a, v), projective_module(a, u)
+    return Matrix._exact(_path_images(tgt, src, element_row(tgt, g),
+                                      range(src.dim)), tgt.dim)
+
+
+def element_row(proj: RightModule, g: Element):
+    """The row of e_x g in the projective P_x: e_x acted along each
+    term's arrows, so a term from another vertex gives zero."""
+    out = [ZERO] * proj.dim
+    for p, c in g.terms.items():
+        row = proj.unit(0)
+        for arr in p.arrows:
+            row = proj.act(arr, row)
+        out = [u + c * w for u, w in zip(out, row)]
+    return out
 
 
 def algebra_order(a: AlgebraInstance) -> OrderData:
@@ -445,20 +448,13 @@ def costandard_module(a: AlgebraInstance, x, order: OrderData = None) -> RightMo
     return a.memo(("costandard", x, order.key), build)
 
 
-def canonical_module(a: AlgebraInstance, kind: str, x, shift=(0, 0)) -> RightModule:
-    if kind == "simple":
-        return simple_module(a, x, shift)
-    if kind == "projective":
-        return projective_module(a, x, shift)
-    if kind == "injective":
-        return injective_module(a, x, shift)
-    if kind == "standard":
-        mod = standard_module(a, x)
-    elif kind == "costandard":
-        mod = costandard_module(a, x)
-    else:
+def canonical_module(a: AlgebraInstance, kind: str, x) -> RightModule:
+    build = {"simple": simple_module, "projective": projective_module,
+             "injective": injective_module, "standard": standard_module,
+             "costandard": costandard_module}.get(kind)
+    if build is None:
         raise ValueError(f"unknown module kind: {kind}")
-    return shift_module(mod, shift) if shift != (0, 0) else mod
+    return build(a, x)
 
 
 # ---------------------------------------------------------------------------

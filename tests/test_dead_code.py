@@ -63,6 +63,43 @@ def test_the_engine_draws_no_random_numbers():
     assert not found, found
 
 
+RETIRED_PRODUCTS = {"normal_form", "multiply", "free_mul"}
+
+
+def _second_product_routes(tree, name):
+    """``name:line`` for each call of ``reduce_path`` and each definition
+    of a retired product in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else (
+                func.id if isinstance(func, ast.Name) else None)
+            if called == "reduce_path":
+                found.append(f"{name}:{node.lineno}")
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.name in RETIRED_PRODUCTS):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_the_engine_has_one_product_route():
+    """Every product outside ``compute_basis`` is an action row of a
+    projective: no module of the package calls ``reduce_path``, the
+    oracle the tests check those rows against, or defines the retired
+    ``Element`` products ``normal_form``, ``multiply`` or ``free_mul``.
+    The scan itself sees each of them in a snippet."""
+    snippet = ast.parse("a.reduce_path(p)\nreduce_path(p)\n"
+                        "def normal_form(e): pass\n"
+                        "class E:\n    def free_mul(self, o): pass\n"
+                        "    def multiply(self, o): pass\n")
+    assert sorted(_second_product_routes(snippet, "s")) == [
+        "s:1", "s:2", "s:3", "s:5", "s:6"]
+    found = [hit for path, tree in _trees(sorted(PACKAGE.glob("*.py")))
+             for hit in _second_product_routes(tree, path.name)]
+    assert not found, found
+
+
 def test_the_tracer_patches_methods_that_exist():
     """``bench/tracing.py`` patches the ``Matrix`` methods named by the
     keys of its ``MATRIX_METHODS``; each must still be defined, whether

@@ -7,6 +7,7 @@ import pytest
 import zzqh.koszul
 from zzqh import (compute_basis, presentation_borel, presentation_shifted_dual,
                   presentation_zigzag, vertex_name)
+from zzqh.algebra import Element, Presentation
 from zzqh.koszul import (check_delta_koszul, check_koszul,
                          check_shifted_dual_lemmas, check_standard_koszul,
                          fixture_brauer_line, fixture_counterexample,
@@ -108,6 +109,28 @@ def test_socle_lemmas_see_a_socle_path_that_extends(monkeypatch):
             if why.startswith("extends")] == [
         [vertex_name(x), f"extends along {ar.label}"]
         for x in pres.vertices for ar in pres.arrows_from(x)]
+
+
+@pytest.mark.parametrize("point", [(1, 2), (2, 2), (2, 3)])
+def test_socle_lemmas_see_a_non_injective_alpha0(monkeypatch, point):
+    """A negative control for the injectivity lemma: the shifted dual
+    keeps a_0 a_1 at the vertices x with x_0 = 0.  Made zero at the
+    first such x, left multiplication by the a_0 out of x kills the
+    path a_1 of the projective at its target, and the check reports
+    that arrow."""
+    pres = presentation_shifted_dual(*point)
+    a0 = next(a for a in pres.arrows if a.label == 0 and a.source[0] == 0
+              and any(b.label == 1 for b in pres.arrows_from(a.target)))
+    path = pres.path(a0.source, (0, 1))
+    killed = Element.of_path(path)
+    assert compute_basis(pres).reduce_path(path) == killed  # a basis path
+    monkeypatch.setattr(zzqh.koszul, "presentation_shifted_dual", lambda n, s: (
+        Presentation(pres.vertices, pres.arrows, pres.relations + (killed,),
+                     kind="shifted-dual", params=pres.params)))
+    rep = check_shifted_dual_lemmas(*point)
+    assert not rep["passed"]
+    assert [vertex_name(a0.source), vertex_name(a0.target)] in (
+        rep["alpha0_not_injective"])
 
 
 def test_counterexample_fixture_frozen_values():

@@ -12,8 +12,8 @@ import pytest
 
 import zzqh.modules
 from zzqh import (compute_basis, presentation_borel, presentation_cover,
-                  presentation_zigzag)
-from zzqh.algebra import AlgebraInstance, Path, scope
+                  presentation_shifted_dual, presentation_zigzag)
+from zzqh.algebra import AlgebraInstance, Element, Path, scope
 from zzqh.extdual import ext_table
 from zzqh.koszul import _flat_degree_zero_part, check_delta_koszul
 from zzqh.linalg import Echelon, Matrix
@@ -23,7 +23,8 @@ from zzqh.modules import (FreeModule, RightModule, _block_kernel, _block_key,
                           dualize, ext_bigraded_reps, free_images,
                           free_module, free_row_image, generated_submodule,
                           gldim, injective_module, is_linear,
-                          minimal_resolution, projective_module,
+                          left_mult_map, minimal_resolution,
+                          projective_module,
                           quotient_module, restrict_to, shift_module,
                           simple_module,
                           socle_isomorphic, socle_rows, standard_module,
@@ -179,6 +180,29 @@ def test_projectives_are_read_off_the_product_table(monkeypatch, point):
                         for i, p in enumerate(paths) if p.target == arr.source}
                     assert proj.action[arr] == {
                         i: row for i, row in rows.items() if row}, (x, arr)
+
+
+@pytest.mark.parametrize("build,point", [(presentation_cover, p) for p in GRID]
+                         + [(presentation_shifted_dual, (2, 3))],
+                         ids=[f"cover-{n},{s}" for n, s in GRID]
+                         + ["shifted-dual-2,3"])
+def test_left_multiplication_matches_reduce_path(build, point):
+    """For every basis path g: u -> v, row l of ``left_mult_map`` by g is
+    ``reduce_path`` of g followed by basis path l of P_v, in P_u's
+    indices: the prefix chain against the folding oracle."""
+    with scope():
+        a = compute_basis(build(*point))
+        for g in a.basis():
+            src = projective_module(a, g.target)
+            tgt = projective_module(a, g.source)
+            index = {q: j for j, q in enumerate(tgt.basis_paths)}
+            m = left_mult_map(a, Element.of_path(g))
+            assert (m.nrows, m.ncols) == (src.dim, tgt.dim)
+            for row, p in zip(m.data, src.basis_paths):
+                want = [0] * tgt.dim
+                for q, c in a.reduce_path(g.concat(p)).terms.items():
+                    want[index[q]] = c
+                assert row == want, (g, p)
 
 
 def test_hom_projectives_match_blocks(cover12):

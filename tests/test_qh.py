@@ -9,14 +9,16 @@ import zzqh.modules
 import zzqh.qh
 from zzqh import (compute_basis, presentation_borel, presentation_cover,
                   presentation_zigzag)
+from zzqh.algebra import Element, Path, Presentation, scope
 from zzqh.extdual import ext_table
 from zzqh.modules import (algebra_order, costandard_module, delta_nabla_ext,
                           ext_bigraded_reps, minimal_resolution,
-                          standard_module, standard_resolution)
+                          projective_module, standard_module,
+                          standard_resolution)
 from zzqh.qh import (QhReport, _copresentation_failures, check_borel,
                      check_cover, check_projective_injective,
                      check_quasi_hereditary)
-from zzqh.quiver import build_quiver, order_data
+from zzqh.quiver import build_quiver, order_data, vertex_name
 
 from hom_reference import _fully_faithful_failures, hom_space
 
@@ -164,6 +166,58 @@ def test_the_copresentation_fails_off_the_true_j_set(covers):
     assert _copresentation_failures(cover, {(0, 2)}) == [
         ['0,2', '1,1', 0], ['0,2', '2,0', 1], ['1,1', '1,1', 0],
         ['2,0', '2,0', 0]]
+
+
+@pytest.mark.parametrize("point", [(1, 3), (2, 3)])
+def test_a_forged_zigzag_relation_fails_in_the_cover(monkeypatch, point):
+    """Negative control for ``zigzag_relations_hold``: each two-term
+    zigzag relation, a commutator, cut down to its first path is a
+    relation the cover does not satisfy; added to the true ones, exactly
+    the cut-down relations are reported, and the cover check fails."""
+    zz = presentation_zigzag(*point)
+    forged = tuple(Element.of_path(min(r.terms, key=Path.sort_key))
+                   for r in zz.relations if len(r.terms) == 2)
+    assert forged
+    monkeypatch.setattr(zzqh.qh, "presentation_zigzag", lambda n, s: (
+        Presentation(zz.vertices, zz.arrows, zz.relations + forged,
+                     kind="zigzag", params=zz.params)))
+    with scope():
+        rep = check_cover(compute_basis(presentation_cover(*point)))
+    assert rep.witnesses["zigzag_relations_hold"] == [repr(r) for r in forged]
+    detail = rep.witnesses["cover_detail"]
+    assert not detail["zigzag_relations_hold"] and detail["arrows_generate"]
+    assert rep.cover_fully_faithful is False
+
+
+@pytest.mark.parametrize("point", [(1, 2), (1, 3), (2, 2)])
+def test_withholding_a_j_arrow_fails_generation(monkeypatch, point):
+    """Negative control for ``arrows_generate``: with any one arrow
+    between J vertices left out of the presentation that ``check_cover``
+    reads, the block of that arrow alone is not reached, [a, b, 0, 1],
+    and every block reported falls short.  The projectives are built
+    first, with every arrow, and the copresentation half, which reads
+    every arrow, is left out."""
+    monkeypatch.setattr(zzqh.qh, "_copresentation_failures",
+                        lambda cover, jset: [])
+    with scope():
+        cover = compute_basis(presentation_cover(*point))
+        pres = cover.presentation
+        jverts = [x for x in pres.vertices if x[0] > 0]
+        for x in jverts:
+            projective_module(cover, x)
+        arrows = pres.arrows
+        assert check_cover(cover).passed()
+        jarrows = [ar for ar in arrows
+                   if ar.source in jverts and ar.target in jverts]
+        assert jarrows
+        for ar in jarrows:
+            monkeypatch.setattr(pres, "arrows",
+                                tuple(a for a in arrows if a != ar))
+            rep = check_cover(cover)
+            bad = rep.witnesses["arrows_generate"]
+            assert [vertex_name(ar.source), vertex_name(ar.target), 0, 1] in bad
+            assert all(got < want for _, _, got, want in bad), bad
+            assert rep.cover_fully_faithful is False
 
 
 def _leaves_j(cover, jset):
