@@ -215,9 +215,9 @@ def check_cover(cover: AlgebraInstance) -> QhReport:
             key = (a, ar.target)
             if gen_ech[key].insert([prod[j] for j in cols[key]]) is not None:
                 frontier.append((*key, prod))
-    gen_bad = [[vertex_name(a), vertex_name(b), len(gen_ech[(a, b)].rows),
-                len(cols[(a, b)])]
-               for a, b in cols if len(gen_ech[(a, b)].rows) != len(cols[(a, b)])]
+    gen_bad = [[vertex_name(a), vertex_name(b), got, len(cols[(a, b)])]
+               for (a, b), ech in gen_ech.items()
+               if (got := len(ech.rows)) != len(cols[(a, b)])]
     rep.record("arrows_generate", gen_bad, detail)
 
     detail["zigzag_engine_compared"] = False

@@ -189,9 +189,11 @@ def test_projectives_are_read_off_the_product_table(monkeypatch, point):
 def test_left_multiplication_matches_reduce_path(build, point):
     """For every basis path g: u -> v, row l of ``left_mult_map`` by g is
     ``reduce_path`` of g followed by basis path l of P_v, in P_u's
-    indices: the prefix chain against the folding oracle."""
+    indices: the prefix chain against the folding oracle.  A sum g + 2h
+    of two basis paths u -> v maps as the same sum of their maps."""
     with scope():
         a = compute_basis(build(*point))
+        maps = {}
         for g in a.basis():
             src = projective_module(a, g.target)
             tgt = projective_module(a, g.source)
@@ -203,6 +205,13 @@ def test_left_multiplication_matches_reduce_path(build, point):
                 for q, c in a.reduce_path(g.concat(p)).terms.items():
                     want[index[q]] = c
                 assert row == want, (g, p)
+            maps.setdefault((g.source, g.target), []).append((g, m))
+        pairs = [ms[:2] for ms in maps.values() if len(ms) > 1]
+        assert pairs
+        for (g, mg), (h, mh) in pairs:
+            assert left_mult_map(a, Element({g: 1, h: 2})).data == [
+                [x + 2 * y for x, y in zip(r, t)]
+                for r, t in zip(mg.data, mh.data)], (g, h)
 
 
 def test_hom_projectives_match_blocks(cover12):
