@@ -426,6 +426,10 @@ FROZEN_STDOUT = {
         "d0d3dc7c3d3f07340c69db10ca0ceb082da67d2951bb0fa05b60fa376ef37701",
     ("check", "all", "--n", "3", "--s", "5"):
         "6303bd3d67abf9b415bef11f1b6f670f6fcefdb04d8a38d9e7b77fc7f2bb5ddf",
+    ("check", "koszul", "--n", "2", "--s", "12"):
+        "6304f5579300900ddd48d9422225cdfa6c1b1618dce2405f8ee8f633e769081b",
+    ("check", "dual", "--n", "5", "--s", "4"):
+        "23026bcc86b8605290c2ab267ce4f171045cd5848dedaf6f7e0ce0190698cbce",
 }
 
 
