@@ -26,9 +26,8 @@ from .modules import (Resolution, RightModule, canonical_module,
                       costandard_module, delta_nabla_ext, gldim, is_linear,
                       minimal_resolution, projective_module, simple_module,
                       standard_module)
-from .qh import (QhReport, check_borel, check_cover,
-                 check_projective_injective, check_quasi_hereditary)
+from .qh import QhReport, check_borel, check_cover, check_quasi_hereditary
 from .quiver import (OrderData, Quiver, build_quiver, classify_vertices,
-                     export_dot, order_data, quiver_json, vertex_name)
+                     export_dot, order_data, vertex_name)
 
 __version__ = "0.1.0"

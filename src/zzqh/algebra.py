@@ -107,11 +107,6 @@ class Path:
         return (len(self.arrows), tuple(a.label_key for a in self.arrows),
                 _vkey(self.source))
 
-    def concat(self, other: "Path") -> "Path":
-        if self.target != other.source:
-            raise ValueError("paths do not compose")
-        return Path(self.source, self.arrows + other.arrows)
-
     def __eq__(self, other):
         return (isinstance(other, Path) and self.source == other.source
                 and self.arrows == other.arrows)

@@ -37,7 +37,7 @@ from .algebra import (AlgebraInstance, Arrow, Element, Path, Presentation,
                       scope)
 from .koszul import KoszulReport, check_koszul
 from .linalg import ONE, ZERO, Echelon, Matrix, exact_div
-from .modules import (_dense, _generator_rows, algebra_order,
+from .modules import (_block_row, _generator_rows, algebra_order,
                       delta_nabla_ext, ext_bigraded_reps, free_row_image,
                       standard_resolution)
 from .quiver import build_quiver, order_data, vertex_name
@@ -89,13 +89,6 @@ class ExtTable:
     dims: dict = field(default_factory=dict)
     classes_by_key: dict = field(default_factory=dict)
     hom: dict = field(default_factory=dict, repr=False)
-    _products: dict = field(default_factory=dict, repr=False)
-
-    def identity(self, x) -> ExtClass:
-        reps = self.classes_by_key.get((x, x, 0, 0, 0), ())
-        if len(reps) != 1:
-            raise ArithmeticError(f"Hom(Delta, Delta) at {x} is not a line")
-        return reps[0]
 
     def flat_equals_homological(self):
         """Keys whose recorded flat degree differs from the homological
@@ -116,8 +109,9 @@ def ext_table(cover: AlgebraInstance) -> ExtTable:
 
     The complete resolutions of the standards come from
     ``standard_resolution``.  The table, with canonical representative
-    cocycles and the products computed later, is made once per cover
-    through ``cover.memo``: later calls return the same table.
+    cocycles, is made once per cover through ``cover.memo``: later
+    calls return the same table.  Products are not kept: each
+    ``yoneda_product`` call computes its own.
     """
     if cover.presentation.kind != "cover":
         raise ValueError("ext tables are computed over a cover instance")
@@ -157,19 +151,18 @@ def _lift_generators(res, k, rhs, src):
     generator t to ``rhs[t]``.  Matching the generator rows suffices, and
     exactness of the resolved complex guarantees a solution; rref pivots
     make the choice reproducible."""
-    tgt = res.frees[k]
     gen_rows = []
     for (v, _, _, _), want in zip(src.summands, rhs, strict=True):
         cols, d = res.step_at(k, v)
         if not cols:
-            if any(want):
+            if want:
                 raise ArithmeticError(f"chain lift failed: no room at {v}")
-            gen_rows.append([ZERO] * tgt.dim)
+            gen_rows.append({})
             continue
-        sol = d.solve(list(want))
+        sol = d.solve([want.get(j, ZERO) for j in range(d.nrows)])
         if sol is None:
             raise ArithmeticError("chain lift failed: complex not exact?")
-        gen_rows.append(_dense(zip(cols, sol), tgt.dim))
+        gen_rows.append(_block_row(cols, sol))
     return gen_rows
 
 
@@ -198,22 +191,15 @@ def yoneda_product(f: ExtClass, g: ExtClass) -> ExtClass:
     a, c = g.source, f.target
     i_total = f.i + g.i
     bidegree = (f.bidegree[0] + g.bidegree[0], f.bidegree[1] + g.bidegree[1])
-    key = (a, g.target, c, f.i, g.i, f.bidegree, g.bidegree, f.row, g.row)
-    got = table._products.get(key)
-    if got is not None:
-        return got
-
     res_a, res_b = table.resolutions[a], table.resolutions[g.target]
     if f.is_zero() or g.is_zero() or i_total > res_a.length:
-        out = _zero_class(table, a, c, i_total, bidegree)
-        table._products[key] = out
-        return out
+        return _zero_class(table, a, c, i_total, bidegree)
 
     delta_c = table.deltas[c]
     # lift_k: F^a_(q+k) -> F^b_k, as generator rows, with d^b_k lift_k
     # = lift_(k-1) d^a_(q+k), and d^b_0 lift_0 = g
-    rhs = _generator_rows(res_a.frees[g.i], table.deltas[g.target],
-                          table.hom[(a, g.target)][0][g.i], g.row)
+    rhs = _generator_rows(res_a.frees[g.i], table.hom[(a, g.target)][0][g.i],
+                          g.row)
     for k in range(f.i + 1):
         src = res_a.frees[g.i + k]
         if k:
@@ -221,8 +207,8 @@ def yoneda_product(f: ExtClass, g: ExtClass) -> ExtClass:
                                   lift, grow) for grow in res_a.gens[g.i + k]]
         lift = _lift_generators(res_b, k, rhs, src)
 
-    f_gens = _generator_rows(res_b.frees[f.i], delta_c,
-                             table.hom[(g.target, c)][0][f.i], f.row)
+    f_gens = _generator_rows(res_b.frees[f.i], table.hom[(g.target, c)][0][f.i],
+                             f.row)
     # the product lives on the block of its bidegree, if there is one
     bases, blocks = table.hom[(a, c)]
     basis = bases[i_total]
@@ -232,19 +218,18 @@ def yoneda_product(f: ExtClass, g: ExtClass) -> ExtClass:
     local = [ZERO] * len(cols)
     for t, grow in enumerate(lift):
         img = free_row_image(res_b.frees[f.i], delta_c, f_gens, grow)
-        for j, val in enumerate(img):
-            if val:
-                k = pos.get((t, j))
-                if k is None:
-                    raise ArithmeticError("product left its bidegree")
-                local[k] = val
+        for j, val in img.items():
+            k = pos.get((t, j))
+            if k is None:
+                raise ArithmeticError("product left its bidegree")
+            local[k] = val
     local = bounds.reduce(local)
     if any(diff.mul_row(local)):
         raise ArithmeticError("product row is not a cocycle")
-    row = _dense(zip(cols, local), len(basis))
-    out = ExtClass(a, c, i_total, bidegree, tuple(row), table)
-    table._products[key] = out
-    return out
+    row = [ZERO] * len(basis)
+    for col, val in zip(cols, local):
+        row[col] = val
+    return ExtClass(a, c, i_total, bidegree, tuple(row), table)
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ def check_shifted_dual_lemmas(n: int, s: int) -> dict:
         if len(rows) != 1:
             socle_bad.append([vertex_name(x), len(rows)])
         for row in rows:
-            for i in (i for i, c in enumerate(row) if c):
+            for i in sorted(row):
                 q = proj.basis_paths[i]
                 if q.target[0] != 0:
                     maximal_bad.append([vertex_name(x), repr(q), "not in K"])

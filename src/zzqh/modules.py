@@ -30,12 +30,15 @@ submodule divided out is spanned by basis vectors, a set of indices
 closed along single-entry action rows, and a quotient keeps the other
 indices; both certify the span action-stable or raise ``AssertionError``.
 
-Conventions.  A module map is a ``Matrix`` acting on row vectors: row
-i holds the image of source basis vector i.  A map out of a free module
-is stored as its generator images alone, and ``free_images`` reads any
-of its rows: each basis path's image is its prefix's image times its
-last arrow.  Duality negates bidegrees: the socle of an injective sits
-in bidegree (0, 0) and everything else below.
+Conventions.  A row of a module is a dict {index: nonzero coefficient},
+the format of the action rows; elimination cuts it to a dense list of
+its block (``_restrict``), and Hom cochains are dense lists.  A module
+map is a ``Matrix`` acting on row vectors: row i holds the image of
+source basis vector i.  A map out of a free module is stored as its
+generator images alone, and ``free_images`` reads any of its rows: each
+basis path's image is its prefix's image times its last arrow.  Duality
+negates bidegrees: the socle of an injective sits in bidegree (0, 0) and
+everything else below.
 """
 
 from __future__ import annotations
@@ -74,32 +77,20 @@ class RightModule:
                 if self.vertices[i] != a.source:
                     raise AssertionError(f"action of {a} breaks weights")
 
-    def act(self, arrow, row, support=None):
-        """``row`` times ``arrow``, as a new dense row; with ``support``,
-        ``row`` holds just the coefficients of the basis vectors listed.
-        Raises ValueError unless ``row`` has one entry per basis vector,
-        or per index of ``support``."""
-        rows = self.action[arrow]
-        if support is not None:
-            pairs = [(i, a) for i, a in zip(support, row, strict=True)
-                     if i in rows]
-        elif len(row) == self.dim:
-            pairs = [(i, row[i]) for i in rows]
-        else:
-            raise ValueError(f"a row of length {len(row)} in a module of "
-                             f"dimension {self.dim}")
-        out = [ZERO] * self.dim
-        for i, a in pairs:
-            if a:
-                for j, c in rows[i].items():
-                    out[j] += a * c
-        return out
+    def act(self, arrow, row):
+        """``row`` times ``arrow``, as a new row with no zero entry.
+        Raises ValueError for an index outside the module."""
+        rows, out = self.action[arrow], {}
+        for i, a in row.items():
+            if not 0 <= i < self.dim:
+                raise ValueError(f"index {i} in a module of dimension {self.dim}")
+            for j, c in rows.get(i, {}).items():
+                out[j] = out.get(j, ZERO) + a * c
+        return {j: c for j, c in out.items() if c}
 
     def unit(self, i):
-        """Basis vector i as a dense row."""
-        row = [ZERO] * self.dim
-        row[i] = ONE
-        return row
+        """Basis vector i as a row."""
+        return {i: ONE}
 
     def blocks(self, graded=True):
         """Indices of basis vectors grouped by (vertex, bidegree), or by
@@ -124,23 +115,12 @@ class RightModule:
                     db = tuple(x + y for x, y in zip(self.bidegrees[i], a.bidegree))
                     if self.bidegrees[j] != db:
                         raise AssertionError(f"action of {a} breaks the grading")
-        # a path out of u moves only the basis vectors at u, as sparse rows
+        # a path out of u moves only the basis vectors at u
         at = self.blocks(graded=False)
         for r in pres.relations:
-            for i in [v for u in {p.source for p in r.terms} for v in at.get(u, ())]:
-                img = defaultdict(int)
-                for p, c in r.terms.items():
-                    row = {i: c} if p.source == self.vertices[i] else {}
-                    for a in p.arrows:
-                        nxt = defaultdict(int)
-                        for j, x in row.items():
-                            for k, y in self.action[a].get(j, {}).items():
-                                nxt[k] += x * y
-                        row = nxt
-                    for j, x in row.items():
-                        img[j] += x
-                if any(img.values()):
-                    raise AssertionError(f"relation {r!r} not satisfied")
+            if any(element_row(self, r, i) for u in {p.source for p in r.terms}
+                   for i in at.get(u, ())):
+                raise AssertionError(f"relation {r!r} not satisfied")
         return True
 
     def __repr__(self):
@@ -158,19 +138,18 @@ def _block_key(key):
 
 
 def _restrict(row, cols):
-    """``row`` at ``cols`` (one block); raises unless it is zero elsewhere."""
-    part = [row[j] for j in cols]
-    if len(row) - row.count(ZERO) != len(part) - part.count(ZERO):
+    """``row`` at ``cols`` (one block), as a dense list for elimination;
+    raises unless every index of ``row`` is among them."""
+    part = [row.get(j, ZERO) for j in cols]
+    if len(row) != len(part) - part.count(ZERO):
         raise AssertionError("row leaves its (vertex, bidegree) block")
     return part
 
 
-def _dense(entries, dim):
-    """The dense row of length ``dim`` with these (index, value) entries."""
-    row = [ZERO] * dim
-    for j, c in entries:
-        row[j] = c
-    return row
+def _block_row(cols, part):
+    """The row with the entries of ``part`` at the indices ``cols``, the
+    inverse of ``_restrict``."""
+    return {j: c for j, c in zip(cols, part) if c}
 
 
 def _arrows_from(m: RightModule, blocks, key):
@@ -283,18 +262,16 @@ class FreeModule(RightModule):
     def label(self):
         return "F[" + ", ".join(f"{v}<{s}>" for v, s, _, _ in self.summands) + "]"
 
-    def act(self, arrow, row, support=None):
-        if support is None and len(row) != self.dim:
-            raise ValueError(f"a row of length {len(row)} in a module of "
-                             f"dimension {self.dim}")
-        out, starts = [ZERO] * self.dim, self.starts
-        for k, a in (zip(support, row, strict=True) if support is not None
-                     else [(k, a) for k, a in enumerate(row) if a]):
-            if a:
-                t = bisect_right(starts, k) - 1
-                for j, c in self.parts[t].action[arrow].get(k - starts[t], {}).items():
-                    out[starts[t] + j] += a * c
-        return out
+    def act(self, arrow, row):
+        out, starts = {}, self.starts
+        for k, a in row.items():
+            if not 0 <= k < self.dim:
+                raise ValueError(f"index {k} in a module of dimension {self.dim}")
+            t = bisect_right(starts, k) - 1
+            at = starts[t]
+            for j, c in self.parts[t].action[arrow].get(k - at, {}).items():
+                out[at + j] = out.get(at + j, ZERO) + a * c
+        return {j: c for j, c in out.items() if c}
 
 
 def direct_sum(a: AlgebraInstance, parts) -> RightModule:
@@ -325,12 +302,6 @@ def dualize(m: RightModule) -> RightModule:
                        label=f"D({m.label})" if m.label else "D")
 
 
-def shift_module(m: RightModule, shift) -> RightModule:
-    bidegrees = [tuple(c + s for c, s in zip(d, shift)) for d in m.bidegrees]
-    return RightModule(m.algebra, m.vertices, bidegrees, m.action,
-                       label=f"{m.label}<{shift}>" if m.label else "")
-
-
 def injective_module(a: AlgebraInstance, x) -> RightModule:
     mod = dualize(projective_module(a.opposite(), x))
     mod.label = f"I[{x}]"
@@ -346,20 +317,24 @@ def left_mult_map(a: AlgebraInstance, g: Element) -> Matrix:
         raise ValueError("element must be weight-homogeneous")
     u, v = next(iter(sig))
     src, tgt = projective_module(a, v), projective_module(a, u)
-    return Matrix._exact(_path_images(tgt, src, element_row(tgt, g),
-                                      range(src.dim)), tgt.dim)
+    images = _path_images(tgt, src, element_row(tgt, g), range(src.dim))
+    return Matrix._exact([[img.get(j, ZERO) for j in range(tgt.dim)]
+                          for img in images], tgt.dim)
 
 
-def element_row(proj: RightModule, g: Element):
-    """The row of e_x g in the projective P_x: e_x acted along each
-    term's arrows, so a term from another vertex gives zero."""
-    out = [ZERO] * proj.dim
+def element_row(m: RightModule, g: Element, i=0):
+    """The row of basis vector i of m times g: i acted along the arrows
+    of each term that starts at its vertex.  In a projective P_x, i = 0
+    gives the row of e_x g."""
+    out = {}
     for p, c in g.terms.items():
-        row = proj.unit(0)
-        for arr in p.arrows:
-            row = proj.act(arr, row)
-        out = [u + c * w for u, w in zip(out, row)]
-    return out
+        if p.source == m.vertices[i]:
+            row = {i: c}
+            for arr in p.arrows:
+                row = m.act(arr, row)
+            for j, x in row.items():
+                out[j] = out.get(j, ZERO) + x
+    return {j: x for j, x in out.items() if x}
 
 
 def algebra_order(a: AlgebraInstance) -> OrderData:
@@ -468,10 +443,11 @@ def socle_rows(m: RightModule):
     out = []
     for key in sorted(blocks, key=_block_key):
         cols, arrows = blocks[key], _arrows_from(m, blocks, key)
-        images = [[c for a, _, tcols in arrows for c in _restrict(_dense(
-            m.action[a].get(i, {}).items(), m.dim), tcols)] for i in cols]
+        images = [[c for a, _, tcols in arrows
+                   for c in _restrict(m.action[a].get(i, {}), tcols)]
+                  for i in cols]
         _, kern = Matrix(images).left_kernel()
-        out.extend(_dense(zip(cols, r), m.dim) for r in kern)
+        out.extend(_block_row(cols, r) for r in kern)
     return out
 
 
@@ -484,8 +460,7 @@ def top_generators(m: RightModule):
     for key, cols in blocks.items():
         for a, tkey, tcols in _arrows_from(m, blocks, key):
             for i in cols:
-                img = _dense(m.action[a].get(i, {}).items(), m.dim)
-                rad[tkey].insert(_restrict(img, tcols))
+                rad[tkey].insert(_restrict(m.action[a].get(i, {}), tcols))
     pivots = {blocks[key][p] for key, span in rad.items() for p in span.rows}
     return [(m.vertices[i], m.bidegrees[i], m.unit(i))
             for i in range(m.dim) if i not in pivots]
@@ -501,7 +476,7 @@ def _path_images(target: RightModule, proj: RightModule, grow, wanted):
     its prefix's image times its last arrow, made first: a prefix sorts
     before its path."""
     x = proj.basis_paths[0].source
-    if any(c for w, c in zip(target.vertices, grow) if w != x):
+    if any(target.vertices[j] != x for j in grow):
         raise AssertionError("generator image leaves its vertex")
     need = set(wanted)
     for l in range(max(need, default=0), 0, -1):  # path 0 is e_x
@@ -510,7 +485,7 @@ def _path_images(target: RightModule, proj: RightModule, grow, wanted):
     images = {}
     for l in sorted(need):
         step = proj.prefixes[l]
-        images[l] = list(grow) if step is None else target.act(step[1], images[step[0]])
+        images[l] = grow if step is None else target.act(step[1], images[step[0]])
     return [images[l] for l in wanted]
 
 
@@ -522,22 +497,19 @@ def free_images(free: RightModule, target: RightModule, gen_rows, indices):
     for grow, proj, (_, _, start, stop) in zip(gen_rows, free.parts, free.summands):
         wanted = [k - start for k in indices[bisect_left(indices, start):
                                              bisect_left(indices, stop)]]
-        if wanted and any(grow):
-            yield from _path_images(target, proj, grow, wanted)
-        else:
-            yield from ([ZERO] * target.dim for _ in wanted)
+        yield from (_path_images(target, proj, grow, wanted) if grow
+                    else ({} for _ in wanted))
 
 
 def free_row_image(free: RightModule, target: RightModule, gen_rows, row):
     """``row`` times the map free -> target with generator images
-    ``gen_rows``, as a new row."""
-    wanted = [k for k, c in enumerate(row) if c]
-    out = [ZERO] * target.dim
+    ``gen_rows``, as a new row with no zero entry."""
+    wanted, out = sorted(row), {}
     for k, img in zip(wanted, free_images(free, target, gen_rows, wanted)):
-        for j, x in enumerate(img):
-            if x:
-                out[j] += row[k] * x
-    return out
+        a = row[k]
+        for j, x in img.items():
+            out[j] = out.get(j, ZERO) + a * x
+    return {j: x for j, x in out.items() if x}
 
 
 @dataclass
@@ -564,9 +536,13 @@ class Resolution:
         step and vertex and kept here, so it goes with the resolution."""
         if (k, v) not in self._at:
             cols = [j for j, w in enumerate(self.frees[k].vertices) if w == v]
-            rows = free_images(self.frees[k], self.frees[k - 1] if k else self.module,
-                               self.gens[k], cols)
-            self._at[(k, v)] = (cols, Matrix._exact([[*c] for c in zip(*rows)], len(cols)))
+            target = self.frees[k - 1] if k else self.module
+            d = Matrix.zero(target.dim, len(cols))
+            for c, img in enumerate(free_images(self.frees[k], target,
+                                                self.gens[k], cols)):
+                for j, x in img.items():
+                    d.data[j][c] = x
+            self._at[(k, v)] = (cols, d)
         return self._at[(k, v)]
 
     @cached_property
@@ -578,7 +554,7 @@ class Resolution:
         for free, gens in zip(self.frees, self.gens[1:]):
             out.append([[(k - start, pairs) for k in range(start, stop)
                          if (pairs := [(t1, g[k]) for t1, g in enumerate(gens)
-                                       if g[k]])]
+                                       if k in g])]
                         for _, _, start, stop in free.summands])
         return out
 
@@ -655,18 +631,18 @@ def _submodule_top(m: RightModule, kernel):
     blocks = m.blocks()
     rad = defaultdict(Echelon)
     for key, (cols, rows) in kernel.items():
+        spread = [_block_row(cols, r) for r in rows]
         for a, tkey, tcols in _arrows_from(m, blocks, key):
-            for r in rows:
-                img = _restrict(m.act(a, r, cols), tcols)
-                if any(img):
-                    rad[tkey].insert(img)
+            for r in spread:
+                if img := m.act(a, r):
+                    rad[tkey].insert(_restrict(img, tcols))
     gens = []
     for key in sorted(kernel, key=_block_key):
         (cols, rows), span = kernel[key], rad[key]
         for r in rows:
             piv = span.insert(r)
             if piv is not None:
-                gens.append((*key, _dense(zip(cols, span.rows[piv]), m.dim)))
+                gens.append((*key, _block_row(cols, span.rows[piv])))
     return gens
 
 
@@ -753,22 +729,23 @@ def ext_bigraded_reps(res: Resolution, n: RightModule):
                 images = _path_images(n, res.frees[i].parts[t], n.unit(j),
                                       [l for l, _ in coeffs[i][t]])
                 for (_, pairs), img in zip(coeffs[i][t], images):
-                    for jj, x in enumerate(img):
-                        if x:
-                            for t1, c in pairs:
-                                k = pos.get((t1, jj, d))
-                                if k is None:
-                                    raise AssertionError("hom differential mixes bidegrees")
-                                row[k] += c * x
+                    for jj, x in img.items():
+                        for t1, c in pairs:
+                            k = pos.get((t1, jj, d))
+                            if k is None:
+                                raise AssertionError("hom differential mixes bidegrees")
+                            row[k] += c * x
             bounds = Echelon(blocks[i - 1][d][1].data
                              if i and d in blocks[i - 1] else ())
             step[d] = (cols, diff, bounds)
             reps = Echelon()
             for cycle in diff.left_kernel()[1]:
                 reps.insert(bounds.reduce(cycle))
-            if reps.rows:
-                level[d] = [_dense(zip(cols, r), len(basis))
-                            for r in reps.rows.values()]
+            for r in reps.rows.values():
+                cocycle = [ZERO] * len(basis)
+                for c, x in zip(cols, r):
+                    cocycle[c] = x
+                level.setdefault(d, []).append(cocycle)
         blocks.append(step)
         levels.append(level)
     return bases, blocks, levels
@@ -780,11 +757,13 @@ def _hom_is_zero(res: Resolution, n: RightModule):
     return set(n.vertices).isdisjoint(v for terms in res.terms for v, _ in terms)
 
 
-def _generator_rows(free, n, basis, row):
-    """The generator images in n of the cochain ``row`` of Hom(free, n)."""
-    gens = [[ZERO] * n.dim for _ in free.summands]
-    for c, (t, j, _) in enumerate(basis):
-        gens[t][j] = row[c]
+def _generator_rows(free, basis, row):
+    """The generator images of the cochain ``row`` of Hom(free, n), the
+    cochains of ``basis`` being (summand, n basis index, bidegree)."""
+    gens = [{} for _ in free.summands]
+    for (t, j, _), c in zip(basis, row):
+        if c:
+            gens[t][j] = c
     return gens
 
 
@@ -805,14 +784,14 @@ def socle_isomorphic(m: RightModule, n: RightModule, graded=True):
     res = minimal_resolution(m, max_steps=2)
     bases, _, levels = ext_bigraded_reps(res, n)
     free, s = res.frees[0], soc[0]
-    cols, d = res.step_at(0, m.vertices[next(i for i, c in enumerate(s) if c)])
-    lift = _dense(zip(cols, d.solve(s)), free.dim)
+    cols, d = res.step_at(0, m.vertices[next(iter(s))])
+    lift = _block_row(cols, d.solve([s.get(j, ZERO) for j in range(m.dim)]))
     level = levels[0]
     cocycles = (level.get((0, 0), []) if graded
                 else [f for rows in level.values() for f in rows])
-    images = (free_row_image(free, n, _generator_rows(free, n, bases[0], f),
-                             lift) for f in cocycles)
-    return any(map(any, images))
+    images = (free_row_image(free, n, _generator_rows(free, bases[0], f), lift)
+              for f in cocycles)
+    return any(images)
 
 
 # ---------------------------------------------------------------------------

@@ -172,13 +172,3 @@ def export_dot(obj) -> str:
         lines.append(f'  "{vertex_name(src)}" -> "{vertex_name(tgt)}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def quiver_json(q: Quiver) -> dict:
-    """JSON-ready dict: {n, w, vertices, arrows:[{src, idx}]}."""
-    return {
-        "n": q.n,
-        "w": q.w,
-        "vertices": [list(x) for x in q.vertices],
-        "arrows": [{"src": list(s), "idx": i} for (s, i) in q.arrows],
-    }

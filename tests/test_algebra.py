@@ -20,6 +20,8 @@ from zzqh.algebra import (Arrow, Element, Path, Presentation, label_key,
 from zzqh.koszul import (brauer_line_presentation,
                          counterexample_presentation, loop_presentation)
 
+from helpers import concat
+
 GRID = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
 
 
@@ -441,7 +443,7 @@ def test_cached_path_keys_match_a_recomputation(covers, point):
             assert p.bidegree == bidegree and p.bidegree == bidegree, p
             assert p.sort_key() == key, p
             for arr in inst.presentation.arrows_from(p.target):
-                longer = p.concat(Path(arr.source, (arr,)))
+                longer = concat(p, Path(arr.source, (arr,)))
                 assert longer.bidegree == (bidegree[0] + arr.bidegree[0],
                                            bidegree[1] + arr.bidegree[1])
                 assert longer.sort_key() == (key[0] + 1,

@@ -109,7 +109,7 @@ def test_no_float_reaches_rows_actions_maps_or_forms(monkeypatch, capsys):
         bad.extend(c for rows in m.action.values() for row in rows.values()
                    for c in row.values() if not _exact(c))
     for res in made["resolutions"]:
-        bad.extend(c for rows in res.gens for row in rows for c in row
+        bad.extend(c for rows in res.gens for row in rows for c in row.values()
                    if not _exact(c))
     for mat in made["maps"] + made["diffs"]:
         bad.extend(c for row in mat.data for c in row if not _exact(c))

@@ -11,7 +11,7 @@ import pytest
 from zzqh import (Element, Presentation, compute_basis, extdual, modules,
                   presentation_cover, presentation_dual_conjectured)
 from zzqh.linalg import Echelon, Matrix
-from zzqh.modules import (_dense, algebra_order, costandard_module,
+from zzqh.modules import (algebra_order, costandard_module,
                           ext_bigraded_reps, projective_module,
                           standard_module, standard_resolution)
 from zzqh.cli import run_cli
@@ -19,6 +19,8 @@ from zzqh.extdual import (build_dual_from_ext, check_degree_law,
                           check_dual_koszul, check_simple_costandard_dims,
                           compare_dual, dual_presentation_json, ext_table,
                           perturb_presentation, yoneda_product)
+
+from helpers import full, identity
 
 GRID = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
 
@@ -75,8 +77,8 @@ def test_identity_laws(tables):
     ones = [c for key in sorted(table.classes_by_key)
             if key[2] + key[4] == 1 for c in table.classes_by_key[key]]
     for f in ones:
-        left = yoneda_product(table.identity(f.target), f)
-        right = yoneda_product(f, table.identity(f.source))
+        left = yoneda_product(identity(table, f.target), f)
+        right = yoneda_product(f, identity(table, f.source))
         assert left.row == f.row and right.row == f.row
         assert left.bidegree == f.bidegree == right.bidegree
 
@@ -130,8 +132,8 @@ def test_associativity_exhaustive(tables):
 
 def test_product_of_incomposable_classes_rejected(tables):
     table = tables[(1, 2)]
-    f = table.identity((0, 2))
-    g = table.identity((2, 0))
+    f = identity(table, (0, 2))
+    g = identity(table, (2, 0))
     with pytest.raises(ValueError):
         yoneda_product(f, g)
 
@@ -157,15 +159,14 @@ def test_each_hom_complex_is_built_once(monkeypatch):
 
 def _dense_map(free, target, gen_rows):
     """The full matrix of the map free -> target sending generator k to
-    ``gen_rows[k]``: each basis path applied arrow by arrow."""
+    the row ``gen_rows[k]``: each basis path applied arrow by arrow."""
     rows = []
     for grow, (v, _, _, _) in zip(gen_rows, free.summands):
         for p in projective_module(free.algebra, v).basis_paths:
-            row = [c if target.vertices[j] == v else 0
-                   for j, c in enumerate(grow)]
+            row = {j: c for j, c in grow.items() if target.vertices[j] == v}
             for arrow in p.arrows:
                 row = target.act(arrow, row)
-            rows.append(row)
+            rows.append(full(target, row))
     return Matrix(rows, ncols=target.dim)
 
 
@@ -176,9 +177,10 @@ def _step_map(res, i):
 
 
 def _cochain_map(res, n, i, basis, row):
-    gens = [[0] * n.dim for _ in res.frees[i].summands]
-    for c, (t, j, _) in enumerate(basis):
-        gens[t][j] = row[c]
+    gens = [{} for _ in res.frees[i].summands]
+    for (t, j, _), c in zip(basis, row):
+        if c:
+            gens[t][j] = c
     return _dense_map(res.frees[i], n, gens)
 
 
@@ -193,7 +195,8 @@ def _full_hom_diff(res, n, bases, i):
     pos = {(t, j): c for c, (t, j, _) in enumerate(bases[i + 1])}
     rows = []
     for c in range(len(bases[i])):
-        cochain = _cochain_map(res, n, i, bases[i], _dense([(c, 1)], len(bases[i])))
+        cochain = _cochain_map(res, n, i, bases[i],
+                               [int(k == c) for k in range(len(bases[i]))])
         row = [0] * len(bases[i + 1])
         for t, start in enumerate(starts):
             for j, v in enumerate(cochain.mul_row(step.data[start])):
@@ -233,10 +236,7 @@ def _yoneda_reference(f, g):
             sol = Matrix([[dmat.data[j][col] for j in cols]
                           for col in range(dmat.ncols)],
                          ncols=len(cols)).solve(rhs.data[start]) if cols else []
-            grow = [0] * tgt.dim
-            for j, val in zip(cols, sol):
-                grow[j] = val
-            gens.append(grow)
+            gens.append({j: val for j, val in zip(cols, sol) if val})
         lift = _dense_map(src, tgt, gens)
     prod = lift * _cochain_map(res_b, table.deltas[c], f.i,
                                table.hom[(b, c)][0][f.i], f.row)
@@ -354,7 +354,10 @@ def _levels_reference(res, n, bases):
                                ncols=len(tcols)).left_kernel()
             reps = []
             for cycle in cycles:
-                piv = span.insert(_dense(zip(cols, cycle), len(basis)))
+                row = [0] * len(basis)
+                for c, x in zip(cols, cycle):
+                    row[c] = x
+                piv = span.insert(row)
                 if piv is not None:
                     reps.append(span.rows[piv])
             if reps:
@@ -426,8 +429,7 @@ def test_a_product_is_reduced_by_its_blocks_coboundaries(tables):
     forged = [dict(step) for step in blocks]
     forged[prod.i][d] = (cols, diff, Echelon([[prod.row[c] for c in cols]]))
     copy = replace(table, hom={**table.hom,
-                               (g.source, f.target): (bases, forged)},
-                   _products={})
+                               (g.source, f.target): (bases, forged)})
     out = yoneda_product(replace(f, table=copy), replace(g, table=copy))
     assert out.is_zero() and len(out.row) == len(prod.row)
 

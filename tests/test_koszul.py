@@ -13,7 +13,9 @@ from zzqh.koszul import (check_delta_koszul, check_koszul,
                          fixture_brauer_line, fixture_counterexample,
                          gamma0_summand_iso, loop_presentation)
 from zzqh.modules import (RightModule, algebra_order, projective_module,
-                          shift_module, standard_module)
+                          standard_module)
+
+from helpers import shift_module
 
 GRID = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
 

@@ -16,10 +16,10 @@ from zzqh.modules import (algebra_order, costandard_module, delta_nabla_ext,
                           projective_module, standard_module,
                           standard_resolution)
 from zzqh.qh import (QhReport, _copresentation_failures, check_borel,
-                     check_cover, check_projective_injective,
-                     check_quasi_hereditary)
+                     check_cover, check_quasi_hereditary)
 from zzqh.quiver import build_quiver, order_data, vertex_name
 
+from helpers import check_projective_injective
 from hom_reference import _fully_faithful_failures, hom_space
 
 

@@ -1,10 +1,10 @@
 """Quiver combinatorics: vertex grids, translation arrows, the
-nonzero-index partial order, DOT and JSON emission."""
+nonzero-index partial order, DOT emission."""
 
 from math import comb, inf
 
 from zzqh.quiver import (build_quiver, classify_vertices, displacement,
-                         export_dot, order_data, quiver_json, vertex_name)
+                         export_dot, order_data, vertex_name)
 
 GRID = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
 
@@ -82,6 +82,3 @@ def test_dot_and_json_deterministic():
     assert dot.startswith("digraph")
     for v in q.vertices:
         assert f'"{vertex_name(v)}"' in dot
-    j = quiver_json(q)
-    assert j == quiver_json(build_quiver(2, 2))
-    assert len(j["vertices"]) == 6
