@@ -138,8 +138,8 @@ def _block_key(key):
 
 
 def _restrict(row, cols):
-    """``row`` at ``cols`` (one block), as a dense list for elimination;
-    raises unless every index of ``row`` is among them."""
+    """``row`` at ``cols`` (one block), a dense list for elimination;
+    raises unless each index of ``row`` (no zero stored) is among them."""
     part = [row.get(j, ZERO) for j in cols]
     if len(row) != len(part) - part.count(ZERO):
         raise AssertionError("row leaves its (vertex, bidegree) block")

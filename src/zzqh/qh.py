@@ -4,9 +4,9 @@ A cover carries the path-length order on its weight vertices; against
 that order this module certifies the quasi-hereditary axioms, the
 cover property (the endomorphism algebra of the sum of projectives at
 J vertices is the zigzag algebra, and Hom(P_J, -) is fully faithful
-on projectives) and the directed Borel subalgebra.  Checks never raise on mathematical
-failure: every False field in a report comes with a finite witness
-reproducible by a single engine call.
+on projectives) and the directed Borel subalgebra.  Checks never raise
+on mathematical failure: every False field in a report comes with a
+finite witness reproducible by a single engine call.
 
 The zigzag side of the cover check is constructive, on the rows of
 the projectives P_a, a in J, whose indices at b are the paths a -> b.
