@@ -430,6 +430,8 @@ FROZEN_STDOUT = {
         "6304f5579300900ddd48d9422225cdfa6c1b1618dce2405f8ee8f633e769081b",
     ("check", "dual", "--n", "5", "--s", "4"):
         "23026bcc86b8605290c2ab267ce4f171045cd5848dedaf6f7e0ce0190698cbce",
+    ("check", "dual", "--n", "2", "--s", "3"):
+        "c6e84e834b8d21e7cb972fa452100960513d48c639918f7ee1e896dad84e083c",
 }
 
 
