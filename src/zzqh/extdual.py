@@ -37,9 +37,8 @@ from .algebra import (AlgebraInstance, Arrow, Element, Path, Presentation,
                       scope)
 from .koszul import KoszulReport, check_koszul
 from .linalg import ONE, ZERO, Echelon, Matrix, exact_div
-from .modules import (_block_row, _generator_rows, algebra_order,
-                      delta_nabla_ext, ext_bigraded_reps, free_row_image,
-                      standard_resolution)
+from .modules import (_generator_rows, algebra_order, delta_nabla_ext,
+                      ext_bigraded_reps, free_row_image, standard_resolution)
 from .quiver import build_quiver, order_data, vertex_name
 
 
@@ -145,27 +144,6 @@ def _tabulate_ext(cover: AlgebraInstance) -> ExtTable:
 # Yoneda products
 
 
-def _lift_generators(res, k, rhs, src):
-    """One step of a chain lift: generator rows of a map src -> frees[k]
-    of ``res`` whose composite with d_k, read from ``res.step_at``, sends
-    generator t to ``rhs[t]``.  Matching the generator rows suffices, and
-    exactness of the resolved complex guarantees a solution; rref pivots
-    make the choice reproducible."""
-    gen_rows = []
-    for (v, _, _, _), want in zip(src.summands, rhs, strict=True):
-        cols, d = res.step_at(k, v)
-        if not cols:
-            if want:
-                raise ArithmeticError(f"chain lift failed: no room at {v}")
-            gen_rows.append({})
-            continue
-        sol = d.solve([want.get(j, ZERO) for j in range(d.nrows)])
-        if sol is None:
-            raise ArithmeticError("chain lift failed: complex not exact?")
-        gen_rows.append(_block_row(cols, sol))
-    return gen_rows
-
-
 def _zero_class(table, a, c, i, bidegree) -> ExtClass:
     bases = table.hom[(a, c)][0]
     width = len(bases[i]) if i < len(bases) else 0
@@ -176,9 +154,10 @@ def yoneda_product(f: ExtClass, g: ExtClass) -> ExtClass:
     """The composite f.g for f in Ext^p(Delta_b, Delta_c) and g in
     Ext^q(Delta_a, Delta_b), landing in Ext^(p+q)(Delta_a, Delta_c).
 
-    The cocycle of g is lifted through the resolution of Delta_a to a
-    partial chain map ending at step p of the resolution of Delta_b,
-    composed with the cocycle of f, and reduced to canonical form.
+    The cocycle of g is lifted to a partial chain map from the
+    resolution of Delta_a to step p of the resolution of Delta_b, each
+    generator row by ``Resolution.lift`` on its own block, composed
+    with the cocycle of f, and reduced to canonical form.
     Homological degrees and bidegrees add; the result is verified to
     be a cocycle concentrated in the expected bidegree.
     """
@@ -201,11 +180,10 @@ def yoneda_product(f: ExtClass, g: ExtClass) -> ExtClass:
     rhs = _generator_rows(res_a.frees[g.i], table.hom[(a, g.target)][0][g.i],
                           g.row)
     for k in range(f.i + 1):
-        src = res_a.frees[g.i + k]
         if k:
             rhs = [free_row_image(res_a.frees[g.i + k - 1], res_b.frees[k - 1],
                                   lift, grow) for grow in res_a.gens[g.i + k]]
-        lift = _lift_generators(res_b, k, rhs, src)
+        lift = [res_b.lift(k, want) for want in rhs]
 
     f_gens = _generator_rows(res_b.frees[f.i], table.hom[(g.target, c)][0][f.i],
                              f.row)

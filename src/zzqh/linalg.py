@@ -10,7 +10,7 @@ zeros, ``rref`` results, kernel bases and the augmented matrices of
 ``left_kernel`` and ``solve`` (whose right-hand side alone is coerced)
 are built from exact entries and not coerced again, as are, through
 ``Matrix._exact``, the blocks of ``modules._block_kernel``, of
-``Resolution.step_at`` and of ``compute_basis``'s relations, all exact.
+``Resolution.lift`` and of ``compute_basis``'s relations, all exact.
 The matrices here (Hom-space bases and constraint systems, one resolution
 block or Hom-complex bidegree block at a time, relation spans) are small,
 and a dense representation keeps the code simple and the pivoting

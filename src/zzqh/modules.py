@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import ONE, ZERO, Echelon, Matrix
@@ -517,33 +517,39 @@ class Resolution:
     """A projective resolution by its generator images: ``gens[i][t]`` is
     the image of generator t of ``frees[i]``, a row of ``frees[i-1]``
     (of ``module`` for i = 0); ``terms[i]`` lists the (vertex, shift)
-    summands of step i."""
+    summands of step i.  No matrix of a differential is kept: ``lift``
+    builds the one block it solves on."""
 
     module: RightModule
     frees: list
     terms: list
     gens: list
     complete: bool
-    _at: dict = field(default_factory=dict, repr=False)  # (k, v) -> step_at
 
     @property
     def length(self):
         return len(self.frees) - 1
 
-    def step_at(self, k, v):
-        """(cols, d): the indices of the basis vectors of frees[k] at vertex
-        v, and the Matrix whose column c is d_k of cols[c]; made once per
-        step and vertex and kept here, so it goes with the resolution."""
-        if (k, v) not in self._at:
-            cols = [j for j, w in enumerate(self.frees[k].vertices) if w == v]
-            target = self.frees[k - 1] if k else self.module
-            d = Matrix.zero(target.dim, len(cols))
-            for c, img in enumerate(free_images(self.frees[k], target,
-                                                self.gens[k], cols)):
-                for j, x in img.items():
-                    d.data[j][c] = x
-            self._at[(k, v)] = (cols, d)
-        return self._at[(k, v)]
+    def lift(self, k, row):
+        """A row of frees[k] that d_k sends to ``row``, a row of frees[k-1]
+        (of ``module`` for k = 0), solved on the one (vertex, bidegree)
+        block that holds ``row``; rref pivots make the choice reproducible.
+        Raises AssertionError for a row that leaves its block, and
+        ArithmeticError for one outside the image of d_k."""
+        if not row:
+            return {}
+        target = self.frees[k - 1] if k else self.module
+        i = next(iter(row))
+        key = (target.vertices[i], target.bidegrees[i])
+        cols, tcols = self.frees[k].blocks().get(key, []), target.blocks()[key]
+        images = [_restrict(img, tcols) for img in
+                  free_images(self.frees[k], target, self.gens[k], cols)]
+        d = Matrix._exact([[img[j] for img in images]
+                           for j in range(len(tcols))], len(cols))
+        sol = d.solve(_restrict(row, tcols))
+        if sol is None:
+            raise ArithmeticError(f"row not in the image of d_{k}")
+        return _block_row(cols, sol)
 
     @cached_property
     def coefficients(self):
@@ -783,9 +789,7 @@ def socle_isomorphic(m: RightModule, n: RightModule, graded=True):
         return False
     res = minimal_resolution(m, max_steps=2)
     bases, _, levels = ext_bigraded_reps(res, n)
-    free, s = res.frees[0], soc[0]
-    cols, d = res.step_at(0, m.vertices[next(iter(s))])
-    lift = _block_row(cols, d.solve([s.get(j, ZERO) for j in range(m.dim)]))
+    free, lift = res.frees[0], res.lift(0, soc[0])
     level = levels[0]
     cocycles = (level.get((0, 0), []) if graded
                 else [f for rows in level.values() for f in rows])

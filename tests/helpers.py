@@ -4,12 +4,13 @@
 dicts {index: nonzero coefficient}, and the dense lists of the
 reference routes.  The rest build the inputs and the second routes
 that some tests compare against: a path's concatenation, a shifted
-module, the identity class of a standard, and the projective-injective
-check at the J vertices.
+module, the identity class of a standard, the projective-injective
+check at the J vertices, and the vertex-wide lift through a resolution.
 """
 
 from zzqh.algebra import Path
-from zzqh.modules import RightModule
+from zzqh.linalg import Matrix
+from zzqh.modules import RightModule, free_images
 from zzqh.qh import QhReport, _copresentation
 from zzqh.quiver import vertex_name
 
@@ -65,3 +66,24 @@ def check_projective_injective(cover) -> QhReport:
     rep.record("proj_injective_at_J", jbad)
     rep.witnesses["injective_at_K"] = at_k
     return rep
+
+
+def lift_reference(res, k, row):
+    """The row of frees[k] that d_k sends to ``row`` by the vertex-wide
+    route: one dense solve with a column for every basis vector of
+    frees[k] at the vertex of ``row`` and a row for every basis vector
+    of the target, frees[k-1] (``module`` for k = 0).  Raises
+    ArithmeticError when there is no solution."""
+    if not row:
+        return {}
+    target = res.frees[k - 1] if k else res.module
+    v = target.vertices[next(iter(row))]
+    cols = [j for j, w in enumerate(res.frees[k].vertices) if w == v]
+    images = [full(target, img) for img in
+              free_images(res.frees[k], target, res.gens[k], cols)]
+    d = Matrix([[img[j] for img in images] for j in range(target.dim)],
+               ncols=len(cols))
+    sol = d.solve(full(target, row))
+    if sol is None:
+        raise ArithmeticError("row not in the image")
+    return {j: c for j, c in zip(cols, sol) if c}

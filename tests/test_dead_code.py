@@ -100,6 +100,52 @@ def test_the_engine_has_one_product_route():
     assert not found, found
 
 
+RETIRED_LIFTS = {"step_at", "_lift_generators"}
+
+
+def _second_lift_routes(tree, name):
+    """``name:line`` for each definition of a retired lift in ``tree`` and
+    each call of a ``.solve`` method outside ``Resolution.lift``."""
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "Resolution"
+              for fn in cls.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "lift"
+              for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "solve" and id(node) not in inside):
+            found.append(f"{name}:{node.lineno}")
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.name in RETIRED_LIFTS):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_the_engine_has_one_lift_route():
+    """Every lift through a resolution is ``Resolution.lift``, one solve
+    on one (vertex, bidegree) block: no module of the package defines the
+    retired ``step_at`` or ``_lift_generators``, or calls ``.solve``
+    anywhere else.  ``Matrix.solve`` itself stays, for the benchmark
+    tracer.  The scan itself sees each of them in a snippet, and passes
+    the solve inside ``Resolution.lift``."""
+    snippet = ast.parse("class Resolution:\n"
+                        "    def lift(self, k, row):\n"
+                        "        return d.solve(row)\n"
+                        "    def step_at(self, k, v): pass\n"
+                        "def _lift_generators(res, k, rhs, src): pass\n"
+                        "def other(d):\n"
+                        "    return d.solve([])\n"
+                        "class Other:\n"
+                        "    def lift(self, d):\n"
+                        "        return d.solve([])\n")
+    assert sorted(_second_lift_routes(snippet, "s")) == [
+        "s:10", "s:4", "s:5", "s:7"]
+    found = [hit for path, tree in _trees(sorted(PACKAGE.glob("*.py")))
+             for hit in _second_lift_routes(tree, path.name)]
+    assert not found, found
+
+
 def test_the_tracer_patches_methods_that_exist():
     """``bench/tracing.py`` patches the ``Matrix`` methods named by the
     keys of its ``MATRIX_METHODS``; each must still be defined, whether

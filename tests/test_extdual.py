@@ -2,7 +2,6 @@
 products, extraction of the dual presentation and its certification
 against the closed form."""
 
-import hashlib
 from collections import Counter
 from dataclasses import replace
 
@@ -14,7 +13,6 @@ from zzqh.linalg import Echelon, Matrix
 from zzqh.modules import (algebra_order, costandard_module,
                           ext_bigraded_reps, projective_module,
                           standard_module, standard_resolution)
-from zzqh.cli import run_cli
 from zzqh.extdual import (build_dual_from_ext, check_degree_law,
                           check_dual_koszul, check_simple_costandard_dims,
                           compare_dual, dual_presentation_json, ext_table,
@@ -248,44 +246,6 @@ def _yoneda_reference(f, g):
             if val:
                 row[pos[(t, j)]] = val
     return _coboundaries(res_a, table.deltas[c], bases, i_total).reduce(row)
-
-
-def test_each_lift_block_is_built_once_per_resolution(capsys, monkeypatch):
-    """The rows of d_k at a vertex, which every chain lift through that
-    step solves against, are built once per resolution, step and vertex
-    (``Resolution.step_at``).  Building them on every ``yoneda_product``
-    call, once per call, step and vertex with room, made 55 builds in
-    ``check dual --n 2 --s 3``; now there are 29, and stdout is the
-    digest of the code that rebuilt them."""
-    inside, builds, per_call = [], Counter(), 0
-    step_at, images = modules.Resolution.step_at, modules.free_images
-    lift = extdual._lift_generators
-
-    def counting_step_at(res, k, v):
-        inside.append((id(res), k, v))
-        try:
-            return step_at(res, k, v)
-        finally:
-            inside.pop()
-
-    def counting_images(free, target, gen_rows, indices):
-        if inside and indices:  # a block with room is being built
-            builds[inside[-1]] += 1
-        return images(free, target, gen_rows, indices)
-
-    def counting_lift(res, k, rhs, src):
-        nonlocal per_call
-        per_call += len({v for v, *_ in src.summands} & set(res.frees[k].vertices))
-        return lift(res, k, rhs, src)
-
-    monkeypatch.setattr(modules.Resolution, "step_at", counting_step_at)
-    monkeypatch.setattr(modules, "free_images", counting_images)
-    monkeypatch.setattr(extdual, "_lift_generators", counting_lift)
-    assert run_cli(["check", "dual", "--n", "2", "--s", "3"]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-        "c6e84e834b8d21e7cb972fa452100960513d48c639918f7ee1e896dad84e083c")
-    assert set(builds.values()) == {1}
-    assert (sum(builds.values()), per_call) == (29, 55)
 
 
 @pytest.mark.parametrize("n,s", [(2, 3), (3, 3), (2, 4)])

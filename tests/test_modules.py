@@ -14,7 +14,7 @@ import zzqh.modules
 from zzqh import (compute_basis, presentation_borel, presentation_cover,
                   presentation_shifted_dual, presentation_zigzag)
 from zzqh.algebra import AlgebraInstance, Element, Path, scope
-from zzqh.extdual import ext_table
+from zzqh.extdual import build_dual_from_ext, ext_table
 from zzqh.koszul import _flat_degree_zero_part, check_delta_koszul
 from zzqh.linalg import Echelon, Matrix
 from zzqh.modules import (FreeModule, RightModule, _block_kernel, _block_key,
@@ -31,7 +31,7 @@ from zzqh.modules import (FreeModule, RightModule, _block_kernel, _block_key,
 from zzqh.qh import _copresentation, check_borel, check_quasi_hereditary
 from zzqh.quiver import OrderData, build_quiver, order_data
 
-from helpers import concat, full, shift_module, sparse
+from helpers import concat, full, lift_reference, shift_module, sparse
 from hom_reference import hom_space
 
 GRID = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
@@ -511,6 +511,69 @@ def test_a_socle_that_is_not_simple_raises(cover12):
     pair = direct_sum(cover12, [simple_module(cover12, x) for x in VERTS[:2]])
     with pytest.raises(AssertionError, match="not simple"):
         socle_isomorphic(pair, pair)
+
+
+# ---------------------------------------------------------------------------
+# lifts through a resolution
+
+
+LIFT_RUNS = [("dual", p) for p in GRID] + [("borel", (2, 3)), ("borel", (3, 2))]
+
+
+@pytest.mark.parametrize("run,point", LIFT_RUNS)
+def test_lifts_match_the_vertex_wide_route(covers, borels, tables,
+                                           monkeypatch, run, point):
+    """Every row that ``build_dual_from_ext`` or ``check_borel`` lifts
+    with ``Resolution.lift`` lifts as the vertex-wide dense solve lifts
+    it: up to a permutation that system is block-diagonal, and the
+    right-hand side is zero off the row's block."""
+    calls, lift = [], zzqh.modules.Resolution.lift
+
+    def recording(res, k, row):
+        out = lift(res, k, row)
+        calls.append((res, k, row, out))
+        return out
+
+    monkeypatch.setattr(zzqh.modules.Resolution, "lift", recording)
+    if run == "dual":
+        build_dual_from_ext(covers[point], tables[point])
+    else:
+        check_borel(covers[point], borels[point])
+    monkeypatch.undo()
+    assert any(out for *_, out in calls)
+    for res, k, row, out in calls:
+        assert out == lift_reference(res, k, row), (k, row)
+
+
+@pytest.mark.parametrize("point", GRID)
+def test_a_lift_stays_on_its_block_and_in_the_image(tables, point):
+    """``Resolution.lift`` on the resolutions of the standard modules:
+    each generator image lifts to a row that d_k sends back to it, and
+    the zero row lifts to {}.  A generator image with an entry added in
+    another block raises AssertionError, and for k >= 1 the unit row of
+    a generator of frees[k-1], outside the radical that holds the image
+    of the minimal d_k, raises ArithmeticError."""
+    moved = units = 0
+    for res in tables[point].resolutions.values():
+        assert all(res.lift(k, {}) == {} for k in range(res.length + 1))
+        for k in range(1, res.length + 1):
+            tgt, blocks = res.frees[k - 1], res.frees[k - 1].blocks()
+            for row in res.gens[k]:
+                lifted = res.lift(k, row)
+                assert free_row_image(res.frees[k], tgt, res.gens[k],
+                                      lifted) == row
+                first = next(iter(row))
+                key = (tgt.vertices[first], tgt.bidegrees[first])
+                other = next(j for b, cols in blocks.items() if b != key
+                             for j in cols)
+                with pytest.raises(AssertionError, match="block"):
+                    res.lift(k, {**row, other: 1})
+                moved += 1
+            for _, _, start, _ in tgt.summands:
+                with pytest.raises(ArithmeticError):
+                    res.lift(k, {start: 1})
+                units += 1
+    assert moved and units
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Quasi-heredity of the covers, the double-centralizer property over
 the zigzag algebras, and the Borel subalgebra checks."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -11,10 +12,10 @@ from zzqh import (compute_basis, presentation_borel, presentation_cover,
                   presentation_zigzag)
 from zzqh.algebra import Element, Path, Presentation, scope
 from zzqh.extdual import ext_table
-from zzqh.modules import (algebra_order, costandard_module, delta_nabla_ext,
-                          ext_bigraded_reps, minimal_resolution,
-                          projective_module, standard_module,
-                          standard_resolution)
+from zzqh.modules import (algebra_order, costandard_module, delta_filtration,
+                          delta_nabla_ext, ext_bigraded_reps,
+                          minimal_resolution, projective_module,
+                          standard_module, standard_resolution)
 from zzqh.qh import (QhReport, _copresentation_failures, check_borel,
                      check_cover, check_quasi_hereditary)
 from zzqh.quiver import build_quiver, order_data, vertex_name
@@ -31,6 +32,44 @@ def test_covers_are_quasi_hereditary(covers):
         assert rep.projectives_delta_filtered
         assert rep.ext_delta_nabla_vanishing
         assert rep.hom_delta_nabla_diagonal
+
+
+def _bgg_sides(cover):
+    """For each vertex x, the Counter of the layers (y, shift) of the
+    Delta-filtration of P_x, and the Counter of (y, bidegree) over the
+    basis vectors at x of each costandard module Nabla_y."""
+    order, verts = algebra_order(cover), cover.presentation.vertices
+    nablas = {y: costandard_module(cover, y, order) for y in verts}
+    deltas, nabla = {}, {}
+    for x in verts:
+        layers, witness = delta_filtration(projective_module(cover, x), order)
+        assert witness is None, (x, witness)
+        deltas[x] = Counter(layers)
+        nabla[x] = Counter((y, d) for y, m in nablas.items()
+                           for v, d in zip(m.vertices, m.bidegrees) if v == x)
+    return deltas, nabla
+
+
+def _flipped(counter):
+    return Counter({(y, (-d[0], -d[1])): c for (y, d), c in counter.items()})
+
+
+@pytest.mark.parametrize("point", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2),
+                                   (2, 4), (3, 3)])
+def test_delta_filtrations_obey_graded_bgg_reciprocity(point):
+    """A second route to the Delta-filtrations ``check qh`` reads:
+    graded BGG reciprocity (Cline-Parshall-Scott 1988),
+    (P_x : Delta_y<d>) = [Nabla_y : L_x<-d>], with Nabla_y built over
+    the opposite algebra apart from any filtration.  Without the sign
+    flip the comparison fails, and so does a Nabla with one basis
+    vector at x dropped."""
+    deltas, nabla = _bgg_sides(compute_basis(presentation_cover(*point)))
+    assert all(deltas[x] == _flipped(nabla[x]) for x in deltas)
+    assert not all(deltas[x] == nabla[x] for x in deltas)
+    for x, counter in nabla.items():
+        dropped = counter.copy()
+        dropped[next(iter(counter))] -= 1
+        assert deltas[x] != _flipped(+dropped), x
 
 
 @pytest.mark.parametrize("ext_first", [True, False])
