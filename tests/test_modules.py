@@ -553,7 +553,7 @@ def test_a_lift_stays_on_its_block_and_in_the_image(tables, point):
     another block raises AssertionError, and for k >= 1 the unit row of
     a generator of frees[k-1], outside the radical that holds the image
     of the minimal d_k, raises ArithmeticError."""
-    moved = units = 0
+    off_block = units = 0
     for res in tables[point].resolutions.values():
         assert all(res.lift(k, {}) == {} for k in range(res.length + 1))
         for k in range(1, res.length + 1):
@@ -568,12 +568,12 @@ def test_a_lift_stays_on_its_block_and_in_the_image(tables, point):
                              for j in cols)
                 with pytest.raises(AssertionError, match="block"):
                     res.lift(k, {**row, other: 1})
-                moved += 1
+                off_block += 1
             for _, _, start, _ in tgt.summands:
                 with pytest.raises(ArithmeticError):
                     res.lift(k, {start: 1})
                 units += 1
-    assert moved and units
+    assert off_block and units
 
 
 # ---------------------------------------------------------------------------
