@@ -29,6 +29,7 @@ Everything is immutable after construction and safe to share.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -75,7 +76,7 @@ class Path:
     traversed first.  The empty path at a vertex is the idempotent.
     """
 
-    __slots__ = ("source", "arrows", "_hash", "_bidegree")
+    __slots__ = ("source", "arrows", "target", "bidegree", "_hash")
 
     def __init__(self, source, arrows=()):
         self.source = source
@@ -85,23 +86,21 @@ class Path:
             if a.source != at:
                 raise ValueError(f"non-composable arrows at {at}: {a}")
             at = a.target
+        self.target, self.bidegree = at, (sum(a.bidegree[0] for a in self.arrows),
+                                          sum(a.bidegree[1] for a in self.arrows))
         self._hash = hash((source, self.arrows))
-        self._bidegree = None
 
-    @property
-    def target(self):
-        return self.arrows[-1].target if self.arrows else self.source
+    def _extend(self, arrow):
+        """This path then ``arrow``, which starts at its target: no check."""
+        p, (f, s), (g, t) = Path.__new__(Path), self.bidegree, arrow.bidegree
+        p.source, p.target, p.bidegree = self.source, arrow.target, (f + g, s + t)
+        p.arrows = self.arrows + (arrow,)
+        p._hash = hash((p.source, p.arrows))
+        return p
 
     @property
     def length(self):
         return len(self.arrows)
-
-    @property
-    def bidegree(self):
-        if self._bidegree is None:
-            self._bidegree = (sum(a.bidegree[0] for a in self.arrows),
-                              sum(a.bidegree[1] for a in self.arrows))
-        return self._bidegree
 
     def sort_key(self):
         return (len(self.arrows), tuple(a.label_key for a in self.arrows),
@@ -219,12 +218,17 @@ class Presentation:
                 raise ValueError("relations must have path length >= 2")
         self.kind = kind
         self.params = dict(params or {})
-        self._from = {}
-        for a in self.arrows:
+        self._from, self._numbered = {}, {}  # id: position in ``arrows``
+        for k, a in enumerate(self.arrows):
             self._from.setdefault(a.source, []).append(a)
+            self._numbered.setdefault(a.source, []).append((k, a))
 
     def arrows_from(self, v):
         return self._from.get(v, [])
+
+    def numbered_from(self, v):
+        """(id, arrow) for each arrow from v."""
+        return self._numbered.get(v, [])
 
     def arrow(self, source, label) -> Arrow:
         return self._by_key[(source, label)]
@@ -468,25 +472,24 @@ class AlgebraInstance:
 
     ``basis_by_length[d]`` lists the basis paths of length d in
     canonical order.  ``step`` and ``forms`` from ``compute_basis`` are
-    its one product table: a projective reads it by ``times_arrow``, and
-    ``reduce_path``, which no module of the package calls, folds a path
-    over it as the oracle for those rows.  The instance certifies
+    its one product table, on ids: a projective reads it by ``ids_from``,
+    and ``reduce_path``, which no module of the package calls, folds a
+    path over it as the oracle for those rows.  The instance certifies
     finiteness: the computation ran until an empty length, and since the
     algebra is generated in length 1 all longer components vanish too.
     """
 
-    def __init__(self, presentation, basis_by_length, forms, step):
+    def __init__(self, presentation, basis_by_length, ids, step, forms):
         self.presentation = presentation
         self.basis_by_length = [tuple(b) for b in basis_by_length]
-        self._forms, self._step = forms, step  # the product table
-        self._arrows = frozenset(presentation.arrows)
+        self.step, self.forms = step, forms  # the product table, on ids
         self.top_length = len(self.basis_by_length) - 1
-        self._basis_set = {p for level in self.basis_by_length for p in level}
         self._memo = {}  # key -> what memo(key, build) built for it
         self._blocks = {}  # (source, target) -> bidegree -> path count
-        self._from = {}  # source -> its basis paths, in Path.sort_key order
-        for p in self.basis():
+        self._from, self._ids = {}, {}  # source -> its basis paths in order, their ids
+        for p, i in zip(self.basis(), ids):
             self._from.setdefault(p.source, []).append(p)
+            self._ids.setdefault(p.source, []).append(i)
             counts = self._blocks.setdefault((p.source, p.target), {})
             counts[p.bidegree] = counts.get(p.bidegree, 0) + 1
         if _scopes:
@@ -512,26 +515,36 @@ class AlgebraInstance:
         return dict(self._blocks.get((x, y), {}))
 
     def is_basis_path(self, p: Path) -> bool:
-        return p in self._basis_set
+        return p in self._from.get(p.source, ())
 
     def paths_from(self, x):
         return self._from.get(x, [])
 
-    # -- reduction and products -------------------------------------------
+    def ids_from(self, x):
+        """The ids of ``paths_from(x)``, in the same order."""
+        return self._ids.get(x, [])
 
-    def times_arrow(self, p: Path, arrow):
-        """(q, form) for basis path ``p`` times ``arrow``: the product as a
-        path, and its stored normal form, or None when q is a basis path."""
-        q = self._step[(p, arrow)]
-        return q, self._forms.get(q)
+    # -- reduction and products -------------------------------------------
 
     def reduce_path(self, p: Path) -> Element:
         """``p`` folded over the product table from its source's idempotent;
         ValueError if its source or an arrow is not in the presentation."""
-        if p.source not in self._from or not self._arrows.issuperset(p.arrows):
+        ids = {a: k for k, a in enumerate(self.presentation.arrows)}
+        if p.source not in self._from or not all(a in ids for a in p.arrows):
             raise ValueError(f"{p!r} is not a path of {self.presentation!r}")
-        return Element(_fold(Path(p.source), Element.of_path(p),
-                             self._step, self._forms))
+        paths, at = self._from[p.source], self._ids[p.source]
+        out = _fold(at[0], [(tuple(ids[a] for a in p.arrows), ONE)],
+                    self.step, self.forms)
+        return Element({paths[bisect_left(at, u)]: c for u, c in out.items()})
+
+    @property
+    def _forms(self):
+        """The stored forms keyed by path, for the tests, pivots built here."""
+        path = {c: p for x, at in self._ids.items() for c, p in zip(at, self._from[x])}
+        path.update((c, path[q]._extend(self.presentation.arrows[k]))
+                    for (q, k), c in self.step.items() if c in self.forms)
+        return {path[c]: {path[u]: v for u, v in form.items()}
+                for c, form in self.forms.items()}
 
     # -- derived structure --------------------------------------------------
 
@@ -563,19 +576,19 @@ class AlgebraInstance:
                 f"top length {self.top_length})")
 
 
-def _fold(b, r, step, forms) -> dict:
-    """The normal form of basis path ``b`` times ``r``, an element on
-    paths from b's target, each term folded along its arrows:
-    ``step[(q, a)]`` is the candidate q * a of basis path q, a pivot
-    reading its stored form, maybe empty (zero), or else standing for
-    itself.  A missing (q, a) raises KeyError."""
+def _fold(b, terms, step, forms) -> dict:
+    """The normal form of basis path ``b`` times ``terms``, (arrow-id
+    word, coefficient) pairs on paths from b's target, each word folded
+    along its arrows: ``step[(q, a)]`` is the candidate q * a of basis
+    path q, a pivot reading its stored form, maybe empty (zero), or else
+    standing for itself.  A missing (q, a) raises KeyError."""
     out = {}
-    for t, c in r.terms.items():
+    for word, c in terms:
         vec = {b: c}
-        for a in t.arrows:
+        for a in word:
             vec, last = {}, vec
             for q, x in last.items():
-                p = step[(q, a)]
+                p = step[q, a]
                 form = forms.get(p)
                 for u, v in ((p, ONE),) if form is None else form.items():
                     vec[u] = vec.get(u, ZERO) + x * v
@@ -588,19 +601,21 @@ def compute_basis(pres: Presentation, max_len: int = DEFAULT_MAX_LEN) -> Algebra
     """Build the basis length by length from the previous length's basis.
 
     The candidates of length d, the basis paths of length d-1 each
-    extended by one arrow, span A_{d-1} (x) A_1; ``step`` records each
-    (basis path, arrow) -> candidate as they are listed.  The kernel of
-    its map onto A_d is spanned by the products b * r of a relation r of
-    length k <= d with a basis path b of length d-k, each term folded
+    extended by one arrow, span A_{d-1} (x) A_1; they are numbered after
+    the shorter ones in ``Path.sort_key`` order (ids 0..V-1 are the
+    idempotents, an arrow's id is its place in ``pres.arrows``), and
+    ``step`` records each (basis path, arrow) -> candidate.  The kernel
+    of its map onto A_d is spanned by the products b * r of a relation r
+    of length k <= d with a basis path b of length d-k, each term folded
     from b along its arrows over ``step`` (``_fold``): a pivot of a
     shorter length reads its form, a candidate of length d stands for
     itself.  Each product lies in one (source, target, bidegree) block;
-    ``Matrix.rref`` eliminates each block with its paths as columns in
-    descending ``Path.sort_key`` order, so the pivots and normal forms
-    depend only on the span.  A pivot keeps its row, without the pivot
-    and negated, as its normal form.  By a dimension count the
-    candidates that are not pivots are the normal words, the paths an
-    elimination over all paths would keep.
+    ``Matrix.rref`` eliminates each block with its ids as columns in
+    descending order, so the pivots and normal forms depend only on the
+    span.  A pivot keeps its row, without the pivot and negated, as its
+    normal form.  By a dimension count the candidates that are not pivots
+    are the normal words, the paths an elimination over all paths would
+    keep, and only they are built as paths.
 
     Stops at the first empty length and returns the finite instance (all
     longer components vanish since the algebra is generated in length
@@ -610,43 +625,47 @@ def compute_basis(pres: Presentation, max_len: int = DEFAULT_MAX_LEN) -> Algebra
     still nonzero, raises :class:`NonTerminationError`: the algebra may be
     infinite dimensional and no basis is certified.
     """
-    rels = {}  # length -> source -> relations
+    ids = {a: k for k, a in enumerate(pres.arrows)}
+    rels = {}  # length -> source -> relations, as (arrow-id word, coeff)
     for r in pres.relations:
         p = next(iter(r.terms))
-        rels.setdefault(p.length, {}).setdefault(p.source, []).append(r)
+        rels.setdefault(p.length, {}).setdefault(p.source, []).append(
+            [(tuple(ids[a] for a in t.arrows), c) for t, c in r.terms.items()])
 
-    basis_by_length = [[Path(v) for v in pres.vertices]]
-    forms, step = {}, {}
+    # (source, target, bidegree, label keys) by candidate id, dropped on return
+    info = [(v, v, (0, 0), ()) for v in pres.vertices]
+    level = {i: Path(v) for i, v in enumerate(pres.vertices)}  # id -> basis path
+    levels, forms, step = [level], {}, {}
 
     for d in range(1, max_len + 1):
-        new = {(b, a): Path(b.source, b.arrows + (a,))
-               for b in basis_by_length[-1] for a in pres.arrows_from(b.target)}
-        step.update(new)
-        candidates = sorted(new.values(), key=Path.sort_key)
-        rank = {p: i for i, p in enumerate(candidates)}
+        new = sorted((info[b][3] + (a.label_key,), _vkey(info[b][0]), b, k, a)
+                     for b in level for k, a in pres.numbered_from(info[b][1]))
+        for c, (w, _, b, k, a) in enumerate(new, len(info)):
+            v, _, (f, s), _ = info[b]
+            step[b, k] = c
+            info.append((v, a.target, (f + a.bidegree[0], s + a.bidegree[1]), w))
         blocks = {}  # (source, target, bidegree) -> products b * r
         for k, at in rels.items():
-            for b in basis_by_length[d - k] if k <= d else ():
-                for r in at.get(b.target, ()):
+            for b in levels[d - k] if k <= d else ():
+                for r in at.get(info[b][1], ()):
                     vec = _fold(b, r, step, forms)
                     if vec:
-                        p = next(iter(vec))
-                        blocks.setdefault((p.source, p.target, p.bidegree),
-                                          []).append(vec)
+                        blocks.setdefault(info[next(iter(vec))][:3], []).append(vec)
         for vecs in blocks.values():
-            cols = sorted({p for vec in vecs for p in vec},
-                          key=rank.__getitem__, reverse=True)
+            cols = sorted({p for vec in vecs for p in vec}, reverse=True)
             found, red = Matrix._exact([[vec.get(p, ZERO) for p in cols]
                                         for vec in vecs], len(cols)).rref()
             for c, row in zip(found, red.data):
                 forms[cols[c]] = {cols[j]: -v for j, v in enumerate(row)
                                   if v and j != c}
-        basis_by_length.append([p for p in candidates if p not in forms])
-        if not basis_by_length[-1]:
-            return AlgebraInstance(pres, basis_by_length, forms, step)
+        level = {c: level[b]._extend(a) for c, (_, _, b, _, a)
+                 in enumerate(new, len(info) - len(new)) if c not in forms}
+        levels.append(level)
+        if not level:
+            return AlgebraInstance(pres, [list(at.values()) for at in levels],
+                                   [c for at in levels for c in at], step, forms)
 
-    raise NonTerminationError(pres, max_len,
-                              [len(level) for level in basis_by_length])
+    raise NonTerminationError(pres, max_len, [len(at) for at in levels])
 
 
 def opposite_presentation(pres: Presentation) -> Presentation:

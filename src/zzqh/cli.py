@@ -20,10 +20,10 @@ import sys
 from fractions import Fraction
 from functools import cache, partial
 
-from .algebra import (AlgebraInstance, NonTerminationError, Presentation,
-                      compute_basis, presentation_borel, presentation_cover,
-                      presentation_dual_conjectured, presentation_zigzag,
-                      quadratic_dual, scope)
+from .algebra import (DEFAULT_MAX_LEN, AlgebraInstance, NonTerminationError,
+                      Presentation, compute_basis, presentation_borel,
+                      presentation_cover, presentation_dual_conjectured,
+                      presentation_zigzag, quadratic_dual, scope)
 from .extdual import (build_dual_from_ext, check_degree_law,
                       check_dual_koszul, check_simple_costandard_dims,
                       compare_dual, dual_presentation_json, ext_table,
@@ -145,8 +145,7 @@ def _presentation(kind: str, n, s) -> Presentation:
 
 
 def _instance(kind: str, n, s, cap) -> AlgebraInstance:
-    pres = _presentation(kind, n, s)
-    return compute_basis(pres) if cap is None else compute_basis(pres, cap)
+    return compute_basis(_presentation(kind, n, s), cap or DEFAULT_MAX_LEN)
 
 
 def algebra_json(pres: Presentation, inst: AlgebraInstance = None) -> dict:
@@ -294,15 +293,17 @@ def cmd_check(args) -> int:
                          f"--algebra {args.algebra!r}")
     if (args.n is None) != (args.s is None):
         raise UsageError("--n and --s go together")
-    if args.n is not None:  # parameters out of range fail before any check
-        _presentation(args.algebra, args.n, args.s)
+    pres = None  # parameters out of range fail before any check
+    if args.n is not None:  # and the presentation is built once
+        pres = _presentation(args.algebra, args.n, args.s)
     points = [(args.n, args.s)] if args.n is not None else list(GRID)
     cap = _max_steps(args)
     results, worst = [], EXIT_OK
     for n, s in points:
         # built on first use, under the step cap, and freed with the point
         with scope():
-            basis = cache(partial(_instance, args.algebra, n, s, cap))
+            basis = cache(partial(compute_basis, pres, cap or DEFAULT_MAX_LEN)
+                          if pres else partial(_instance, args.algebra, n, s, cap))
             for name in names:
                 try:
                     report = _check_one(name, n, s, basis, cap)

@@ -78,15 +78,15 @@ class RightModule:
                     raise AssertionError(f"action of {a} breaks weights")
 
     def act(self, arrow, row):
-        """``row`` times ``arrow``, as a new row with no zero entry.
-        Raises ValueError for an index outside the module."""
-        rows, out = self.action[arrow], {}
+        """``row`` times ``arrow``, as a new row with no zero entry: only two
+        products meeting can cancel.  ValueError for an index out of range."""
+        rows, out, n = self.action[arrow], {}, 0
         for i, a in row.items():
             if not 0 <= i < self.dim:
                 raise ValueError(f"index {i} in a module of dimension {self.dim}")
             for j, c in rows.get(i, {}).items():
-                out[j] = out.get(j, ZERO) + a * c
-        return {j: c for j, c in out.items() if c}
+                out[j], n = out.get(j, ZERO) + a * c, n + 1
+        return out if len(out) == n else {j: c for j, c in out.items() if c}
 
     def unit(self, i):
         """Basis vector i as a row."""
@@ -192,23 +192,23 @@ def projective_module(a: AlgebraInstance, x) -> RightModule:
 
 
 def _projective(a: AlgebraInstance, x) -> RightModule:
-    """e_x A, each action row one ``a.times_arrow``; a product that is a
-    basis path gives that path's (prefix index, last arrow)."""
-    paths = a.paths_from(x)
+    """e_x A, each action row read off the product table by ids: a product
+    that is a basis path gives that path's (prefix index, last arrow)."""
+    paths, ids = a.paths_from(x), a.ids_from(x)
     if not paths:
         raise ValueError(f"no such vertex: {x}")
-    index = {p: i for i, p in enumerate(paths)}
-    action = {arr: {} for arr in a.presentation.arrows}
-    prefixes = [None] * len(paths)
-    for i, p in enumerate(paths):
-        for arr in a.presentation.arrows_from(p.target):
-            q, form = a.times_arrow(p, arr)
+    index = {q: i for i, q in enumerate(ids)}
+    pres, step, forms = a.presentation, a.step, a.forms
+    rows, prefixes = [{} for _ in pres.arrows], [None] * len(paths)  # rows by arrow id
+    for i, (p, q) in enumerate(zip(paths, ids)):
+        for k, arr in pres.numbered_from(p.target):
+            form = forms.get(c := step[q, k])
             if form is None:
-                action[arr][i], prefixes[index[q]] = {index[q]: ONE}, (i, arr)
+                rows[k][i], prefixes[index[c]] = {index[c]: ONE}, (i, arr)
             elif form:
-                action[arr][i] = {index[u]: c for u, c in form.items()}
-    mod = RightModule(a, [p.target for p in paths],
-                      [p.bidegree for p in paths], action, label=f"P[{x}]")
+                rows[k][i] = {index[u]: v for u, v in form.items()}
+    mod = RightModule(a, [p.target for p in paths], [p.bidegree for p in paths],
+                      dict(zip(pres.arrows, rows)), label=f"P[{x}]")
     mod.basis_paths, mod.prefixes = tuple(paths), tuple(prefixes)
     return mod
 
@@ -263,15 +263,15 @@ class FreeModule(RightModule):
         return "F[" + ", ".join(f"{v}<{s}>" for v, s, _, _ in self.summands) + "]"
 
     def act(self, arrow, row):
-        out, starts = {}, self.starts
+        out, starts, n = {}, self.starts, 0
         for k, a in row.items():
             if not 0 <= k < self.dim:
                 raise ValueError(f"index {k} in a module of dimension {self.dim}")
             t = bisect_right(starts, k) - 1
             at = starts[t]
             for j, c in self.parts[t].action[arrow].get(k - at, {}).items():
-                out[at + j] = out.get(at + j, ZERO) + a * c
-        return {j: c for j, c in out.items() if c}
+                out[at + j], n = out.get(at + j, ZERO) + a * c, n + 1
+        return out if len(out) == n else {j: c for j, c in out.items() if c}
 
 
 def direct_sum(a: AlgebraInstance, parts) -> RightModule:

@@ -567,23 +567,62 @@ def test_bench_instances_keep_their_bases_and_forms(capsys, monkeypatch):
 
 def test_the_fold_raises_on_a_missing_step_and_reads_an_empty_form_as_zero():
     """``_fold`` multiplies a basis path by a relation through the
-    (basis path, arrow) table alone: a missing entry raises rather than
+    (path id, arrow id) table alone: a missing entry raises rather than
     being skipped, a candidate with no stored form stands for itself,
     and one whose stored form is empty is zero, not itself."""
-    x = Arrow(source=1, target=2, label="x", bidegree=(1, 0))
-    y = Arrow(source=2, target=3, label="y", bidegree=(1, 0))
-    e, px, pxy = Path(1), Path(1, (x,)), Path(1, (x, y))
-    r = Element({pxy: Fraction(3, 2)}) - Element.of_path(pxy)
+    x, y, x2 = 0, 1, 2  # arrow ids
+    e, px, pxy, px2 = 0, 1, 2, 3  # the idempotent, then candidate ids
+    r = [((x, y), Fraction(3, 2)), ((x, y), -1)]
     step = {(e, x): px}
     with pytest.raises(KeyError):
         algebra._fold(e, r, step, {})
-    step[(px, y)] = pxy
+    step[px, y] = pxy
     assert algebra._fold(e, r, step, {}) == {pxy: Fraction(1, 2)}
-    assert algebra._fold(e, Element.of_path(pxy), step, {px: {}}) == {}
+    assert algebra._fold(e, [((x, y), 1)], step, {px: {}}) == {}
     # x2 reduces to x, so the halves meet at x y and sum to the int 1
-    x2 = Arrow(source=1, target=2, label="x2", bidegree=(1, 0))
-    px2 = Path(1, (x2,))
-    step[(e, x2)] = px2
-    halves = Element({pxy: Fraction(1, 2), Path(1, (x2, y)): Fraction(1, 2)})
+    step[e, x2] = px2
+    halves = [((x, y), Fraction(1, 2)), ((x2, y), Fraction(1, 2))]
     out = algebra._fold(e, halves, step, {px2: {px: 1}})
     assert out == {pxy: 1} and type(out[pxy]) is int
+
+
+def test_compute_basis_builds_a_path_for_each_basis_path_alone(monkeypatch):
+    """The rewriting runs on ids: one ``compute_basis`` of cover(2, 5),
+    281 candidates of which 181 are pivots, builds 121 paths, by
+    ``Path()`` or by extending a basis path, one per basis path and none
+    per pivot, and its tables hold ints alone."""
+    pres, made = presentation_cover(2, 5), []
+    init, extend = Path.__init__, Path._extend
+
+    def counted_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    def counted_extend(self, arrow):
+        made.append(extend(self, arrow))
+        return made[-1]
+
+    monkeypatch.setattr(Path, "__init__", counted_init)
+    monkeypatch.setattr(Path, "_extend", counted_extend)
+    inst = compute_basis(pres)
+    monkeypatch.undo()
+    assert len(made) == inst.dim() == 121
+    assert len(inst.step) == 302 - len(pres.vertices) and len(inst.forms) == 181
+    assert all(type(i) is int for key in inst.step for i in key)
+    assert all(type(i) is int for i in inst.step.values())
+    assert all(type(i) is int for form in inst.forms.values()
+               for i in (form.keys() | inst.forms.keys()))
+
+
+@pytest.mark.parametrize("point", GRID)
+def test_ascending_ids_list_the_basis_in_order(point):
+    """Ids 0..V-1 are the idempotents in vertex order, and the ids of
+    the basis paths from each vertex, merged, list ``basis()`` in order,
+    for the cover and its opposite."""
+    cover = compute_basis(presentation_cover(*point))
+    for a in (cover, cover.opposite()):
+        pairs = sorted((i, p) for x in a.presentation.vertices
+                       for i, p in zip(a.ids_from(x), a.paths_from(x)))
+        assert [p for _, p in pairs] == list(a.basis())
+        assert [i for i, _ in pairs][:len(a.presentation.vertices)] == list(
+            range(len(a.presentation.vertices)))

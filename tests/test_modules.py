@@ -907,7 +907,9 @@ def test_checks_leave_no_cache_outside_the_memo():
     assert check_delta_koszul(cover).passed()
     assert cover.opposite().opposite() is cover
     for a in (cover, cover.opposite(), borel):
-        fresh = AlgebraInstance(a.presentation, a.basis_by_length, a._forms, a._step)
+        ids = sorted(i for x in a.presentation.vertices for i in a.ids_from(x))
+        fresh = AlgebraInstance(a.presentation, a.basis_by_length, ids,
+                                a.step, a.forms)
         assert vars(a).keys() == vars(fresh).keys(), a
 
 
