@@ -9,9 +9,9 @@ rewritten over the candidates, are eliminated one (source, target,
 bidegree) block at a time.  The largest word is the pivot, so the
 surviving representative of each class is the lexicographically
 smallest path under the arrow order ``a_1 < a_2 < ... < a_n < a_0``
-(index-0 arrows sort last).  The elimination fills a table of basis
-path times arrow; the projectives of :mod:`.modules` read their action
-rows off it, and every product outside ``compute_basis`` is such a row.
+(index-0 arrows sort last).  The elimination runs on integer ids and
+fills a table of basis path times arrow, whose rows the projectives of
+:mod:`.modules` read: every product outside ``compute_basis`` is one.
 
 The zigzag family lives on the translation quivers of :mod:`.quiver`:
 

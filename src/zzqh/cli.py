@@ -293,8 +293,8 @@ def cmd_check(args) -> int:
                          f"--algebra {args.algebra!r}")
     if (args.n is None) != (args.s is None):
         raise UsageError("--n and --s go together")
-    pres = None  # parameters out of range fail before any check
-    if args.n is not None:  # and the presentation is built once
+    pres = None  # parameters out of range fail here, before any check,
+    if args.n is not None:  # and the point's presentation is built once
         pres = _presentation(args.algebra, args.n, args.s)
     points = [(args.n, args.s)] if args.n is not None else list(GRID)
     cap = _max_steps(args)

@@ -406,6 +406,7 @@ def test_reduce_path_fixes_basis_paths():
         red = inst.reduce_path(p)
         assert red.terms == {p: 1}
         assert inst.is_basis_path(p)
+    assert inst._forms and not any(map(inst.is_basis_path, inst._forms))
 
 
 def test_reduce_path_rejects_a_path_off_the_presentation():
