@@ -432,6 +432,10 @@ FROZEN_STDOUT = {
         "23026bcc86b8605290c2ab267ce4f171045cd5848dedaf6f7e0ce0190698cbce",
     ("check", "dual", "--n", "2", "--s", "3"):
         "c6e84e834b8d21e7cb972fa452100960513d48c639918f7ee1e896dad84e083c",
+    ("check", "all", "--n", "4", "--s", "5"):
+        "7040a6b5cd67019548b884aa1667681df66925d24359384cd284083d754a5ed0",
+    ("check", "dual", "--n", "4", "--s", "6"):
+        "88775be356aab86d9dd7c970f55da5bbc9d8700a9ff62be3caabfdcfb9d6fe00",
 }
 
 
