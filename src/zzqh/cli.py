@@ -293,17 +293,15 @@ def cmd_check(args) -> int:
                          f"--algebra {args.algebra!r}")
     if (args.n is None) != (args.s is None):
         raise UsageError("--n and --s go together")
-    pres = None  # parameters out of range fail here, before any check,
-    if args.n is not None:  # and the point's presentation is built once
-        pres = _presentation(args.algebra, args.n, args.s)
     points = [(args.n, args.s)] if args.n is not None else list(GRID)
+    # parameters out of range fail here, before any check
+    presentations = [_presentation(args.algebra, n, s) for n, s in points]
     cap = _max_steps(args)
     results, worst = [], EXIT_OK
-    for n, s in points:
+    for (n, s), pres in zip(points, presentations):
         # built on first use, under the step cap, and freed with the point
         with scope():
-            basis = cache(partial(compute_basis, pres, cap or DEFAULT_MAX_LEN)
-                          if pres else partial(_instance, args.algebra, n, s, cap))
+            basis = cache(partial(compute_basis, pres, cap or DEFAULT_MAX_LEN))
             for name in names:
                 try:
                     report = _check_one(name, n, s, basis, cap)

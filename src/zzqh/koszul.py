@@ -29,7 +29,7 @@ from .algebra import (AlgebraInstance, Arrow, Element, Path, Presentation,
                       presentation_shifted_dual, quadratic_blocks,
                       quadratic_dual, scope, shifted_dual_membership)
 from .modules import (RightModule, algebra_order, dualize, ext_bigraded_reps,
-                      free_module, gldim, is_linear,
+                      direct_sum, gldim, is_linear,
                       left_mult_map, minimal_resolution, projective_module,
                       quotient_module, simple_module, socle_rows,
                       standard_resolution)
@@ -230,7 +230,7 @@ def check_shifted_dual_lemmas(n: int, s: int) -> dict:
                 if q.target[0] != 0:
                     maximal_bad.append([vertex_name(x), repr(q), "not in K"])
                 for ar in pres.arrows_from(q.target):
-                    if i in proj.action[ar]:
+                    if i in proj.action.get(ar, ()):
                         maximal_bad.append([vertex_name(x), repr(q),
                                             "extends along " + str(ar.label)])
 
@@ -353,7 +353,8 @@ def dual_degree_zero_module(inst: AlgebraInstance):
     """D of the flat-degree-zero quotient of the regular left module,
     as a right module."""
     op = inst.opposite()
-    regular = free_module(op, [(x, (0, 0)) for x in op.presentation.vertices])
+    regular = direct_sum(op, [projective_module(op, x)
+                              for x in op.presentation.vertices])
     return dualize(_flat_degree_zero_part(regular, "A[0]"))
 
 

@@ -1,11 +1,12 @@
 """Finite dimensional right modules over a computed algebra.
 
 A ``RightModule`` is a based bigraded module: each basis vector carries
-a vertex (its weight) and a bidegree, and every arrow acts by sparse
-rows: ``action[arrow]`` is a dict ``{i: {j: c}}``, c the nonzero
-coefficient of basis vector j in basis vector i times the arrow, with
-a row only for each i the arrow moves, certified once to sit at its
-source.  ``RightModule.act(arrow, row)`` is the one product: every
+a vertex (its weight) and a bidegree, and each arrow that moves some
+basis vector acts by sparse rows: ``action[arrow]`` is a dict
+``{i: {j: c}}``, c the nonzero coefficient of basis vector j in basis
+vector i times the arrow, with a row only for each i the arrow moves,
+certified once to sit at its source; an arrow with no entry moves
+nothing.  ``RightModule.act(arrow, row)`` is the one product: every
 product outside ``compute_basis`` acts on rows of a memoized projective,
 an element of e_x A being its row in P_x (``element_row``).  Canonical
 constructors build simples, projectives e_x A, injectives D(A e_x),
@@ -15,11 +16,11 @@ algebra's standard modules.  On top of that live projective
 covers, minimal bigraded resolutions, cochain complexes computing Ext
 (Hom is their level 0, the one route to Hom), the socle certificate
 for isomorphism, filtration by standard modules, and the duality to
-the opposite algebra.  A free module holds its projective summands by
-reference (``free_module``), a Hom complex with no cochain at any step
-is not built (``_hom_is_zero``), and nothing here forms a reference
-cycle outside an instance's memo, which ``cli.run_cli`` relies on when
-it pauses the cyclic collector for a call.
+the opposite algebra.  A free module holds its projectives by reference
+with no ``action`` (``free_module``), a Hom complex with no cochain at
+any step is not built (``_hom_is_zero``), and nothing here forms a
+reference cycle outside an instance's memo, which ``cli.run_cli`` relies
+on when it pauses the cyclic collector for a call.
 
 Elimination is block-local: an arrow maps each (vertex, bidegree) block
 into one other block and a module map keeps blocks in place, so kernels,
@@ -57,9 +58,10 @@ class RightModule:
     """A based right module.  ``vertices[i]`` and ``bidegrees[i]``
     describe basis vector i; ``action[arrow]`` maps each i the arrow
     moves, and no other, to the row {j: c} of nonzero coefficients of
-    basis vector i times the arrow.  Building the module certifies each
-    row nonempty and keyed at a basis vector of the arrow's source, and
-    sets ``dim``, the number of basis vectors, which never changes."""
+    basis vector i times the arrow, and an arrow that moves nothing has
+    no entry.  Building the module certifies each key an arrow of the
+    presentation and each row nonempty and keyed at a basis vector of
+    the arrow's source, and sets ``dim``, the number of basis vectors."""
 
     def __init__(self, algebra, vertices, bidegrees, action, label=""):
         self.algebra = algebra
@@ -68,25 +70,34 @@ class RightModule:
         self.dim = len(self.vertices)
         if self.dim != len(self.bidegrees):
             raise ValueError("vertex and bidegree lists differ in length")
-        self.action = dict(action)
-        self.label = label
-        for a, rows in self.action.items():
+        self.action, self.label = {}, label
+        for a, rows in action.items():
+            self._no_rows(a)  # KeyError unless an arrow of the presentation
             for i, row in rows.items():
                 if not (row and 0 <= i < self.dim):
                     raise AssertionError(f"bad action shape for {a}")
                 if self.vertices[i] != a.source:
                     raise AssertionError(f"action of {a} breaks weights")
+            if rows:
+                self.action[a] = rows
 
     def act(self, arrow, row):
         """``row`` times ``arrow``, as a new row with no zero entry: only two
         products meeting can cancel.  ValueError for an index out of range."""
-        rows, out, n = self.action[arrow], {}, 0
+        rows, out, n = self.action.get(arrow) or self._no_rows(arrow), {}, 0
         for i, a in row.items():
             if not 0 <= i < self.dim:
                 raise ValueError(f"index {i} in a module of dimension {self.dim}")
             for j, c in rows.get(i, {}).items():
                 out[j], n = out.get(j, ZERO) + a * c, n + 1
         return out if len(out) == n else {j: c for j, c in out.items() if c}
+
+    def _no_rows(self, arrow):
+        """No rows for an arrow of the presentation, matched by value;
+        KeyError for another."""
+        if self.algebra.presentation.arrow(arrow.source, arrow.label) != arrow:
+            raise KeyError(arrow)
+        return {}
 
     def unit(self, i):
         """Basis vector i as a row."""
@@ -104,10 +115,7 @@ class RightModule:
     def check(self):
         """Validate weight compatibility, grading, and the relations."""
         pres = self.algebra.presentation
-        for a in pres.arrows:
-            rows = self.action.get(a)
-            if rows is None:
-                raise AssertionError(f"bad action shape for {a}")
+        for a, rows in self.action.items():
             for i, srow in rows.items():
                 for j in srow:
                     if self.vertices[j] != a.target:
@@ -199,7 +207,7 @@ def _projective(a: AlgebraInstance, x) -> RightModule:
         raise ValueError(f"no such vertex: {x}")
     index = {q: i for i, q in enumerate(ids)}
     pres, step, forms = a.presentation, a.step, a.forms
-    rows, prefixes = [{} for _ in pres.arrows], [None] * len(paths)  # rows by arrow id
+    rows, prefixes = defaultdict(dict), [None] * len(paths)  # rows by arrow id
     for i, (p, q) in enumerate(zip(paths, ids)):
         for k, arr in pres.numbered_from(p.target):
             form = forms.get(c := step[q, k])
@@ -208,7 +216,7 @@ def _projective(a: AlgebraInstance, x) -> RightModule:
             elif form:
                 rows[k][i] = {index[u]: v for u, v in form.items()}
     mod = RightModule(a, [p.target for p in paths], [p.bidegree for p in paths],
-                      dict(zip(pres.arrows, rows)), label=f"P[{x}]")
+                      {pres.arrows[k]: r for k, r in rows.items()}, f"P[{x}]")
     mod.basis_paths, mod.prefixes = tuple(paths), tuple(prefixes)
     return mod
 
@@ -216,17 +224,15 @@ def _projective(a: AlgebraInstance, x) -> RightModule:
 def simple_module(a: AlgebraInstance, x, shift=(0, 0)) -> RightModule:
     if x not in a.presentation.vertices:
         raise ValueError(f"no such vertex: {x}")
-    action = {arr: {} for arr in a.presentation.arrows}
-    return RightModule(a, [x], [shift], action, label=f"S[{x}]")
+    return RightModule(a, [x], [shift], {}, label=f"S[{x}]")
 
 
 def free_module(a: AlgebraInstance, gens) -> RightModule:
     """Direct sum of shifted projectives, one per (vertex, shift) pair,
     held by reference (``FreeModule``): it keeps the memoized projectives
-    and their offsets, writes out only the shifted bidegrees, and copies
-    no action row.  Each projective was certified when it was built, so
-    nothing is certified again.  No resolution step reads the copied
-    ``action`` rows, which ``direct_sum`` builds once, on demand."""
+    and their offsets and writes out only the shifted bidegrees: it has no
+    ``action``, and ``act`` reads the rows of its parts, certified when
+    each projective was built."""
     return FreeModule(a, gens)
 
 
@@ -248,10 +254,6 @@ class FreeModule(RightModule):
                                for d in part.bidegrees)
 
     @cached_property
-    def action(self):
-        return direct_sum(self.algebra, self.parts).action
-
-    @cached_property
     def _graded_blocks(self):  # made once and shared: callers only read it
         return super().blocks()
 
@@ -267,9 +269,9 @@ class FreeModule(RightModule):
         for k, a in row.items():
             if not 0 <= k < self.dim:
                 raise ValueError(f"index {k} in a module of dimension {self.dim}")
-            t = bisect_right(starts, k) - 1
-            at = starts[t]
-            for j, c in self.parts[t].action[arrow].get(k - at, {}).items():
+            at = starts[t := bisect_right(starts, k) - 1]
+            rows = self.parts[t].action.get(arrow) or self._no_rows(arrow)
+            for j, c in rows.get(k - at, {}).items():
                 out[at + j], n = out.get(at + j, ZERO) + a * c, n + 1
         return out if len(out) == n else {j: c for j, c in out.items() if c}
 
@@ -277,8 +279,7 @@ class FreeModule(RightModule):
 def direct_sum(a: AlgebraInstance, parts) -> RightModule:
     vertices = [v for m in parts for v in m.vertices]
     bidegrees = [d for m in parts for d in m.bidegrees]
-    action = {arr: {} for arr in a.presentation.arrows}
-    at = 0
+    action, at = defaultdict(dict), 0
     for part in parts:
         for arr, rows in part.action.items():
             for i, srow in rows.items():
@@ -290,11 +291,10 @@ def direct_sum(a: AlgebraInstance, parts) -> RightModule:
 def dualize(m: RightModule) -> RightModule:
     """The vector space dual as a module over the opposite algebra,
     with each action's rows and columns swapped and negated bidegrees."""
-    op = m.algebra.opposite()
-    action = {}
-    for a in m.algebra.presentation.arrows:
+    op, action = m.algebra.opposite(), {}
+    for a, srows in m.action.items():
         rows = action[op.presentation.arrow(a.target, a.label)] = {}
-        for i, srow in m.action[a].items():
+        for i, srow in srows.items():
             for j, c in srow.items():
                 rows.setdefault(j, {})[i] = c
     bidegrees = [tuple(-c for c in d) for d in m.bidegrees]
@@ -368,7 +368,7 @@ def generated_submodule(m: RightModule, seeds):
     while work:
         i = work.pop()
         new = {j for a in arrows_from(m.vertices[i])
-               if len(row := m.action[a].get(i, ())) == 1
+               if len(row := m.action.get(a, {}).get(i, ())) == 1
                for j in row} - members
         members |= new
         work.extend(new)
@@ -444,7 +444,7 @@ def socle_rows(m: RightModule):
     for key in sorted(blocks, key=_block_key):
         cols, arrows = blocks[key], _arrows_from(m, blocks, key)
         images = [[c for a, _, tcols in arrows
-                   for c in _restrict(m.action[a].get(i, {}), tcols)]
+                   for c in _restrict(m.action.get(a, {}).get(i, {}), tcols)]
                   for i in cols]
         _, kern = Matrix(images).left_kernel()
         out.extend(_block_row(cols, r) for r in kern)
@@ -460,7 +460,7 @@ def top_generators(m: RightModule):
     for key, cols in blocks.items():
         for a, tkey, tcols in _arrows_from(m, blocks, key):
             for i in cols:
-                rad[tkey].insert(_restrict(m.action[a].get(i, {}), tcols))
+                rad[tkey].insert(_restrict(m.action.get(a, {}).get(i, {}), tcols))
     pivots = {blocks[key][p] for key, span in rad.items() for p in span.rows}
     return [(m.vertices[i], m.bidegrees[i], m.unit(i))
             for i in range(m.dim) if i not in pivots]

@@ -293,7 +293,7 @@ def check_borel(cover: AlgebraInstance, borel: AlgebraInstance) -> QhReport:
         nab = costandard_module(cover, x, cover_order)
         restricted = RightModule(
             borel, nab.vertices, nab.bidegrees,
-            {ar: nab.action[ar] for ar in borel.presentation.arrows},
+            {ar: nab.action.get(ar, {}) for ar in borel.presentation.arrows},
             label=f"Nabla[{x}]|B")
         restricted.check()
         if not socle_isomorphic(costandard_module(borel, x, cover_order),

@@ -2,7 +2,8 @@
 
 ``full`` and ``sparse`` convert between the engine's module rows,
 dicts {index: nonzero coefficient}, and the dense lists of the
-reference routes.  The rest build the inputs and the second routes
+reference routes, and ``rows`` reads an arrow's action rows, none for
+an arrow the module does not store.  The rest build the inputs and the second routes
 that some tests compare against: a path's concatenation, a shifted
 module, the identity class of a standard, the projective-injective
 check at the J vertices, and the vertex-wide lift through a resolution.
@@ -23,6 +24,12 @@ def full(m, row):
 def sparse(row):
     """The dense list ``row`` as a module row."""
     return {j: c for j, c in enumerate(row) if c}
+
+
+def rows(m, arrow):
+    """The action rows of ``arrow`` in m: ``m.action`` holds only the
+    arrows that move some basis vector."""
+    return m.action.get(arrow, {})
 
 
 def concat(p: Path, q: Path) -> Path:

@@ -17,6 +17,8 @@ from zzqh.modules import (RightModule, left_mult_map, projective_module,
                           restrict_to)
 from zzqh.quiver import vertex_name
 
+from helpers import rows
+
 
 def hom_space(m: RightModule, n: RightModule, shift=None):
     """A basis of module maps m -> n, as matrices; with ``shift`` only
@@ -39,11 +41,11 @@ def hom_space(m: RightModule, n: RightModule, shift=None):
         by_col.setdefault(j, []).append((i, col))
     equations = defaultdict(lambda: [ZERO] * len(pos))
     for a in m.algebra.presentation.arrows:
-        for i, row in m.action[a].items():
+        for i, row in rows(m, a).items():
             for k, c in row.items():
                 for j, col in by_row.get(k, ()):
                     equations[(a, i, j)][col] += c
-        for l, row in n.action[a].items():
+        for l, row in rows(n, a).items():
             for j, c in row.items():
                 for i, col in by_col.get(l, ()):
                     equations[(a, i, j)][col] -= c

@@ -31,7 +31,7 @@ from zzqh.modules import (FreeModule, RightModule, _block_kernel, _block_key,
 from zzqh.qh import _copresentation, check_borel, check_quasi_hereditary
 from zzqh.quiver import OrderData, build_quiver, order_data
 
-from helpers import concat, full, lift_reference, shift_module, sparse
+from helpers import concat, full, lift_reference, rows, shift_module, sparse
 from hom_reference import hom_space
 
 GRID = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
@@ -98,11 +98,14 @@ def _format_cases(a):
 @pytest.mark.parametrize("point", GRID)
 def test_sparse_actions_are_valid_and_dualize_back(covers, point):
     """Stored actions satisfy the weights, the grading and the
-    relations, store a row only where it is nonempty and keyed at a
-    basis vector of the arrow's source, hold no zero coefficient, and
-    transpose back under double duality."""
+    relations, hold only arrows of the presentation that move something,
+    store a row only where it is nonempty and keyed at a basis vector of
+    the arrow's source, hold no zero coefficient, and transpose back
+    under double duality."""
     for m in _format_cases(covers[point]):
         assert m.check(), m
+        assert all(rows and m.algebra.presentation.arrow(a.source, a.label) == a
+                   for a, rows in m.action.items()), m
         assert all(row and 0 <= i < m.dim and m.vertices[i] == a.source
                    for a, rows in m.action.items()
                    for i, row in rows.items()), m
@@ -143,6 +146,114 @@ def test_check_rejects_broken_actions(cover12):
             _with_action(m, edit).check()
 
 
+def _foreign_arrows(cover, borel):
+    """(algebra, an arrow not of its presentation, an arrow of it at the
+    same source): an index-0 arrow of the cover for the Borel, and an
+    arrow of the cover for its opposite."""
+    a0 = next(a for a in cover.presentation.arrows if a.label == 0
+              and borel.presentation.arrows_from(a.source))
+    op = cover.opposite()
+    a = next(a for a in cover.presentation.arrows
+             if op.presentation.arrows_from(a.source))
+    return [(borel, a0, borel.presentation.arrows_from(a0.source)[0]),
+            (op, a, op.presentation.arrows_from(a.source)[0])]
+
+
+def _moving(alg, arrow):
+    """The module on ``arrow``'s source and target, which ``arrow``
+    sends one to the other."""
+    return RightModule(alg, [arrow.source, arrow.target],
+                       [(0, 0), arrow.bidegree], {arrow: {0: {1: Fraction(1)}}})
+
+
+def test_a_module_rejects_an_arrow_not_of_its_presentation(covers, borels):
+    """Building the module certifies each key of ``action`` an arrow of
+    its presentation by value: an index-0 arrow of the cover given to a
+    Borel module, and a cover arrow given to a module over the opposite
+    algebra, raise, while the algebra's own arrows, and the cover's
+    nonzero-index arrows equal to them by value, build a module."""
+    for point in GRID:
+        cover, borel = covers[point], borels[point]
+        for alg, foreign, own in _foreign_arrows(cover, borel):
+            with pytest.raises(KeyError):
+                _moving(alg, foreign)
+            with pytest.raises(KeyError):  # given no row, it still raises
+                RightModule(alg, [foreign.source], [(0, 0)], {foreign: {}})
+            assert _moving(alg, own).check()
+        shared = next(a for a in cover.presentation.arrows if a.label != 0)
+        assert shared in borel.presentation.arrows
+        assert id(shared) not in {id(a) for a in borel.presentation.arrows}
+        assert _moving(borel, shared).check()
+
+
+def test_act_rejects_an_arrow_not_of_the_presentation(covers, borels):
+    """Both ``act``s raise on an arrow not of the module's presentation
+    rather than read it as moving nothing, while an arrow of the
+    presentation that moves nothing gives the zero row."""
+    for point in GRID:
+        for alg, foreign, own in _foreign_arrows(covers[point], borels[point]):
+            x = foreign.source
+            proj = projective_module(alg, x)
+            still = next(a for a in alg.presentation.arrows
+                         if a not in proj.action)
+            free = free_module(alg, [(x, (0, 0))])
+            for m in (simple_module(alg, x), proj, free):
+                with pytest.raises(KeyError):
+                    m.act(foreign, {0: Fraction(1)})
+                assert m.act(still, {0: Fraction(1)}) == {}
+            assert simple_module(alg, x).act(own, {0: Fraction(1)}) == {}
+
+
+def test_without_the_arrow_certificate_a_foreign_arrow_reads_as_zero(
+        covers, borels, monkeypatch):
+    """Negative control: with ``_no_rows`` accepting every arrow, the
+    module takes the foreign arrow and each ``act`` reads it as zero."""
+    monkeypatch.setattr(RightModule, "_no_rows", lambda self, arrow: {})
+    for alg, foreign, _ in _foreign_arrows(covers[(2, 2)], borels[(2, 2)]):
+        x = foreign.source
+        assert foreign in _moving(alg, foreign).action
+        for m in (simple_module(alg, x), free_module(alg, [(x, (0, 0))])):
+            assert m.act(foreign, {0: Fraction(1)}) == {}
+
+
+def _empty_entries(modules):
+    """(label, arrow) for each arrow entry with no row."""
+    return [(m.label, a) for m in modules
+            for a, rows in m.action.items() if not rows]
+
+
+def test_no_module_stores_an_empty_arrow_entry(capsys, monkeypatch):
+    """Over one ``check all`` on the default grid, every module built
+    holds only the arrows that move something, and no free module holds
+    an ``action``; a module given an empty entry after it was built is
+    found (negative control)."""
+    from zzqh.cli import run_cli
+    built, frees, init = [], [], RightModule.__init__
+    free_init = FreeModule.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    def record_free(self, *args):
+        free_init(self, *args)
+        frees.append(self)
+
+    monkeypatch.setattr(RightModule, "__init__", record)
+    monkeypatch.setattr(FreeModule, "__init__", record_free)
+    assert run_cli(["check", "all"]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert len(built) > 100 and frees
+    assert sum(map(len, (m.action for m in built))) > 0
+    assert _empty_entries(built) == []
+    assert not any(hasattr(f, "action") for f in frees)
+    m = next(m for m in built if m.dim > 1)
+    a = next(a for a in m.algebra.presentation.arrows if a not in m.action)
+    m.action[a] = {}
+    assert _empty_entries(built) == [(m.label, a)]
+
+
 def test_duality_swaps_projective_injective(cover12):
     for x in VERTS:
         d = dualize(projective_module(cover12, x))
@@ -175,11 +286,11 @@ def test_projectives_are_read_off_the_product_table(monkeypatch, point):
                     (index[Path(x, p.arrows[:-1])], p.arrows[-1])
                     if p.arrows else None for p in paths)
                 for arr in a.presentation.arrows:
-                    rows = {i: {index[q]: c for q, c in a.reduce_path(
+                    reduced = {i: {index[q]: c for q, c in a.reduce_path(
                         Path(x, p.arrows + (arr,))).terms.items()}
                         for i, p in enumerate(paths) if p.target == arr.source}
-                    assert proj.action[arr] == {
-                        i: row for i, row in rows.items() if row}, (x, arr)
+                    assert rows(proj, arr) == {
+                        i: row for i, row in reduced.items() if row}, (x, arr)
 
 
 @pytest.mark.parametrize("build,point", [(presentation_cover, p) for p in GRID]
@@ -411,7 +522,7 @@ def _restricted_costandard(cover, borel, x, order):
     ``check_borel`` builds it."""
     nab = costandard_module(cover, x, order)
     return RightModule(borel, nab.vertices, nab.bidegrees,
-                       {ar: dict(nab.action[ar])
+                       {ar: dict(rows(nab, ar))
                         for ar in borel.presentation.arrows})
 
 
@@ -682,7 +793,7 @@ def _socle_rows_reference(m):
     """The whole-module route: the left kernel of every basis vector's
     images under all the arrows side by side, split by block."""
     arrows = m.algebra.presentation.arrows
-    stacked = [[c for a in arrows for c in full(m, m.action[a].get(i, {}))]
+    stacked = [[c for a in arrows for c in full(m, rows(m, a).get(i, {}))]
                for i in range(m.dim)]
     return _graded_rows_reference(
         m, _left_kernel_reference(stacked, m.dim * len(arrows)))
@@ -823,11 +934,11 @@ def _generated_submodule_reference(m, rows):
     return _graded_rows_reference(m, list(span.rows.values()))
 
 
-def _quotient_module_reference(m, rows, label=""):
-    """m modulo the span of the rows, the quotient basis being the basis
-    vectors that are not pivots, each action row reduced modulo the
-    span."""
-    span = Echelon(_graded_rows_reference(m, rows))
+def _quotient_module_reference(m, spanning, label=""):
+    """m modulo the span of the rows ``spanning``, the quotient basis
+    being the basis vectors that are not pivots, each action row reduced
+    modulo the span."""
+    span = Echelon(_graded_rows_reference(m, spanning))
     for r in span.rows.values():
         for a in m.algebra.presentation.arrows:
             if any(span.reduce(_act(m, a, r))):
@@ -836,7 +947,7 @@ def _quotient_module_reference(m, rows, label=""):
     pos = {i: k for k, i in enumerate(keep)}
     action = {a: {k: row for k, row in enumerate(
                       {pos[j]: c for j, c in enumerate(span.reduce(
-                          full(m, m.action[a].get(i, {})))) if c}
+                          full(m, rows(m, a).get(i, {})))) if c}
                       for i in keep) if row}
               for a in m.algebra.presentation.arrows}
     return RightModule(m.algebra, [m.vertices[i] for i in keep],
@@ -918,7 +1029,8 @@ def test_flat_degree_zero_parts_match_the_echelon_route(covers, point):
     """The regular module of the cover and of its opposite, and each
     projective of the cover, modulo flat degree >= 1."""
     cover = covers[point]
-    mods = [free_module(a, [(x, (0, 0)) for x in a.presentation.vertices])
+    mods = [direct_sum(a, [projective_module(a, x)
+                           for x in a.presentation.vertices])
             for a in (cover, cover.opposite())]
     mods += [projective_module(cover, x) for x in cover.presentation.vertices]
     for m in mods:
@@ -1141,9 +1253,9 @@ def _acts_like_the_direct_sum(free):
 def test_free_modules_act_by_reference_as_their_direct_sum(covers,
                                                           monkeypatch):
     """Building a resolution copies no action row: it calls
-    ``direct_sum`` zero times, and no free module of it has built its
-    ``action`` rows or its label.  Each free module acts as the direct
-    sum of its parts, and reads back the same rows and label on demand."""
+    ``direct_sum`` zero times, and no free module of it holds ``action``
+    rows or has built its label.  Each free module acts as the direct
+    sum of its parts, and reads back the same label on demand."""
     sums = []
     monkeypatch.setattr(zzqh.modules, "direct_sum",
                         lambda *args: sums.append(args) or direct_sum(*args))
@@ -1158,7 +1270,7 @@ def test_free_modules_act_by_reference_as_their_direct_sum(covers,
     for free, terms in frees:
         assert _acts_like_the_direct_sum(free), free
         whole = direct_sum(free.algebra, free.parts)
-        assert (free.action, free.vertices) == (whole.action, whole.vertices)
+        assert free.vertices == whole.vertices
         assert free.label == f"F[{', '.join(f'{v}<{s}>' for v, s in terms)}]"
 
 
@@ -1171,7 +1283,7 @@ def test_a_free_module_act_without_offsets_fails_the_comparison(covers,
         out = {}
         for k, a in row.items():
             t = bisect_right(self.starts, k) - 1
-            for j, c in self.parts[t].action[arrow].get(
+            for j, c in rows(self.parts[t], arrow).get(
                     k - self.starts[t], {}).items():
                 out[j] = out.get(j, 0) + a * c
         return {j: c for j, c in out.items() if c}
@@ -1284,10 +1396,18 @@ def test_an_act_that_keeps_zero_sums_fails_the_check(covers, monkeypatch):
     def keep_zeros(self, arrow, row):
         out = {}
         for i, a in row.items():
-            for j, c in self.action[arrow].get(i, {}).items():
+            for j, c in rows(self, arrow).get(i, {}).items():
                 out[j] = out.get(j, 0) + a * c
         return out
 
-    for cls in (RightModule, FreeModule):
-        monkeypatch.setattr(cls, "act", keep_zeros)
+    def keep_zeros_by_part(self, arrow, row):
+        out = {}
+        for k, a in row.items():
+            at = self.starts[t := bisect_right(self.starts, k) - 1]
+            for j, c in rows(self.parts[t], arrow).get(k - at, {}).items():
+                out[at + j] = out.get(at + j, 0) + a * c
+        return out
+
+    monkeypatch.setattr(RightModule, "act", keep_zeros)
+    monkeypatch.setattr(FreeModule, "act", keep_zeros_by_part)
     assert _stored_zeros(covers, monkeypatch)
