@@ -28,8 +28,8 @@ from .algebra import (AlgebraInstance, Arrow, Element, Path, Presentation,
                       compute_basis, presentation_cover,
                       presentation_shifted_dual, quadratic_blocks,
                       quadratic_dual, scope, shifted_dual_membership)
-from .modules import (RightModule, algebra_order, dualize, ext_bigraded_reps,
-                      direct_sum, gldim, is_linear,
+from .modules import (RightModule, algebra_order, direct_sum, dualize,
+                      ext_bigraded_reps, gldim, is_linear,
                       left_mult_map, minimal_resolution, projective_module,
                       quotient_module, simple_module, socle_rows,
                       standard_resolution)

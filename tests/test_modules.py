@@ -191,7 +191,7 @@ def test_act_rejects_an_arrow_not_of_the_presentation(covers, borels):
     rather than read it as moving nothing, while an arrow of the
     presentation that moves nothing gives the zero row."""
     for point in GRID:
-        for alg, foreign, own in _foreign_arrows(covers[point], borels[point]):
+        for alg, foreign, _ in _foreign_arrows(covers[point], borels[point]):
             x = foreign.source
             proj = projective_module(alg, x)
             still = next(a for a in alg.presentation.arrows
@@ -201,7 +201,6 @@ def test_act_rejects_an_arrow_not_of_the_presentation(covers, borels):
                 with pytest.raises(KeyError):
                     m.act(foreign, {0: Fraction(1)})
                 assert m.act(still, {0: Fraction(1)}) == {}
-            assert simple_module(alg, x).act(own, {0: Fraction(1)}) == {}
 
 
 def test_without_the_arrow_certificate_a_foreign_arrow_reads_as_zero(
@@ -244,8 +243,7 @@ def test_no_module_stores_an_empty_arrow_entry(capsys, monkeypatch):
     assert run_cli(["check", "all"]) == 0
     capsys.readouterr()
     monkeypatch.undo()
-    assert len(built) > 100 and frees
-    assert sum(map(len, (m.action for m in built))) > 0
+    assert len(built) > 100 and frees and any(m.action for m in built)
     assert _empty_entries(built) == []
     assert not any(hasattr(f, "action") for f in frees)
     m = next(m for m in built if m.dim > 1)
